@@ -28,6 +28,7 @@ from luxplan import (
     greedy_set_cover,
     heatmap_scores,
     load_scene,
+    open_door_state_index,
     restrict_cover_instance,
     sweep,
     write_heatmap_set,
@@ -43,14 +44,6 @@ def parse_args(argv=None) -> argparse.Namespace:
     parser.add_argument("--out", type=Path, default=Path("study_out"),
                         help="output directory (default study_out/)")
     return parser.parse_args(argv)
-
-
-def open_state_index(scene) -> int:
-    widest = tuple(max(d.allowed_angles_deg) for d in scene.doors)
-    for q, state in enumerate(enumerate_door_states(scene)):
-        if state.angles_deg == widest:
-            return q
-    raise SystemExit("scene has no all-doors-open state")
 
 
 def describe_cover(label: str, solution, matrix) -> None:
@@ -103,7 +96,7 @@ def main(argv=None) -> int:
 
         instance = build_cover_instance(matrix, args.tau)
         space = StateSpace(n_luminaires=scene.n_luminaires, door_states=tuple(states))
-        q_open = open_state_index(scene)
+        q_open = open_door_state_index(scene)
         keep = frozenset(space.state_id(p, q_open) for p in range(space.n_configs))
         open_cover = greedy_set_cover(restrict_cover_instance(instance, keep))
         describe_cover(f"greedy cover, doors-open universe (q{q_open})", open_cover, matrix)

@@ -25,11 +25,11 @@ import numpy as np
 from luxplan import (
     calibrate_contributions,
     config_sums_batch,
-    enumerate_door_states,
     evaluate_locations,
     extract_baselines,
     heatmap_scores,
     load_scene,
+    open_door_state_index,
     sweep,
     synthesize_logs,
 )
@@ -64,11 +64,9 @@ def main(argv=None) -> int:
         scene = load_scene(scene_path)
         matrix = sweep(scene)
 
-    states = enumerate_door_states(scene)
     q = args.door_state
     if q is None:
-        widest = tuple(max(d.allowed_angles_deg) for d in scene.doors)
-        q = next(i for i, s in enumerate(states) if s.angles_deg == widest)
+        q = open_door_state_index(scene)
     point = args.point
     if point is None:
         point = int(heatmap_scores(matrix, 0.01)[:, q].argmax())

@@ -21,7 +21,7 @@ from .scene import (
     door_leaf_segment,
     enumerate_door_states,
     load_scene,
-    make_grid,
+    open_door_state_index,
     parse_scene,
     render_scene,
 )
@@ -30,7 +30,6 @@ from .transport import (
     ContributionVector,
     LightConfig,
     NoiseModel,
-    all_config_readings,
     contribution,
     contribution_vector,
     read_matrix_csv,
@@ -64,7 +63,6 @@ from .planning import (
     harmonic_bound,
     heatmap_scores,
     restrict_cover_instance,
-    state_distinctness,
 )
 from .ingest import (
     BaselineTable,
@@ -86,10 +84,10 @@ __all__ = [
     "PhotometricProfile", "parse_ies", "IESParseError",
     "CandidatePoint", "Door", "DoorState", "Grid", "Luminaire", "Scene",
     "SceneError", "SceneParseError", "build_grid", "door_leaf_segment",
-    "enumerate_door_states", "load_scene", "make_grid", "parse_scene",
-    "render_scene",
+    "enumerate_door_states", "load_scene", "open_door_state_index",
+    "parse_scene", "render_scene",
     "ContributionMatrix", "ContributionVector", "LightConfig", "NoiseModel",
-    "all_config_readings", "contribution", "contribution_vector",
+    "contribution", "contribution_vector",
     "read_matrix_csv", "reading", "sweep", "write_matrix_csv",
     "InferenceResult", "PerfectSumQuery", "VoteVector", "fuse_votes",
     "infer_reading", "jaccard_accuracy", "nearest_sum_configs",
@@ -98,7 +96,7 @@ __all__ = [
     "StateSpace", "build_cover_instance", "config_sums_batch",
     "distinctness_flags_batch", "distinctness_vector", "exact_min_cover",
     "greedy_set_cover", "harmonic_bound", "heatmap_scores",
-    "restrict_cover_instance", "state_distinctness",
+    "restrict_cover_instance",
     "BaselineTable", "CalibratedContributions", "CommandLog",
     "LocationAccuracy", "SampleLog", "calibrate_contributions",
     "evaluate_locations", "extract_baselines", "synthesize_logs",

@@ -40,7 +40,15 @@ from .planning import (
     restrict_cover_instance,
     StateSpace,
 )
-from .scene import Grid, Scene, SceneError, build_grid, enumerate_door_states, load_scene
+from .scene import (
+    Grid,
+    Scene,
+    SceneError,
+    build_grid,
+    enumerate_door_states,
+    load_scene,
+    open_door_state_index,
+)
 from .transport import (
     ContributionMatrix,
     LightConfig,
@@ -92,16 +100,6 @@ def _load_scene_with_grid(config: RunConfig) -> tuple[Scene, Grid]:
     return scene, grid
 
 
-def _open_door_state_index(scene: Scene) -> int:
-    """Index of the door state with every door at its widest allowed angle."""
-    states = enumerate_door_states(scene)
-    widest = tuple(max(d.allowed_angles_deg) for d in scene.doors)
-    for q, state in enumerate(states):
-        if state.angles_deg == widest:
-            return q
-    raise SceneError("no door state with all doors at their widest angle")
-
-
 def cmd_simulate(config: RunConfig) -> int:
     scene, grid = _load_scene_with_grid(config)
     matrix = sweep(scene)
@@ -137,7 +135,7 @@ def cmd_solve_cover(config: RunConfig) -> int:
     instance = build_cover_instance(matrix, config.tau)
     space = StateSpace(n_luminaires=scene.n_luminaires, door_states=tuple(enumerate_door_states(scene)))
     if config.universe == "open-door":
-        q_open = _open_door_state_index(scene)
+        q_open = open_door_state_index(scene)
         keep = frozenset(space.state_id(p, q_open) for p in range(space.n_configs))
         instance = restrict_cover_instance(instance, keep)
     solution = (
@@ -146,7 +144,8 @@ def cmd_solve_cover(config: RunConfig) -> int:
         else greedy_set_cover(instance)
     )
     solver = "exact" if config.exact else "greedy"
-    print(f"universe: {config.universe} ({len(instance.universe)} states), solver: {solver}")
+    n_states = instance.ids.size
+    print(f"universe: {config.universe} ({n_states} states), solver: {solver}")
     rows = []
     covered_total = 0
     for step, (point_index, gain) in enumerate(zip(solution.chosen, solution.gains), start=1):
@@ -158,7 +157,7 @@ def cmd_solve_cover(config: RunConfig) -> int:
         )
         rows.append([step, point_index, f"{pt.position.x:.6g}", f"{pt.position.y:.6g}", gain, covered_total])
     status = "complete" if solution.complete else (
-        f"incomplete: {len(instance.universe) - len(solution.covered)} states cannot be covered"
+        f"incomplete: {n_states - len(solution.covered)} states cannot be covered"
     )
     print(f"chose {len(solution.chosen)} points; cover {status}")
     config.out_dir.mkdir(parents=True, exist_ok=True)
@@ -302,9 +301,10 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--universe", choices=["open-door", "full"], default="full",
                    help="cover all states or only the widest-open door state")
-    p.add_argument("--exact", action="store_true", help="use the exact solver (small universes)")
+    p.add_argument("--exact", action="store_true",
+                   help="use the exact branch-and-bound solver; --exact-limit bounds the universe")
     p.add_argument("--exact-limit", type=int, default=24,
-                   help="largest universe the exact solver accepts")
+                   help="largest universe, in states, the exact solver accepts (default %(default)s)")
 
     p = sub.add_parser("infer", help="run perfect-sum inference over a readings CSV")
     add_common(p)

@@ -12,6 +12,7 @@ import logging
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -20,9 +21,6 @@ from .transport import ContributionVector, LightConfig
 log = logging.getLogger(__name__)
 
 MAX_SOLVER_BITS = 24
-# Above this size the meet-in-the-middle path wins; below it, depth-first
-# enumeration with suffix-sum pruning is faster and allocation-free.
-MITM_THRESHOLD = 20
 
 
 @dataclass(frozen=True)
@@ -64,79 +62,35 @@ class InferenceResult:
     no_solution: bool = False
 
 
-def _dfs_masks(values: list[float], target: float, epsilon: float) -> list[int]:
-    """All index-subset bitmasks with |sum - target| <= epsilon.
-
-    Walks values in descending order so the suffix-sum bound tightens early.
-    Masks are expressed over the original index order.
-    """
-    n = len(values)
-    order = sorted(range(n), key=lambda i: values[i], reverse=True)
-    vals = [values[i] for i in order]
-    suffix = [0.0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + vals[i]
-
-    out: list[int] = []
-    lo, hi = target - epsilon, target + epsilon
-
-    def walk(i: int, partial: float, mask: int) -> None:
-        if partial > hi:
-            return
-        if partial + suffix[i] < lo:
-            return
-        if i == n:
-            if lo <= partial <= hi:
-                out.append(mask)
-            return
-        walk(i + 1, partial + vals[i], mask | (1 << order[i]))
-        walk(i + 1, partial, mask)
-
-    walk(0, 0.0, 0)
-    return out
-
-
 def _half_sums(values: list[float]) -> tuple[list[float], list[int]]:
     """Subset sums of a short value list, sorted, with aligned masks."""
     pairs = [(0.0, 0)]
     for i, v in enumerate(values):
         pairs += [(s + v, m | (1 << i)) for s, m in pairs]
-    pairs.sort(key=lambda p: p[0])
-    return [p[0] for p in pairs], [p[1] for p in pairs]
+    pairs.sort(key=itemgetter(0))
+    sums, masks = zip(*pairs)
+    return list(sums), list(masks)
 
 
-def _mitm_masks(values: list[float], target: float, epsilon: float) -> list[int]:
-    """Meet-in-the-middle variant of _dfs_masks; returns the same mask set."""
+def perfect_sum(query: PerfectSumQuery) -> list[LightConfig]:
+    """Every configuration whose reading matches the target within epsilon.
+
+    Meet in the middle (Horowitz and Sahni, JACM 1974): the sorted subset
+    sums of the low half of the luminaires are matched against those of
+    the high half by binary search, so a query takes O(n 2^(n/2)) steps
+    plus one per match. Results are sorted ascending by configuration index.
+    """
+    values = list(query.contributions)
     n = len(values)
     h = n // 2
     lo_sums, lo_masks = _half_sums(values[:h])
     hi_sums, hi_masks = _half_sums(values[h:])
-    out: list[int] = []
+    low, high = query.target - query.epsilon, query.target + query.epsilon
+    masks: list[int] = []
     for s, m in zip(lo_sums, lo_masks):
-        first = bisect_left(hi_sums, target - epsilon - s)
-        last = bisect_right(hi_sums, target + epsilon - s)
-        for j in range(first, last):
-            out.append(m | (hi_masks[j] << h))
-    return out
-
-
-def perfect_sum(query: PerfectSumQuery, method: str = "auto") -> list[LightConfig]:
-    """Every configuration whose reading matches the target within epsilon.
-
-    Results are sorted ascending by configuration index. 'auto' picks
-    depth-first search for small n and meet-in-the-middle beyond
-    MITM_THRESHOLD luminaires; both return identical sets.
-    """
-    values = list(query.contributions)
-    n = len(values)
-    if method == "auto":
-        method = "mitm" if n > MITM_THRESHOLD else "dfs"
-    if method == "dfs":
-        masks = _dfs_masks(values, query.target, query.epsilon)
-    elif method == "mitm":
-        masks = _mitm_masks(values, query.target, query.epsilon)
-    else:
-        raise ValueError(f"unknown method {method!r}")
+        first = bisect_left(hi_sums, low - s)
+        last = bisect_right(hi_sums, high - s)
+        masks += [m | (hi << h) for hi in hi_masks[first:last]]
     return [LightConfig.from_index(m, n) for m in sorted(masks)]
 
 

@@ -337,15 +337,14 @@ def synthesize_logs(
     sigma: float = 0.0,
     seed: int = 0,
     ambient: float = 0.0,
-    settle: float = DEFAULT_SETTLE,
 ) -> tuple[SampleLog, CommandLog]:
     """Simulate a command sweep for experiments and round-trip tests.
 
     The noise term is sigma times a standard normal draw keyed by
     (seed, location, sample index) only, so sweeping sigma rescales one
-    fixed noise realization instead of redrawing it.
+    fixed noise realization instead of redrawing it. Samples cover whole
+    command intervals; extract_baselines applies the settle period.
     """
-    del settle  # samples cover whole intervals; extraction applies the settle
     commands = [Command(t=k * dwell, config_index=p) for k, p in enumerate(config_indices)]
     total = dwell * (len(config_indices) + 1)
     n_samples = int(math.ceil(total * rate_hz))

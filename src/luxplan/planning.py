@@ -9,12 +9,13 @@ state): a candidate covers the states it can isolate.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .scene import DoorState
-from .transport import ContributionMatrix, ContributionVector, all_config_readings
+from .transport import ContributionMatrix
 
 DEFAULT_TAU = 0.01  # lux
 
@@ -57,10 +58,31 @@ class StateSpace:
         return state_id % self.n_configs, state_id // self.n_configs
 
 
-@dataclass(frozen=True)
 class CoverInstance:
-    universe: frozenset[int]
-    sets: tuple[frozenset[int], ...]
+    """Set-cover instance as a bool matrix.
+
+    matrix[k, j] is True when candidate cell k covers state ids[j]; rows
+    are cells and columns are the universe, with ids ascending.
+    CoverInstance(universe, sets) builds one from explicit sets of state
+    ids; elements of a set that are outside the universe are ignored.
+    """
+
+    __slots__ = ("matrix", "ids")
+
+    def __init__(self, universe: Iterable[int], sets: Sequence[Iterable[int]]) -> None:
+        ids = sorted(universe)
+        column = {u: j for j, u in enumerate(ids)}
+        matrix = np.zeros((len(sets), len(ids)), dtype=bool)
+        for k, s in enumerate(sets):
+            matrix[k, [column[u] for u in s if u in column]] = True
+        self.matrix = matrix
+        self.ids = np.array(ids, dtype=np.int64)
+
+    @classmethod
+    def _of_matrix(cls, matrix: np.ndarray, ids: np.ndarray) -> "CoverInstance":
+        instance = cls.__new__(cls)
+        instance.matrix, instance.ids = matrix, ids
+        return instance
 
 
 @dataclass
@@ -69,6 +91,25 @@ class CoverSolution:
     gains: list[int]
     covered: frozenset[int]
     complete: bool
+
+
+def _isolated(values: np.ndarray, tau: float) -> np.ndarray:
+    """Flag entries along the last axis whose nearest other entry is more
+    than tau away.
+
+    Strict inequality: a gap of exactly tau is not isolated, and a lone
+    entry is. Sorting first is exact: the nearest other value is always a
+    neighbour in sorted order, so this equals the all-pairs definition.
+    The sort need not be stable: equal entries share every flag.
+    """
+    order = np.argsort(values, axis=-1)
+    wide = np.diff(np.take_along_axis(values, order, axis=-1), axis=-1) > tau
+    isolated_sorted = np.ones(values.shape, dtype=bool)
+    isolated_sorted[..., 1:] &= wide
+    isolated_sorted[..., :-1] &= wide
+    flags = np.empty_like(isolated_sorted)
+    np.put_along_axis(flags, order, isolated_sorted, axis=-1)
+    return flags
 
 
 def distinctness_vector(values, tau: float) -> DistinctnessVector:
@@ -82,31 +123,15 @@ def distinctness_vector(values, tau: float) -> DistinctnessVector:
     vals = np.asarray(values, dtype=float)
     if vals.ndim != 1 or vals.size == 0:
         raise ValueError("need a 1-D, nonempty value vector")
-    if vals.size == 1:
-        return DistinctnessVector(flags=(1,), tau=tau)
-    order = np.argsort(vals, kind="stable")
-    s = vals[order]
-    gaps = np.diff(s)
-    left = np.concatenate(([np.inf], gaps))
-    right = np.concatenate((gaps, [np.inf]))
-    isolated_sorted = np.minimum(left, right) > tau
-    flags = np.empty(vals.size, dtype=int)
-    flags[order] = isolated_sorted.astype(int)
-    return DistinctnessVector(flags=tuple(int(f) for f in flags), tau=tau)
-
-
-def state_distinctness(x: ContributionVector | np.ndarray, tau: float) -> DistinctnessVector:
-    """Distinctness over all 2^n configuration readings at one point.
-
-    Entry p corresponds to configuration index p. The sorted-neighbor
-    computation equals the all-pairs definition because the nearest other
-    value is always an adjacent one in sorted order.
-    """
-    return distinctness_vector(all_config_readings(x), tau)
+    return DistinctnessVector(flags=tuple(_isolated(vals, tau).astype(int).tolist()), tau=tau)
 
 
 def config_sums_batch(values: np.ndarray) -> np.ndarray:
-    """All-configuration readings for a (..., n) contribution array -> (..., 2^n)."""
+    """Noiseless readings of every configuration, indexed by config index.
+
+    values has shape (..., n); the result has shape (..., 2^n). Subset-sum
+    doubling: entry p sums the contributions whose bit is set in p.
+    """
     values = np.asarray(values, dtype=float)
     n = values.shape[-1]
     sums = np.zeros(values.shape[:-1] + (1 << n,))
@@ -119,32 +144,17 @@ def config_sums_batch(values: np.ndarray) -> np.ndarray:
 def distinctness_flags_batch(values: np.ndarray, tau: float) -> np.ndarray:
     """Isolation flags for every configuration, batched.
 
-    values has shape (..., n); the result is boolean with shape (..., 2^n)
-    and matches state_distinctness entry for entry.
+    values has shape (..., n); the result is boolean with shape (..., 2^n).
+    Entry p is distinctness_vector(config_sums_batch(x), tau).flags[p] for
+    each contribution vector x along the last axis.
     """
-    sums = config_sums_batch(values)
-    order = np.argsort(sums, axis=-1, kind="stable")
-    s = np.take_along_axis(sums, order, axis=-1)
-    gaps = np.diff(s, axis=-1)
-    inf_edge = np.full(s.shape[:-1] + (1,), np.inf)
-    left = np.concatenate((inf_edge, gaps), axis=-1)
-    right = np.concatenate((gaps, inf_edge), axis=-1)
-    isolated_sorted = np.minimum(left, right) > tau
-    flags = np.empty_like(isolated_sorted)
-    np.put_along_axis(flags, order, isolated_sorted, axis=-1)
-    return flags
+    return _isolated(config_sums_batch(values), tau)
 
 
 def heatmap_scores(matrix: ContributionMatrix, tau: float = DEFAULT_TAU) -> np.ndarray:
     """Distinctness score per (point, door state); shape (P, Q)."""
     flags = distinctness_flags_batch(matrix.values, tau)
     return flags.sum(axis=-1)
-
-
-def aggregate_distinctness(matrix: ContributionMatrix, tau: float, point_index: int) -> int:
-    """Total distinctness of one candidate summed over all door states."""
-    flags = distinctness_flags_batch(matrix.values[point_index], tau)
-    return int(flags.sum())
 
 
 def build_cover_instance(matrix: ContributionMatrix, tau: float = DEFAULT_TAU) -> CoverInstance:
@@ -154,32 +164,14 @@ def build_cover_instance(matrix: ContributionMatrix, tau: float = DEFAULT_TAU) -
     Candidate point k covers the states whose reading it isolates.
     """
     flags = distinctness_flags_batch(matrix.values, tau)  # (P, Q, 2^n)
-    n_points, n_states, n_configs = flags.shape
-    universe = frozenset(range(n_states * n_configs))
-    sets = []
-    for k in range(n_points):
-        ids = np.flatnonzero(flags[k].reshape(-1))  # row-major: q major, p minor
-        sets.append(frozenset(int(i) for i in ids))
-    return CoverInstance(universe=universe, sets=tuple(sets))
+    rows = flags.reshape(flags.shape[0], -1)  # row-major: q major, p minor
+    return CoverInstance._of_matrix(rows, np.arange(rows.shape[1], dtype=np.int64))
 
 
 def restrict_cover_instance(instance: CoverInstance, keep: frozenset[int]) -> CoverInstance:
     """Project an instance onto a sub-universe (e.g. a single door state)."""
-    return CoverInstance(
-        universe=frozenset(instance.universe & keep),
-        sets=tuple(frozenset(s & keep) for s in instance.sets),
-    )
-
-
-def _instance_matrix(instance: CoverInstance) -> tuple[np.ndarray, list[int]]:
-    ids = sorted(instance.universe)
-    col = {u: j for j, u in enumerate(ids)}
-    m = np.zeros((len(instance.sets), len(ids)), dtype=bool)
-    for k, s in enumerate(instance.sets):
-        for u in s:
-            if u in col:
-                m[k, col[u]] = True
-    return m, ids
+    columns = np.isin(instance.ids, np.fromiter(keep, dtype=np.int64, count=len(keep)))
+    return CoverInstance._of_matrix(instance.matrix[:, columns], instance.ids[columns])
 
 
 def greedy_set_cover(instance: CoverInstance) -> CoverSolution:
@@ -189,8 +181,8 @@ def greedy_set_cover(instance: CoverInstance) -> CoverSolution:
     Stops early (complete=False) when no set adds coverage, which happens
     whenever part of the universe is in no set.
     """
-    m, ids = _instance_matrix(instance)
-    uncovered = np.ones(len(ids), dtype=bool)
+    m = instance.matrix
+    uncovered = np.ones(m.shape[1], dtype=bool)
     chosen: list[int] = []
     gains: list[int] = []
     while uncovered.any():
@@ -202,11 +194,10 @@ def greedy_set_cover(instance: CoverInstance) -> CoverSolution:
         chosen.append(best)
         gains.append(gain)
         uncovered &= ~m[best]
-    covered_ids = frozenset(u for u, unc in zip(ids, uncovered) if not unc)
     return CoverSolution(
         chosen=chosen,
         gains=gains,
-        covered=covered_ids,
+        covered=frozenset(instance.ids[~uncovered].tolist()),
         complete=not uncovered.any(),
     )
 
@@ -219,25 +210,17 @@ def exact_min_cover(instance: CoverInstance, limit: int = 24) -> CoverSolution:
     front (complete=False); the cover is then minimum for the rest.
     Refuses universes larger than `limit`.
     """
-    ids = sorted(instance.universe)
-    if len(ids) > limit:
-        raise ValueError(f"universe of {len(ids)} exceeds exact-solver limit {limit}")
-    bit = {u: 1 << j for j, u in enumerate(ids)}
-    set_masks = []
-    for s in instance.sets:
-        mask = 0
-        for u in s:
-            if u in bit:
-                mask |= bit[u]
-        set_masks.append(mask)
-    coverable = 0
-    for mask in set_masks:
-        coverable |= mask
-    complete = coverable == (1 << len(ids)) - 1 if ids else True
-
-    covering: dict[int, list[int]] = {}
-    for j in range(len(ids)):
-        covering[j] = [k for k, mask in enumerate(set_masks) if mask & (1 << j)]
+    n_ids = instance.ids.size
+    if n_ids > limit:
+        raise ValueError(f"universe of {n_ids} exceeds exact-solver limit {limit}")
+    coverable_columns = instance.matrix.any(axis=0)
+    m = instance.matrix[:, coverable_columns]
+    width = m.shape[1]
+    # bit j of a row mask is coverable column j
+    set_masks = [int.from_bytes(row.tobytes(), "little")
+                 for row in np.packbits(m, axis=1, bitorder="little")]
+    coverable = (1 << width) - 1
+    covering = [np.flatnonzero(column).tolist() for column in m.T]
 
     # greedy reaches every coverable element, so it seeds the upper bound
     greedy = greedy_set_cover(instance)
@@ -253,26 +236,17 @@ def exact_min_cover(instance: CoverInstance, limit: int = 24) -> CoverSolution:
                 best_size = len(chosen)
                 best_choice = list(chosen)
             return
-        if max_set_size == 0:
-            return
         lower = len(chosen) + math.ceil(uncovered.bit_count() / max_set_size)
         if lower >= best_size:
             return
         # fail-first: the uncovered element with the fewest covering sets
-        pick, pick_sets = None, None
-        for j in range(len(ids)):
-            if uncovered & (1 << j):
-                cands = covering[j]
-                if pick_sets is None or len(cands) < len(pick_sets):
-                    pick, pick_sets = j, cands
-        assert pick_sets is not None
+        pick_sets = min((covering[j] for j in range(width) if uncovered >> j & 1), key=len)
         for k in sorted(pick_sets, key=lambda k: (set_masks[k] & uncovered).bit_count(), reverse=True):
             chosen.append(k)
             solve(uncovered & ~set_masks[k], chosen)
             chosen.pop()
 
     solve(coverable, [])
-    covered_ids = _mask_ids(coverable, ids, bit)
     gains = []
     running = 0
     for k in best_choice:
@@ -282,13 +256,9 @@ def exact_min_cover(instance: CoverInstance, limit: int = 24) -> CoverSolution:
     return CoverSolution(
         chosen=best_choice,
         gains=gains,
-        covered=covered_ids,
-        complete=complete,
+        covered=frozenset(instance.ids[coverable_columns].tolist()),
+        complete=width == n_ids,
     )
-
-
-def _mask_ids(mask: int, ids: list[int], bit: dict[int, int]) -> frozenset[int]:
-    return frozenset(u for u in ids if mask & bit[u])
 
 
 def harmonic_bound(max_set_size: int) -> float:

@@ -184,6 +184,16 @@ def enumerate_door_states(scene: Scene) -> list[DoorState]:
     return [DoorState(angles_deg=combo) for combo in itertools.product(*per_door)]
 
 
+def open_door_state_index(scene: Scene) -> int:
+    """Index, in enumerate_door_states order, of the state with every door
+    at its widest allowed angle."""
+    widest = tuple(max(d.allowed_angles_deg) for d in scene.doors)
+    for q, state in enumerate(enumerate_door_states(scene)):
+        if state.angles_deg == widest:
+            return q
+    raise SceneError("no door state with all doors at their widest angle")
+
+
 def active_occluders(scene: Scene, state: DoorState) -> list[WallSegment]:
     """Walls plus every door leaf at its angle for this state."""
     if len(state.angles_deg) != len(scene.doors):
@@ -229,17 +239,6 @@ def build_grid(
         spacing=spacing, height=height, normal=normal,
         nx=nx, ny=ny, points=tuple(points), cells=tuple(cells),
     )
-
-
-def make_grid(
-    bounds: tuple[float, float, float, float],
-    spacing: float,
-    height: float,
-    normal: tuple[float, float, float] | None,
-    walls: tuple[WallSegment, ...] | list[WallSegment] = (),
-) -> list[CandidatePoint]:
-    """Candidate points on a row-major lattice (see build_grid)."""
-    return list(build_grid(bounds, spacing, height, normal, walls).points)
 
 
 def _parse_floats(parts: list[str], count: int, line_no: int, what: str) -> list[float]:

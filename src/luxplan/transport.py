@@ -252,21 +252,6 @@ def reading(
     return max(0.0, base)
 
 
-def all_config_readings(x: ContributionVector | np.ndarray) -> np.ndarray:
-    """Noiseless readings for every configuration, indexed by config index.
-
-    Subset-sum doubling: entry p is the sum of contributions whose bit is
-    set in p. Shape (2^n,).
-    """
-    values = x.values if isinstance(x, ContributionVector) else np.asarray(x, dtype=float)
-    n = values.shape[0]
-    sums = np.zeros(1 << n)
-    for i in range(n):
-        half = 1 << i
-        sums[half:2 * half] = sums[:half] + values[i]
-    return sums
-
-
 CSV_SIG_DIGITS = 6
 
 

@@ -32,9 +32,9 @@ def brute_force(values, target, epsilon):
     return out
 
 
-def solve(values, target, epsilon, method="auto"):
+def solve(values, target, epsilon):
     q = PerfectSumQuery(contributions=tuple(values), target=target, epsilon=epsilon)
-    return [c.index for c in perfect_sum(q, method=method)]
+    return [c.index for c in perfect_sum(q)]
 
 
 class TestPerfectSum:
@@ -56,17 +56,17 @@ class TestPerfectSum:
         assert got == sorted(got)
         assert len(got) == 15  # C(6,2) equal pairs
 
-    def test_dfs_and_mitm_agree(self):
+    def test_uniform_values_match_brute_force(self):
         rng = np.random.default_rng(5)
         for _ in range(50):
             n = int(rng.integers(1, 13))
             values = rng.uniform(0, 10, size=n).tolist()
             target = float(rng.uniform(0, sum(values)))
             eps = float(rng.choice([0.0, 0.01, 0.5]))
-            assert solve(values, target, eps, "dfs") == solve(values, target, eps, "mitm")
+            assert solve(values, target, eps) == brute_force(values, target, eps)
 
-    def test_auto_uses_both_routes_consistently(self):
-        values = list(np.linspace(1.0, 3.0, 22))  # above the meet-in-the-middle cutoff
+    def test_22_luminaires_recover_the_planted_config(self):
+        values = list(np.linspace(1.0, 3.0, 22))
         target = values[0] + values[7] + values[21]
         got = solve(values, target, 1e-9)
         assert (1 << 0 | 1 << 7 | 1 << 21) in got
@@ -96,11 +96,6 @@ class TestPerfectSum:
         with pytest.raises(ValueError, match="exceed"):
             PerfectSumQuery(contributions=(1.0,) * 25, target=1.0, epsilon=0.0)
 
-    def test_unknown_method(self):
-        q = PerfectSumQuery(contributions=(1.0,), target=1.0, epsilon=0.0)
-        with pytest.raises(ValueError, match="method"):
-            perfect_sum(q, method="quantum")
-
     def test_from_vector(self):
         x = ContributionVector(values=np.array([2.0, 3.0]))
         q = PerfectSumQuery.from_vector(x, target=5.0, epsilon=0.0)
@@ -119,8 +114,7 @@ def test_perfect_sum_equals_brute_force(data):
     target = data.draw(sixtyfourths) / 64.0
     epsilon = data.draw(st.integers(min_value=0, max_value=128)) / 64.0
     expected = brute_force(values, target, epsilon)
-    assert solve(values, target, epsilon, "dfs") == expected
-    assert solve(values, target, epsilon, "mitm") == expected
+    assert solve(values, target, epsilon) == expected
 
 
 class TestNearestFallback:

@@ -11,7 +11,6 @@ from luxplan import (
     CoverInstance,
     DoorState,
     StateSpace,
-    all_config_readings,
     build_cover_instance,
     config_sums_batch,
     distinctness_flags_batch,
@@ -21,10 +20,8 @@ from luxplan import (
     harmonic_bound,
     heatmap_scores,
     restrict_cover_instance,
-    state_distinctness,
 )
-from luxplan.planning import aggregate_distinctness
-from luxplan.transport import ContributionMatrix, ContributionVector
+from luxplan.transport import ContributionMatrix
 
 
 def all_pairs_flags(values, tau):
@@ -103,34 +100,42 @@ def test_score_is_nonincreasing_in_tau(values, tau1, tau2):
     assert d_lo.score >= d_hi.score
 
 
+def fsum_config_readings(x):
+    """Every configuration's reading by exact summation, indexed by config."""
+    n = len(x)
+    return [math.fsum(x[i] for i in range(n) if p >> i & 1) for p in range(1 << n)]
+
+
 class TestStateDistinctness:
+    """Isolation flags over all 2^n readings at one point and door state."""
+
+    @staticmethod
+    def flags(x, tau):
+        return tuple(int(f) for f in distinctness_flags_batch(np.array(x), tau))
+
     def test_three_distinct_contributions_resolve_all_states(self):
-        d = state_distinctness(np.array([1.0, 2.0, 4.0]), tau=0.01)
-        assert d.flags == (1,) * 8
-        assert d.score == 8
+        assert self.flags([1.0, 2.0, 4.0], tau=0.01) == (1,) * 8
 
     def test_duplicate_contribution_collapses_pairs(self):
-        d = state_distinctness(np.array([1.0, 1.0, 4.0]), tau=0.01)
-        assert d.score == 4
+        flags = self.flags([1.0, 1.0, 4.0], tau=0.01)
+        assert sum(flags) == 4
         # exactly the states whose readings are 0, 2, 4, 6
-        sums = all_config_readings(np.array([1.0, 1.0, 4.0]))
-        assert tuple(sums[p] for p in range(8) if d.flags[p]) == (0.0, 2.0, 4.0, 6.0)
+        sums = fsum_config_readings([1.0, 1.0, 4.0])
+        assert tuple(sums[p] for p in range(8) if flags[p]) == (0.0, 2.0, 4.0, 6.0)
 
     def test_two_dark_luminaires_kill_every_state(self):
-        d = state_distinctness(np.array([0.0, 0.0, 4.0]), tau=0.01)
-        assert d.score == 0
+        assert sum(self.flags([0.0, 0.0, 4.0], tau=0.01)) == 0
 
     def test_single_luminaire(self):
-        d = state_distinctness(np.array([10.0]), tau=0.01)
-        assert d.flags == (1, 1) and d.score == 2
+        assert self.flags([10.0], tau=0.01) == (1, 1)
 
     def test_matches_all_pairs_on_readings(self):
         rng = np.random.default_rng(2)
         for _ in range(20):
             x = rng.integers(0, 8, size=5) / 2.0
             tau = float(rng.choice([0.0, 0.25, 1.0]))
-            sums = all_config_readings(x)
-            assert state_distinctness(x, tau).flags == all_pairs_flags(sums, tau)
+            sums = fsum_config_readings(x)
+            assert self.flags(x, tau) == all_pairs_flags(sums, tau)
 
 
 class TestBatch:
@@ -141,7 +146,7 @@ class TestBatch:
         assert sums.shape == (4, 3, 32)
         for i in (0, 3):
             for q in (0, 2):
-                expected = all_config_readings(values[i, q])
+                expected = fsum_config_readings(values[i, q])
                 assert np.allclose(sums[i, q], expected, rtol=1e-12)
 
     def test_flags_batch_matches_vector_route(self):
@@ -151,7 +156,7 @@ class TestBatch:
         assert flags.shape == (6, 2, 16)
         for i in range(6):
             for q in range(2):
-                d = state_distinctness(values[i, q], tau=0.25)
+                d = distinctness_vector(config_sums_batch(values[i, q]), tau=0.25)
                 assert tuple(int(f) for f in flags[i, q]) == d.flags
 
     def test_heatmap_scores_sum_flags(self):
@@ -165,8 +170,9 @@ class TestBatch:
 
     def test_aggregate_distinctness_sums_over_door_states(self):
         values = np.array([[[1.0, 2.0, 4.0], [1.0, 1.0, 4.0]]])
-        matrix = ContributionMatrix(values=values)
-        assert aggregate_distinctness(matrix, tau=0.01, point_index=0) == 8 + 4
+        scores = heatmap_scores(ContributionMatrix(values=values), tau=0.01)
+        assert scores.tolist() == [[8, 4]]
+        assert scores.sum(axis=1).tolist() == [8 + 4]
 
 
 class TestStateSpace:
@@ -197,31 +203,69 @@ class TestCoverInstance:
     def test_point_distinguishing_everything_covers_the_universe(self):
         values = np.array([[[1.0, 2.0, 4.0]]])  # one point, one door state
         instance = build_cover_instance(ContributionMatrix(values=values), tau=0.01)
-        assert instance.universe == frozenset(range(8))
-        assert instance.sets[0] == instance.universe
+        assert instance.ids.tolist() == list(range(8))
+        assert instance.matrix.tolist() == [[True] * 8]
 
     def test_fully_occluded_point_covers_nothing(self):
         values = np.zeros((1, 2, 3))
         instance = build_cover_instance(ContributionMatrix(values=values), tau=0.01)
-        assert instance.universe == frozenset(range(16))
-        assert instance.sets[0] == frozenset()
+        assert instance.ids.tolist() == list(range(16))
+        assert instance.matrix.shape == (1, 16)
+        assert not instance.matrix.any()
 
     def test_state_ids_follow_state_space_layout(self):
         # second door state resolves nothing, first resolves everything
         values = np.array([[[1.0, 2.0], [0.0, 0.0]]])
         instance = build_cover_instance(ContributionMatrix(values=values), tau=0.01)
         space = StateSpace(n_luminaires=2, door_states=(DoorState((0,)), DoorState((90,))))
-        expected = frozenset(space.state_id(p, 0) for p in range(4))
-        assert instance.sets[0] == expected
+        expected = [space.state_id(p, 0) for p in range(4)]
+        assert instance.ids[instance.matrix[0]].tolist() == expected
+
+    def test_sets_become_rows_over_ascending_ids(self):
+        instance = CoverInstance(universe=frozenset({7, 3, 5}), sets=(frozenset({3, 7, 99}), frozenset()))
+        assert instance.ids.tolist() == [3, 5, 7]
+        # 99 is outside the universe and is dropped
+        assert instance.matrix.tolist() == [[True, False, True], [False, False, False]]
 
     def test_restrict_projects_universe_and_sets(self):
         instance = CoverInstance(
             universe=frozenset({0, 1, 2, 3}),
             sets=(frozenset({0, 1}), frozenset({2, 3})),
         )
-        sub = restrict_cover_instance(instance, frozenset({1, 2}))
-        assert sub.universe == frozenset({1, 2})
-        assert sub.sets == (frozenset({1}), frozenset({2}))
+        sub = restrict_cover_instance(instance, frozenset({1, 2, 42}))
+        assert sub.ids.tolist() == [1, 2]
+        assert sub.matrix.tolist() == [[True, False], [False, True]]
+
+
+def solution_fields(sol):
+    return sol.chosen, sol.gains, sol.covered, sol.complete
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_matrix_and_hand_built_instances_solve_alike(data):
+    # flags from contributions on a half-lux lattice, where readings often
+    # collide, so rows range from empty to full
+    n = data.draw(st.integers(min_value=1, max_value=3))
+    n_states = data.draw(st.integers(min_value=1, max_value=3))
+    n_points = data.draw(st.integers(min_value=1, max_value=6))
+    size = n_points * n_states * n
+    halves = data.draw(st.lists(st.integers(min_value=0, max_value=6), min_size=size, max_size=size))
+    values = np.array(halves, dtype=float).reshape(n_points, n_states, n) / 2.0
+    tau = data.draw(st.sampled_from([0.0, 0.25, 0.5, 1.0]))
+    built = build_cover_instance(ContributionMatrix(values=values), tau)
+
+    flags = distinctness_flags_batch(values, tau).reshape(n_points, -1)
+    n_ids = flags.shape[1]
+    outside = st.frozensets(st.integers(min_value=n_ids, max_value=n_ids + 5))
+    sets = tuple(frozenset(np.flatnonzero(row).tolist()) | data.draw(outside) for row in flags)
+    by_hand = CoverInstance(universe=frozenset(range(n_ids)), sets=sets)
+
+    keep = data.draw(st.frozensets(st.integers(min_value=0, max_value=n_ids + 5)))
+    for a, b in ((built, by_hand),
+                 (restrict_cover_instance(built, keep), restrict_cover_instance(by_hand, keep))):
+        assert solution_fields(greedy_set_cover(a)) == solution_fields(greedy_set_cover(b))
+        assert solution_fields(exact_min_cover(a)) == solution_fields(exact_min_cover(b))
 
 
 class TestGreedy:
@@ -270,7 +314,7 @@ class TestGreedy:
             sol = greedy_set_cover(instance)
             union = frozenset().union(*(sets[k] for k in sol.chosen)) if sol.chosen else frozenset()
             assert sol.covered == union
-            assert sol.complete == (union == instance.universe)
+            assert sol.complete == (union == frozenset(range(n_el)))
 
 
 class TestExact:
@@ -318,7 +362,7 @@ class TestExact:
             sol = exact_min_cover(instance)
             assert len(sol.chosen) == exhaustive_min_cover_size(range(n_el), sets)
             covered = frozenset().union(*(sets[k] for k in sol.chosen)) if sol.chosen else frozenset()
-            assert covered >= instance.universe & frozenset().union(*sets, frozenset())
+            assert covered >= frozenset().union(*sets, frozenset())
 
     def test_greedy_within_harmonic_bound(self):
         rng = np.random.default_rng(21)

@@ -12,7 +12,7 @@ from luxplan import (
     door_leaf_segment,
     enumerate_door_states,
     load_scene,
-    make_grid,
+    open_door_state_index,
     parse_scene,
     render_scene,
 )
@@ -154,6 +154,12 @@ class TestDoors:
         states = enumerate_door_states(parse_scene(MINIMAL))
         assert states == [DoorState(angles_deg=())]
 
+    def test_open_door_state_has_every_door_at_its_widest_angle(self, apartment):
+        assert open_door_state_index(apartment) == 8
+        # listed widest-first, the open state comes first
+        assert open_door_state_index(parse_scene("door d 0 0 1 0 90,0\n" + MINIMAL)) == 0
+        assert open_door_state_index(parse_scene(MINIMAL)) == 0
+
     def test_active_occluders_appends_leaves(self, apartment):
         states = enumerate_door_states(apartment)
         occ = active_occluders(apartment, states[8])
@@ -179,11 +185,6 @@ class TestGrid:
         xs = {p.position.x for p in grid.points}
         assert 0.5 not in xs
         assert len(grid.points) == 2
-
-    def test_make_grid_matches_build_grid(self):
-        pts = make_grid((0.0, 0.0, 1.0, 1.0), 0.5, 1.0, None)
-        grid = build_grid((0.0, 0.0, 1.0, 1.0), 0.5, 1.0, None)
-        assert tuple(pts) == grid.points
 
     def test_zero_spacing_rejected(self):
         with pytest.raises(SceneError, match="spacing"):

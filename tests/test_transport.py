@@ -13,7 +13,7 @@ from luxplan import (
     LightConfig,
     NoiseModel,
     Point2,
-    all_config_readings,
+    config_sums_batch,
     contribution,
     contribution_vector,
     parse_scene,
@@ -161,11 +161,11 @@ class TestReadings:
         assert reading(x, union) == float(exact)
         assert reading(x, a) + reading(x, b) == pytest.approx(reading(x, union), rel=1e-15)
 
-    def test_all_config_readings_matches_reading(self):
+    def test_config_sums_batch_matches_reading(self):
         rng = np.random.default_rng(3)
         values = rng.uniform(0, 20, size=8)
         x = ContributionVector(values=values)
-        sums = all_config_readings(x)
+        sums = config_sums_batch(values)
         assert sums.shape == (256,)
         for p in range(256):
             assert sums[p] == pytest.approx(reading(x, LightConfig.from_index(p, 8)), abs=1e-9)
@@ -284,8 +284,8 @@ class TestCsv:
 
 @given(st.lists(st.floats(min_value=0.0, max_value=100.0, allow_nan=False), min_size=1, max_size=10))
 @settings(max_examples=100, deadline=None)
-def test_all_config_readings_doubling_matches_fsum(values):
-    sums = all_config_readings(np.array(values))
+def test_config_sums_batch_doubling_matches_fsum(values):
+    sums = config_sums_batch(np.array(values))
     n = len(values)
     for p in (0, (1 << n) - 1, 1, 1 << (n - 1)):
         cfg = LightConfig.from_index(p, n)
