@@ -41,6 +41,7 @@ from .inference import (
     InferenceResult,
     PerfectSumQuery,
     VoteVector,
+    fuse_candidates,
     fuse_votes,
     infer_reading,
     jaccard_accuracy,
@@ -89,7 +90,7 @@ __all__ = [
     "ContributionMatrix", "ContributionVector", "LightConfig", "NoiseModel",
     "contribution", "contribution_vector",
     "read_matrix_csv", "reading", "sweep", "write_matrix_csv",
-    "InferenceResult", "PerfectSumQuery", "VoteVector", "fuse_votes",
+    "InferenceResult", "PerfectSumQuery", "VoteVector", "fuse_candidates", "fuse_votes",
     "infer_reading", "jaccard_accuracy", "nearest_sum_configs",
     "perfect_sum", "sensor_votes",
     "CoverInstance", "CoverSolution", "DEFAULT_TAU", "DistinctnessVector",

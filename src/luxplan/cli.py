@@ -26,6 +26,7 @@ from . import ingest as ingest_mod
 from .heatmaps import write_heatmap_set
 from .inference import (
     PerfectSumQuery,
+    fuse_candidates,
     fuse_votes,
     infer_reading,
     jaccard_accuracy,
@@ -229,10 +230,10 @@ def cmd_infer(config: RunConfig, readings_path: Path) -> int:
 
     fused_buf = io.StringIO()
     fused_csv = csv.writer(fused_buf, lineterminator="\n")
-    fused_csv.writerow(["trial", "door_state", "truth", "fused_p", "accuracy"])
+    fused_csv.writerow(["trial", "door_state", "truth", "fused_p", "accuracy", "rule"])
     for trial, entries in by_trial.items():
         votes = [sensor_votes(x, res.candidates) for _, x, res in entries]
-        fused = fuse_votes(votes)
+        fused, rule = fuse_candidates([res.candidates for _, _, res in entries], fuse_votes(votes))
         truths = {r["truth"] for r, _, _ in entries}
         truth_index = truths.pop() if len(truths) == 1 else None
         acc = ""
@@ -240,7 +241,7 @@ def cmd_infer(config: RunConfig, readings_path: Path) -> int:
             acc = f"{jaccard_accuracy(LightConfig.from_index(truth_index, n), [fused]):.6g}"
         door_states = {r["door_state"] for r, _, _ in entries}
         ds = door_states.pop() if len(door_states) == 1 else -1
-        fused_csv.writerow([trial, ds, truth_index if truth_index is not None else -1, fused.index, acc])
+        fused_csv.writerow([trial, ds, truth_index if truth_index is not None else -1, fused.index, acc, rule])
 
     config.out_dir.mkdir(parents=True, exist_ok=True)
     report_path = config.out_dir / "inference_report.csv"

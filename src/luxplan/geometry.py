@@ -116,3 +116,20 @@ def point_on_segment(p: Point2, seg: WallSegment, tol: float = CROSSING_TOL) -> 
     t = min(1.0, max(0.0, t))
     cx, cy = ax + t * dx, ay + t * dy
     return math.hypot(p.x - cx, p.y - cy) <= tol
+
+
+def points_near_segment(xy: np.ndarray, seg: WallSegment, tol: float) -> np.ndarray:
+    """point_on_segment's clamp-and-distance test for many (P, 2) points.
+
+    np.hypot may differ from math.hypot in the last place, so a caller
+    that needs point_on_segment's exact verdict passes a wider tol here and
+    confirms the few hits with the scalar test.
+    """
+    ax, ay, bx, by = seg.a.x, seg.a.y, seg.b.x, seg.b.y
+    dx, dy = bx - ax, by - ay
+    seg_len2 = dx * dx + dy * dy
+    px, py = xy[:, 0], xy[:, 1]
+    if seg_len2 == 0.0:
+        return np.hypot(px - ax, py - ay) <= tol
+    t = np.clip(((px - ax) * dx + (py - ay) * dy) / seg_len2, 0.0, 1.0)
+    return np.hypot(px - (ax + t * dx), py - (ay + t * dy)) <= tol

@@ -3,8 +3,9 @@
 Given per-luminaire contributions x and a reading K, the perfect-sum
 search enumerates every on/off configuration whose on-contributions sum to
 within epsilon of K (absolute tolerance). Ambiguity is scored with the
-Jaccard index against ground truth, and multiple sensors are combined by
-per-luminaire majority voting.
+Jaccard index against ground truth. Multiple sensors are combined by
+intersecting their candidate sets, with a per-luminaire majority vote as
+the tie-break and as the fallback when the sets share nothing.
 """
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ import logging
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from operator import itemgetter
+from operator import itemgetter, ne
 
 import numpy as np
 
@@ -112,9 +113,12 @@ def nearest_sum_configs(query: PerfectSumQuery) -> list[LightConfig]:
                 err = abs(s + hi_sums[k] - query.target)
                 if err < best - 1e-15:
                     best = err
-                    masks = [m | (hi_masks[k] << h)]
-                elif abs(err - best) <= 1e-15:
-                    masks.append(m | (hi_masks[k] << h))
+                    masks = []
+                elif abs(err - best) > 1e-15:
+                    continue
+                # every high-half subset with this sum ties with it
+                tied = hi_masks[bisect_left(hi_sums, hi_sums[k]):bisect_right(hi_sums, hi_sums[k])]
+                masks += [m | (hi << h) for hi in tied]
     return [LightConfig.from_index(m, n) for m in sorted(set(masks))]
 
 
@@ -178,6 +182,30 @@ def sensor_votes(
         zeros = len(candidates) - ones
         votes.append(1 if ones > zeros else (-1 if zeros > ones else 0))
     return VoteVector(votes=tuple(votes))
+
+
+def fuse_candidates(
+    candidate_sets: list[list[LightConfig]],
+    voted: LightConfig,
+) -> tuple[LightConfig, str]:
+    """Combine sensors by intersecting their candidate sets.
+
+    Every sensor admits each member of the intersection. A lone member is
+    the answer; among several, the one nearest `voted` (the fuse_votes
+    result) in Hamming distance wins, ties to the lowest configuration
+    index. Only an empty intersection falls back to `voted`. The second
+    return value names the rule that decided: "intersection" or "vote".
+    """
+    if not candidate_sets:
+        raise ValueError("need at least one candidate set")
+    first, *rest = candidate_sets
+    others = [set(cands) for cands in rest]
+    common = [c for c in first if all(c in other for other in others)]
+    if not common:
+        return voted, "vote"
+    # reversed bits order configurations like their indices
+    nearest = min(common, key=lambda c: (sum(map(ne, c.bits, voted.bits)), c.bits[::-1]))
+    return nearest, "intersection"
 
 
 def fuse_votes(all_votes: list[VoteVector]) -> LightConfig:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -53,6 +54,8 @@ class SampleLog:
     def __post_init__(self) -> None:
         last_t: dict[str, float] = {}
         for s in self.samples:
+            if not math.isfinite(s.t):
+                raise ValueError(f"timestamp {s.t} is not a finite number")
             if not LUX_MIN <= s.lux <= LUX_MAX:
                 raise ValueError(f"lux {s.lux} outside [{LUX_MIN}, {LUX_MAX}]")
             if s.location in last_t and s.t < last_t[s.location]:
@@ -167,9 +170,12 @@ def extract_baselines(
         raise ValueError("settle must be >= 0 and window > 0")
     if not commands.commands:
         raise ValueError("command log is empty")
-    per_loc: dict[str, list[Sample]] = {}
+    # per location: timestamps (nondecreasing, so windows are bisected) and lux
+    per_loc: dict[str, tuple[list[float], list[float]]] = {}
     for s in samples.samples:
-        per_loc.setdefault(s.location, []).append(s)
+        times, lux = per_loc.setdefault(s.location, ([], []))
+        times.append(s.t)
+        lux.append(s.lux)
 
     log_end = samples.end_time
     collected: dict[tuple[str, int], list[float]] = {}
@@ -180,9 +186,10 @@ def extract_baselines(
         win_lo = cmd.t + settle
         win_hi = win_lo + window
         short = interval_end < win_hi
-        for loc, loc_samples in per_loc.items():
+        win_end = min(win_hi, interval_end)
+        for loc, (times, lux) in per_loc.items():
             key = (loc, cmd.config_index)
-            vals = [s.lux for s in loc_samples if win_lo <= s.t < min(win_hi, interval_end)]
+            vals = lux[bisect_left(times, win_lo):bisect_left(times, win_end)]
             collected.setdefault(key, []).extend(vals)
             if short:
                 flags[key] = FLAG_SHORT

@@ -146,9 +146,18 @@ def distinctness_flags_batch(values: np.ndarray, tau: float) -> np.ndarray:
 
     values has shape (..., n); the result is boolean with shape (..., 2^n).
     Entry p is distinctness_vector(config_sums_batch(x), tau).flags[p] for
-    each contribution vector x along the last axis.
+    each contribution vector x along the last axis. The flags are a pure
+    function of x, and door states leave most cells' vectors unchanged, so
+    each distinct byte pattern of x is flagged once and the result is
+    scattered back to every row that repeats it.
     """
-    return _isolated(config_sums_batch(values), tau)
+    values = np.asarray(values, dtype=float)
+    n = values.shape[-1]
+    rows = np.ascontiguousarray(values).reshape(-1, n)
+    keys = rows.view(np.dtype((np.void, rows.itemsize * n))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    flags = _isolated(config_sums_batch(rows[first]), tau)
+    return flags[inverse].reshape(values.shape[:-1] + (1 << n,))
 
 
 def heatmap_scores(matrix: ContributionMatrix, tau: float = DEFAULT_TAU) -> np.ndarray:

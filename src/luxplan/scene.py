@@ -21,7 +21,16 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .geometry import Point2, WallSegment, point_on_segment, segments_cross
+import numpy as np
+
+from .geometry import (
+    CROSSING_TOL,
+    Point2,
+    WallSegment,
+    point_on_segment,
+    points_near_segment,
+    segments_cross,
+)
 from .photometry import COSINE_LOBE, ISOTROPIC, PhotometricProfile, parse_ies
 
 MAX_LUMINAIRES = 24  # keeps the 2^n configuration space enumerable
@@ -194,10 +203,15 @@ def open_door_state_index(scene: Scene) -> int:
     raise SceneError("no door state with all doors at their widest angle")
 
 
-def active_occluders(scene: Scene, state: DoorState) -> list[WallSegment]:
-    """Walls plus every door leaf at its angle for this state."""
+def check_door_state(scene: Scene, state: DoorState) -> None:
+    """Raise SceneError unless state gives one angle per scene door."""
     if len(state.angles_deg) != len(scene.doors):
         raise SceneError("door state does not match scene doors")
+
+
+def active_occluders(scene: Scene, state: DoorState) -> list[WallSegment]:
+    """Walls plus every door leaf at its angle for this state."""
+    check_door_state(scene, state)
     segs = list(scene.walls)
     for door, angle in zip(scene.doors, state.angles_deg):
         segs.append(door_leaf_segment(door, angle))
@@ -223,14 +237,20 @@ def build_grid(
         raise SceneError("grid spacing must be positive")
     nx = math.ceil((maxx - minx) / spacing)
     ny = math.ceil((maxy - miny) / spacing)
+    xs = [minx + ix * spacing for ix in range(nx)]
+    ys = [miny + iy * spacing for iy in range(ny)]
+    lattice = np.column_stack([np.tile(xs, ny), np.repeat(ys, nx)])
+    # the doubled tolerance keeps every point the scalar test drops
+    near = np.zeros(nx * ny, dtype=bool)
+    for w in walls:
+        near |= points_near_segment(lattice, w, 2 * CROSSING_TOL)
+    near = near.reshape(ny, nx)
     points: list[CandidatePoint] = []
     cells: list[tuple[int, int]] = []
-    for iy in range(ny):
-        y = miny + iy * spacing
-        for ix in range(nx):
-            x = minx + ix * spacing
+    for iy, y in enumerate(ys):
+        for ix, x in enumerate(xs):
             p = Point2(x, y)
-            if any(point_on_segment(p, w) for w in walls):
+            if near[iy, ix] and any(point_on_segment(p, w) for w in walls):
                 continue
             points.append(CandidatePoint(position=p, height=height, normal=normal))
             cells.append((ix, iy))
@@ -247,9 +267,12 @@ def _parse_floats(parts: list[str], count: int, line_no: int, what: str) -> list
     out = []
     for p in parts:
         try:
-            out.append(float(p))
+            v = float(p)
         except ValueError:
             raise SceneParseError(line_no, f"{what}: {p!r} is not a number") from None
+        if not math.isfinite(v):
+            raise SceneParseError(line_no, f"{what}: {p!r} is not a finite number")
+        out.append(v)
     return out
 
 
@@ -297,10 +320,8 @@ def parse_scene(text: str, base_dir: str | Path | None = None) -> Scene:
                 raise SceneParseError(line_no, f"door: expected 6 fields, got {len(args)}")
             label = args[0]
             hx, hy, leaf, heading = _parse_floats(args[1:5], 4, line_no, "door")
-            try:
-                angles = tuple(float(a) for a in args[5].split(",") if a != "")
-            except ValueError:
-                raise SceneParseError(line_no, f"door: bad angle list {args[5]!r}") from None
+            angle_parts = [a for a in args[5].split(",") if a != ""]
+            angles = tuple(_parse_floats(angle_parts, len(angle_parts), line_no, "door angles"))
             doors.append(Door(
                 label=label, hinge=Point2(hx, hy), leaf_length=leaf,
                 closed_heading_deg=heading, allowed_angles_deg=angles,

@@ -24,6 +24,8 @@ from .scene import (
     Luminaire,
     Scene,
     active_occluders,
+    check_door_state,
+    door_leaf_segment,
     enumerate_door_states,
 )
 
@@ -122,14 +124,13 @@ class ContributionMatrix:
         )
 
 
-def _illuminance_batch(
+def _unoccluded_batch(
     lum: Luminaire,
     pts_xy: np.ndarray,
     heights: np.ndarray,
     normals: np.ndarray | None,
-    segments: np.ndarray,
 ) -> np.ndarray:
-    """Direct lux from one luminaire at many points (order-independent).
+    """Direct lux from one luminaire at many points, ignoring occluders.
 
     normals is (P, 3) with NaN rows for omnidirectional points, or None when
     every point is omnidirectional.
@@ -157,8 +158,19 @@ def _illuminance_batch(
         dot = -(ux * normals[:, 0] + uy * normals[:, 1] + uz * normals[:, 2])
         cos_inc = np.where(np.isnan(dot), 1.0, np.maximum(0.0, dot))
 
-    lux = lum.intensity * rel * cos_inc / d2
-    blocked = sightlines_blocked(np.array([lx, ly]), pts_xy, segments)
+    return lum.intensity * rel * cos_inc / d2
+
+
+def _illuminance_batch(
+    lum: Luminaire,
+    pts_xy: np.ndarray,
+    heights: np.ndarray,
+    normals: np.ndarray | None,
+    segments: np.ndarray,
+) -> np.ndarray:
+    """Direct lux from one luminaire at many points (order-independent)."""
+    lux = _unoccluded_batch(lum, pts_xy, heights, normals)
+    blocked = sightlines_blocked(np.array([lum.position.x, lum.position.y]), pts_xy, segments)
     return np.where(blocked, 0.0, lux)
 
 
@@ -211,6 +223,10 @@ def sweep(
 ) -> ContributionMatrix:
     """Contributions for every (candidate, door state, luminaire) triple.
 
+    Factored over door states: per luminaire, the photometry and the walls'
+    occlusion mask are computed once, and one mask per (door, angle) leaf
+    the states use. A state's mask ORs the wall mask with its leaves'
+    masks, which equals testing its active_occluders together, bit for bit.
     The computation is independent per candidate, so the result does not
     depend on evaluation order.
     """
@@ -221,12 +237,27 @@ def sweep(
     candidates = tuple(candidates)
     if not candidates:
         raise ValueError("sweep needs at least one candidate point")
+    for state in door_states:
+        check_door_state(scene, state)
+    leaf_segments = {
+        (d, a): segments_as_array([door_leaf_segment(scene.doors[d], a)])
+        for state in door_states for d, a in enumerate(state.angles_deg)
+    }
+    walls = segments_as_array(scene.walls)
     pts_xy, heights, normals = _candidate_arrays(candidates)
     values = np.zeros((len(candidates), len(door_states), scene.n_luminaires))
-    for q, state in enumerate(door_states):
-        segments = segments_as_array(active_occluders(scene, state))
-        for i, lum in enumerate(scene.luminaires):
-            values[:, q, i] = _illuminance_batch(lum, pts_xy, heights, normals, segments)
+    for i, lum in enumerate(scene.luminaires):
+        origin = np.array([lum.position.x, lum.position.y])
+        lux = _unoccluded_batch(lum, pts_xy, heights, normals)
+        wall_blocked = sightlines_blocked(origin, pts_xy, walls)
+        leaf_blocked = {
+            leaf: sightlines_blocked(origin, pts_xy, seg) for leaf, seg in leaf_segments.items()
+        }
+        for q, state in enumerate(door_states):
+            blocked = wall_blocked.copy()
+            for leaf in enumerate(state.angles_deg):
+                blocked |= leaf_blocked[leaf]
+            values[:, q, i] = np.where(blocked, 0.0, lux)
     return ContributionMatrix(values=values, points=candidates, door_states=tuple(door_states))
 
 

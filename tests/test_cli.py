@@ -30,6 +30,14 @@ class TestExitCodes:
         assert code == EXIT_INVALID
         assert "error" in capsys.readouterr().err
 
+    def test_non_finite_scene_number_rejected(self, toy_scene_file, tmp_path, capsys):
+        text = toy_scene_file.read_text(encoding="utf-8")
+        toy_scene_file.write_text(text.replace("lum R 4.5 2.0 2.7 80", "lum R 4.5 2.0 2.7 nan"),
+                                  encoding="utf-8")
+        code = run(["solve-cover", "--scene", str(toy_scene_file), "--out", str(tmp_path)])
+        assert code == EXIT_INVALID
+        assert "line 10" in capsys.readouterr().err
+
     def test_scene_without_grid_rejected(self, tmp_path, capsys):
         bare = tmp_path / "bare.scene"
         bare.write_text("lum A 1 1 2.5 5 iso\n", encoding="utf-8")
@@ -160,6 +168,19 @@ class TestInfer:
         assert [r["trial"] for r in fused] == ["t0", "t1"]
         assert all(r["fused_p"] == r["truth"] for r in fused)
         assert all(float(r["accuracy"]) == 1.0 for r in fused)
+        assert [r["rule"] for r in fused] == ["intersection", "intersection"]
+        assert list(fused[0]) == ["trial", "door_state", "truth", "fused_p", "accuracy", "rule"]
+
+    def test_unreachable_readings_fuse_by_vote(self, toy_scene_file, tmp_path):
+        readings = tmp_path / "r.csv"
+        write_readings(readings, [("t0", 38, 1, 1000000.0, 3), ("t0", 40, 1, "", 3)])
+        out = tmp_path / "inf"
+        assert run([
+            "infer", "--scene", str(toy_scene_file),
+            "--readings", str(readings), "--out", str(out),
+        ]) == EXIT_OK
+        fused = list(csv.DictReader(open(out / "fused.csv", encoding="utf-8")))
+        assert fused[0]["rule"] == "vote"
 
     def test_explicit_lux_overrides_simulation(self, toy_scene_file, tmp_path):
         # a lux value no subset can reach must yield no solution even though

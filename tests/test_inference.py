@@ -11,6 +11,7 @@ from luxplan import (
     LightConfig,
     PerfectSumQuery,
     VoteVector,
+    fuse_candidates,
     fuse_votes,
     infer_reading,
     jaccard_accuracy,
@@ -128,6 +129,12 @@ class TestNearestFallback:
         got = [c.index for c in nearest_sum_configs(q)]
         assert got == [0b01, 0b10]
 
+    def test_keeps_every_config_that_ties_on_one_high_half_sum(self):
+        # the high half (1, 1) has two subsets summing to 1; both are nearest
+        q = PerfectSumQuery(contributions=(5.0, 1.0, 1.0), target=1.0, epsilon=0.0)
+        assert [c.index for c in nearest_sum_configs(q)] == [0b010, 0b100]
+        assert [c.index for c in nearest_sum_configs(q)] == solve((5.0, 1.0, 1.0), 1.0, 0.0)
+
     def test_infer_reading_opt_in(self):
         q = PerfectSumQuery(contributions=(2.0, 4.0), target=3.5, epsilon=0.0)
         bare = infer_reading(q)
@@ -220,3 +227,56 @@ class TestVoting:
     def test_vote_values_validated(self):
         with pytest.raises(ValueError):
             VoteVector(votes=(2,))
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_nearest_sum_configs_equals_brute_force(data):
+    # small integers make ties common and every sum exact
+    n = data.draw(st.integers(min_value=1, max_value=8))
+    values = data.draw(st.lists(st.integers(min_value=0, max_value=6), min_size=n, max_size=n))
+    target = data.draw(st.integers(min_value=0, max_value=30)) + data.draw(st.sampled_from([0, 0.5]))
+    sums = [sum(v for i, v in enumerate(values) if p >> i & 1) for p in range(1 << n)]
+    best = min(abs(s - target) for s in sums)
+    want = [p for p, s in enumerate(sums) if abs(s - target) == best]
+    q = PerfectSumQuery(contributions=tuple(map(float, values)), target=float(target), epsilon=0.0)
+    assert [c.index for c in nearest_sum_configs(q)] == want
+
+
+class TestCandidateFusion:
+    def candidate_sets(self, vectors, truth):
+        sets = []
+        for v in vectors:
+            lux = sum(x for i, x in enumerate(v) if truth >> i & 1)
+            sets.append(solve(v, lux, 0.0))
+        return [[LightConfig.from_index(p, len(vectors[0])) for p in s] for s in sets]
+
+    def test_exact_sensor_is_not_outvoted(self):
+        # truth "lamp 3 only": the first sensor decodes it exactly, the
+        # other two admit 3 candidates each and vote lamp 3 off
+        vectors = [(1.0, 2.0, 4.0, 8.0), (1.0, 2.0, 3.0, 3.0), (2.0, 4.0, 6.0, 6.0)]
+        sets = self.candidate_sets(vectors, 0b1000)
+        votes = [sensor_votes(ContributionVector(values=np.array(v)), c)
+                 for v, c in zip(vectors, sets)]
+        voted = fuse_votes(votes)
+        assert voted.index == 0
+        fused, rule = fuse_candidates(sets, voted)
+        assert (fused.index, rule) == (0b1000, "intersection")
+
+    def test_shared_candidates_go_to_the_one_nearest_the_vote(self):
+        sets = [[LightConfig.from_index(p, 3) for p in (0b001, 0b011, 0b101, 0b110)],
+                [LightConfig.from_index(p, 3) for p in (0b110, 0b101, 0b011)]]
+        fused, rule = fuse_candidates(sets, LightConfig.from_index(0b100, 3))
+        assert (fused.index, rule) == (0b101, "intersection")
+        # 0b011 and 0b101 are one bit from the vote: the lowest index wins
+        fused, _ = fuse_candidates(sets, LightConfig.from_index(0b001, 3))
+        assert fused.index == 0b011
+
+    def test_disjoint_sets_fall_back_to_the_vote(self):
+        sets = [[LightConfig.from_index(1, 2)], [LightConfig.from_index(2, 2)], []]
+        voted = LightConfig.from_index(3, 2)
+        assert fuse_candidates(sets, voted) == (voted, "vote")
+
+    def test_needs_a_candidate_set(self):
+        with pytest.raises(ValueError):
+            fuse_candidates([], LightConfig.from_index(0, 1))

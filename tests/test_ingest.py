@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from luxplan import (
     LightConfig,
@@ -23,6 +25,7 @@ from luxplan.ingest import (
     FLAG_SHORT,
     Sample,
     SampleLog,
+    _window_mean,
     accuracy_table_csv,
     read_commands_csv,
     read_samples_csv,
@@ -56,6 +59,11 @@ class TestLogs:
             Sample(t=1.0, location="s0", lux=1.0),
             Sample(t=0.5, location="s1", lux=1.0),
         ])
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_non_finite_timestamp_rejected(self, t):
+        with pytest.raises(ValueError, match="finite"):
+            SampleLog(samples=[Sample(t=t, location="s0", lux=1.0)])
 
     def test_command_timestamps_strictly_increasing(self):
         with pytest.raises(ValueError, match="increasing"):
@@ -130,6 +138,51 @@ class TestExtractBaselines:
             extract_baselines(samples, commands, window=0.0)
         with pytest.raises(ValueError):
             extract_baselines(samples, CommandLog(commands=[]))
+
+
+def scanned_baselines(samples, commands, settle, window):
+    """Baseline cells by scanning every sample for every command."""
+    cmds, end = commands.commands, samples.end_time
+    collected, flags = {}, {}
+    for k, cmd in enumerate(cmds):
+        interval_end = cmds[k + 1].t if k + 1 < len(cmds) else end
+        lo, hi = cmd.t + settle, cmd.t + settle + window
+        for loc in samples.locations:
+            key = (loc, cmd.config_index)
+            collected.setdefault(key, []).extend(
+                s.lux for s in samples.samples if s.location == loc and lo <= s.t < min(hi, interval_end))
+            if interval_end < hi:
+                flags[key] = FLAG_SHORT
+    out = {}
+    for key, vals in collected.items():
+        if vals:
+            mean, std = _window_mean(vals)
+            out[key] = (mean, len(vals), std, flags.get(key, ""))
+        else:
+            out[key] = (math.nan, 0, math.nan, FLAG_NO_SAMPLES)
+    return out
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_bisected_windows_equal_a_full_scan(data):
+    # half-second timestamps put samples exactly on window edges, repeat
+    # timestamps within a location, and repeat commanded configurations
+    halves = st.integers(min_value=0, max_value=60).map(lambda k: k / 2.0)
+    samples = []
+    for loc in ("a", "b", "c")[:data.draw(st.integers(min_value=1, max_value=3))]:
+        times = sorted(data.draw(st.lists(halves, min_size=1, max_size=40)))
+        samples += [Sample(t=t, location=loc, lux=data.draw(st.floats(min_value=0, max_value=500)))
+                    for t in times]
+    times = sorted(set(data.draw(st.lists(halves, min_size=1, max_size=8))))
+    commands = CommandLog(commands=[
+        Command(t=t, config_index=data.draw(st.integers(min_value=0, max_value=3))) for t in times])
+    settle = data.draw(halves) / 4
+    window = data.draw(halves) / 4 + 0.5
+    log = SampleLog(samples=samples)
+    table = extract_baselines(log, commands, settle=settle, window=window)
+    got = {k: (c.mean, c.count, c.stddev, c.flag) for k, c in table.cells.items()}
+    assert repr(got) == repr(scanned_baselines(log, commands, settle, window))
 
 
 class TestCalibration:

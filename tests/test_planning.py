@@ -159,6 +159,22 @@ class TestBatch:
                 d = distinctness_vector(config_sums_batch(values[i, q]), tau=0.25)
                 assert tuple(int(f) for f in flags[i, q]) == d.flags
 
+    @pytest.mark.parametrize("rows", [
+        # repeated rows, as door states leave most cells' vectors unchanged
+        [[1.0, 2.0, 4.0], [1.0, 1.0, 4.0], [1.0, 2.0, 4.0], [0.0, 0.0, 0.0], [1.0, 2.0, 4.0]],
+        # byte patterns differ, values compare equal
+        [[0.0, 1.0, 3.0], [-0.0, 1.0, 3.0], [0.0, -0.0, 2.0], [0.0, 0.0, 2.0]],
+        # nothing to share
+        np.random.default_rng(14).uniform(0, 5, size=(7, 4)).tolist(),
+    ])
+    def test_flags_batch_matches_per_row_vectors(self, rows):
+        values = np.array(rows).reshape(len(rows), 1, -1)
+        flags = distinctness_flags_batch(values, tau=0.3)
+        assert flags.shape == values.shape[:2] + (1 << values.shape[2],)
+        for k, row in enumerate(rows):
+            d = distinctness_vector(config_sums_batch(np.array(row)), tau=0.3)
+            assert tuple(int(f) for f in flags[k, 0]) == d.flags
+
     def test_heatmap_scores_sum_flags(self):
         rng = np.random.default_rng(12)
         values = rng.uniform(0, 10, size=(5, 3, 4))

@@ -2,6 +2,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from luxplan import (
     Door,
@@ -16,7 +18,7 @@ from luxplan import (
     parse_scene,
     render_scene,
 )
-from luxplan.geometry import WallSegment
+from luxplan.geometry import WallSegment, point_on_segment
 from luxplan.scene import SceneParseError, active_occluders
 
 MINIMAL = "lum A 1 1 2.5 100 iso\n"
@@ -49,6 +51,24 @@ class TestParsing:
     def test_unknown_profile(self):
         with pytest.raises(SceneParseError, match="unknown profile"):
             parse_scene("lum A 1 1 2.5 100 blob\n")
+
+    @pytest.mark.parametrize("line", [
+        "ceiling nan",
+        "wall 0 0 inf 1",
+        "wall nan 0 1 1",
+        "door d 1 1 1 -inf 0,90",
+        "door d nan 1 1 0 0,90",
+        "door d 1 1 1 0 0,nan",
+        "lum B 1 1 2.5 inf iso",
+        "lum B 1 nan 2.5 100 iso",
+        "lum B 1 1 nan 100 iso",
+        "grid 0 0 1 1 0.5 nan omni",
+        "grid 0 0 inf 1 0.5 1 omni",
+        "grid 0 0 1 1 0.5 1 0 nan 1",
+    ])
+    def test_non_finite_number_reports_line(self, line):
+        with pytest.raises(SceneParseError, match="line 2: .*not a finite number"):
+            parse_scene(MINIMAL + line + "\n")
 
     def test_duplicate_grid_rejected(self):
         text = MINIMAL + "grid 0 0 1 1 0.5 1 omni\ngrid 0 0 1 1 0.5 1 omni\n"
@@ -185,6 +205,23 @@ class TestGrid:
         xs = {p.position.x for p in grid.points}
         assert 0.5 not in xs
         assert len(grid.points) == 2
+
+    @given(
+        st.lists(st.tuples(*[st.integers(min_value=-2, max_value=12)] * 4), max_size=5),
+        st.sampled_from([0.5, 0.25, 0.1, 0.3, 1.0 / 3.0]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_wall_exclusion_matches_scalar_filter(self, ends, spacing):
+        # walls between half-metre lattice points, so many grid points sit
+        # exactly on them, and some walls have zero length
+        walls = [WallSegment(Point2(ax / 2, ay / 2), Point2(bx / 2, by / 2))
+                 for ax, ay, bx, by in ends]
+        grid = build_grid((0.0, 0.0, 4.0, 3.0), spacing, 1.0, None, walls=walls)
+        kept = [(ix, iy) for iy in range(grid.ny) for ix in range(grid.nx)
+                if not any(point_on_segment(Point2(ix * spacing, iy * spacing), w) for w in walls)]
+        assert grid.cells == tuple(kept)
+        assert [(p.position.x, p.position.y) for p in grid.points] == [
+            (ix * spacing, iy * spacing) for ix, iy in kept]
 
     def test_zero_spacing_rejected(self):
         with pytest.raises(SceneError, match="spacing"):

@@ -22,9 +22,14 @@ from luxplan import (
     sweep,
     write_matrix_csv,
 )
-from luxplan.geometry import WallSegment
-from luxplan.scene import Luminaire, Scene
-from luxplan.transport import ContributionVector, matrix_to_csv
+from luxplan.geometry import WallSegment, segments_as_array
+from luxplan.scene import Luminaire, Scene, SceneError, active_occluders, enumerate_door_states
+from luxplan.transport import (
+    ContributionVector,
+    _candidate_arrays,
+    _illuminance_batch,
+    matrix_to_csv,
+)
 
 
 def single_lamp_scene(walls=(), intensity=100.0, mount=3.0, profile="iso"):
@@ -258,6 +263,72 @@ class TestSweep:
         scene = single_lamp_scene()
         with pytest.raises(ValueError):
             sweep(scene)
+
+    def test_mismatched_door_state_rejected(self, apartment):
+        with pytest.raises(SceneError, match="does not match scene doors"):
+            sweep(apartment, door_states=[DoorState(angles_deg=(90.0,))],
+                  candidates=apartment.candidates[:3])
+
+
+def per_state_sweep(scene, states, candidates):
+    """The sweep without door factoring: every state tests its
+    active_occluders together."""
+    pts_xy, heights, normals = _candidate_arrays(candidates)
+    out = np.zeros((len(candidates), len(states), scene.n_luminaires))
+    for q, state in enumerate(states):
+        segments = segments_as_array(active_occluders(scene, state))
+        for i, lum in enumerate(scene.luminaires):
+            out[:, q, i] = _illuminance_batch(lum, pts_xy, heights, normals, segments)
+    return out
+
+
+# half-metre lattice coordinates put sight lines through wall and leaf
+# endpoints, the cases where the crossing tolerance decides
+halves = st.integers(min_value=0, max_value=16).map(lambda k: k / 2.0)
+
+
+@st.composite
+def door_scenes(draw):
+    lines = ["ceiling 3.0"]
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        ax, ay, bx, by = (draw(halves) for _ in range(4))
+        if (ax, ay) != (bx, by):
+            lines.append(f"wall {ax} {ay} {bx} {by}")
+    for d in range(draw(st.integers(min_value=0, max_value=3))):
+        angles = draw(st.lists(st.sampled_from([0.0, 30.0, 45.0, 90.0]), min_size=1,
+                               max_size=3, unique=True))
+        heading = draw(st.sampled_from([0.0, 90.0, 180.0, 270.0, 33.0]))
+        lines.append(f"door d{d} {draw(halves)} {draw(halves)} {draw(halves) / 4 + 0.5} "
+                     f"{heading} {','.join(map(str, angles))}")
+    for i in range(draw(st.integers(min_value=1, max_value=3))):
+        lines.append(f"lum L{i} {draw(halves)} {draw(halves)} 2.5 "
+                     f"{draw(st.integers(min_value=10, max_value=200))} "
+                     f"{draw(st.sampled_from(['iso', 'cos']))}")
+    normal = draw(st.sampled_from(["omni", "0 0 1"]))
+    lines.append(f"grid 0.25 0.25 7.75 7.75 {draw(st.sampled_from([0.5, 0.75, 1.0]))} 1.0 {normal}")
+    try:
+        return parse_scene("\n".join(lines))
+    except SceneError:
+        return None
+
+
+@given(door_scenes(), st.data())
+@settings(max_examples=120, deadline=None)
+def test_door_factored_sweep_equals_per_state_sweep(scene, data):
+    if scene is None or not scene.candidates:
+        return
+    states = enumerate_door_states(scene)
+    got = sweep(scene)
+    assert got.door_states == tuple(states)
+    assert np.array_equal(got.values, per_state_sweep(scene, states, scene.candidates))
+    # an explicit subset, in any order, leaves unused leaves out
+    subset = data.draw(st.lists(st.sampled_from(states), min_size=1, max_size=4))
+    candidates = scene.candidates[:7]
+    got = sweep(scene, door_states=subset, candidates=candidates)
+    assert np.array_equal(got.values, per_state_sweep(scene, subset, candidates))
+    if scene.doors:
+        with pytest.raises(SceneError, match="does not match scene doors"):
+            sweep(scene, door_states=[DoorState(angles_deg=())])
 
 
 class TestCsv:
