@@ -182,13 +182,16 @@ def _read_readings_csv(path: Path) -> list[dict]:
             )
         rows = []
         for row in reader:
-            rows.append({
-                "trial": row["trial"],
-                "point_index": int(row["point_index"]),
-                "door_state": int(row["door_state"]),
-                "lux": float(row["lux"]) if row.get("lux") not in (None, "") else None,
-                "truth": int(row["truth"]) if row.get("truth") not in (None, "") else None,
-            })
+            try:
+                rows.append({
+                    "trial": row["trial"],
+                    "point_index": int(row["point_index"]),
+                    "door_state": int(row["door_state"]),
+                    "lux": float(row["lux"]) if row.get("lux") not in (None, "") else None,
+                    "truth": int(row["truth"]) if row.get("truth") not in (None, "") else None,
+                })
+            except (TypeError, ValueError):
+                raise ValueError(f"{path}: line {reader.line_num}: malformed reading row") from None
         return rows
 
 

@@ -13,9 +13,7 @@ import logging
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from operator import itemgetter, ne
-
-import numpy as np
+from operator import itemgetter
 
 from .transport import ContributionVector, LightConfig
 
@@ -92,7 +90,7 @@ def perfect_sum(query: PerfectSumQuery) -> list[LightConfig]:
         first = bisect_left(hi_sums, low - s)
         last = bisect_right(hi_sums, high - s)
         masks += [m | (hi << h) for hi in hi_masks[first:last]]
-    return [LightConfig.from_index(m, n) for m in sorted(masks)]
+    return [LightConfig(m, n) for m in sorted(masks)]
 
 
 def nearest_sum_configs(query: PerfectSumQuery) -> list[LightConfig]:
@@ -119,7 +117,7 @@ def nearest_sum_configs(query: PerfectSumQuery) -> list[LightConfig]:
                 # every high-half subset with this sum ties with it
                 tied = hi_masks[bisect_left(hi_sums, hi_sums[k]):bisect_right(hi_sums, hi_sums[k])]
                 masks += [m | (hi << h) for hi in tied]
-    return [LightConfig.from_index(m, n) for m in sorted(set(masks))]
+    return [LightConfig(m, n) for m in sorted(set(masks))]
 
 
 def jaccard_accuracy(truth: LightConfig, candidates: list[LightConfig]) -> float:
@@ -131,15 +129,11 @@ def jaccard_accuracy(truth: LightConfig, candidates: list[LightConfig]) -> float
     if not candidates:
         log.debug("jaccard_accuracy: no candidates, scoring 0")
         return 0.0
-    truth_on = set(truth.on_indices)
+    t = truth.index
     total = 0.0
     for cand in candidates:
-        cand_on = set(cand.on_indices)
-        union = truth_on | cand_on
-        if not union:
-            total += 1.0
-        else:
-            total += len(truth_on & cand_on) / len(union)
+        union = (t | cand.index).bit_count()
+        total += (t & cand.index).bit_count() / union if union else 1.0
     return total / len(candidates)
 
 
@@ -157,28 +151,18 @@ def infer_reading(
     return InferenceResult(candidates=candidates, accuracy=accuracy, no_solution=no_solution)
 
 
-def sensor_votes(
-    x: ContributionVector,
-    candidates: list[LightConfig],
-    range_mask: list[bool] | tuple[bool, ...] | np.ndarray | None = None,
-) -> VoteVector:
+def sensor_votes(x: ContributionVector, candidates: list[LightConfig]) -> VoteVector:
     """One sensor's per-luminaire majority vote over its candidate set.
 
-    Luminaires outside the sensor's range (mask False, typically x_i == 0)
-    abstain, as do exact ties and empty candidate lists.
+    Luminaires outside the sensor's range (x_i == 0) abstain, as do exact
+    ties and empty candidate lists.
     """
-    n = x.n
-    if range_mask is None:
-        range_mask = x.values > 0
-    range_mask = list(range_mask)
-    if len(range_mask) != n:
-        raise ValueError("range mask length does not match contribution vector")
     votes = []
-    for i in range(n):
-        if not range_mask[i]:
+    for i, in_range in enumerate(x.values > 0):
+        if not in_range:
             votes.append(0)
             continue
-        ones = sum(c.bits[i] for c in candidates)
+        ones = sum(c.index >> i & 1 for c in candidates)
         zeros = len(candidates) - ones
         votes.append(1 if ones > zeros else (-1 if zeros > ones else 0))
     return VoteVector(votes=tuple(votes))
@@ -198,14 +182,11 @@ def fuse_candidates(
     """
     if not candidate_sets:
         raise ValueError("need at least one candidate set")
-    first, *rest = candidate_sets
-    others = [set(cands) for cands in rest]
-    common = [c for c in first if all(c in other for other in others)]
+    common = set.intersection(*({c.index for c in cands} for cands in candidate_sets))
     if not common:
         return voted, "vote"
-    # reversed bits order configurations like their indices
-    nearest = min(common, key=lambda c: (sum(map(ne, c.bits, voted.bits)), c.bits[::-1]))
-    return nearest, "intersection"
+    nearest = min(common, key=lambda m: ((m ^ voted.index).bit_count(), m))
+    return LightConfig(nearest, voted.n), "intersection"
 
 
 def fuse_votes(all_votes: list[VoteVector]) -> LightConfig:
@@ -215,10 +196,11 @@ def fuse_votes(all_votes: list[VoteVector]) -> LightConfig:
     n = len(all_votes[0].votes)
     if any(len(v.votes) != n for v in all_votes):
         raise ValueError("vote vectors must have equal length")
-    bits = []
+    index = 0
     for i in range(n):
         total = sum(v.votes[i] for v in all_votes)
         if total == 0:
             log.debug("fuse_votes: tie on luminaire %d resolves to off", i)
-        bits.append(1 if total > 0 else 0)
-    return LightConfig(bits=tuple(bits))
+        if total > 0:
+            index |= 1 << i
+    return LightConfig(index, n)

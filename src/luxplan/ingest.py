@@ -281,24 +281,42 @@ def evaluate_locations(
     return out
 
 
+def _read_log(path: str | Path, header: list[str], parse) -> list:
+    """parse(*fields) for each nonblank row of a headed CSV log.
+
+    A row with the wrong field count or an unparsable field raises
+    ValueError naming the file and its 1-based line.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        if [c.strip() for c in next(reader, [])] != header:
+            raise ValueError(f"{path}: expected header {','.join(header)!r}")
+        out = []
+        for row in reader:
+            if not row:
+                continue
+            try:
+                if len(row) != len(header):
+                    raise ValueError(f"expected {len(header)} fields, got {len(row)}")
+                out.append(parse(*row))
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+        return out
+
+
 def read_samples_csv(path: str | Path) -> SampleLog:
     """Read a 't,location,lux' log."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or [c.strip() for c in rows[0]] != ["t", "location", "lux"]:
-        raise ValueError(f"{path}: expected header 't,location,lux'")
-    samples = [Sample(t=float(r[0]), location=r[1], lux=float(r[2])) for r in rows[1:] if r]
-    return SampleLog(samples=samples)
+    return SampleLog(samples=_read_log(
+        path, ["t", "location", "lux"],
+        lambda t, location, lux: Sample(t=float(t), location=location, lux=float(lux)),
+    ))
 
 
 def read_commands_csv(path: str | Path) -> CommandLog:
     """Read a 't,bitmask' log."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or [c.strip() for c in rows[0]] != ["t", "bitmask"]:
-        raise ValueError(f"{path}: expected header 't,bitmask'")
-    commands = [Command(t=float(r[0]), config_index=int(r[1])) for r in rows[1:] if r]
-    return CommandLog(commands=commands)
+    return CommandLog(commands=_read_log(
+        path, ["t", "bitmask"], lambda t, bitmask: Command(t=float(t), config_index=int(bitmask)),
+    ))
 
 
 def write_samples_csv(log: SampleLog, path: str | Path) -> None:
@@ -358,13 +376,13 @@ def synthesize_logs(
     samples: list[Sample] = []
     for loc_index, (location, x) in enumerate(contributions_by_location.items()):
         x = np.asarray(x, dtype=float)
+        bases = [ambient + math.fsum(x[i] for i in LightConfig.from_index(p, x.shape[0]).on_indices)
+                 for p in config_indices]
         rng = np.random.default_rng(np.random.SeedSequence((seed, loc_index)))
         z = rng.standard_normal(n_samples)
         for j in range(n_samples):
             t = j / rate_hz
-            k = min(int(t // dwell), len(config_indices) - 1)
-            config = LightConfig.from_index(config_indices[k], x.shape[0])
-            base = ambient + math.fsum(x[i] for i in config.on_indices)
+            base = bases[min(int(t // dwell), len(config_indices) - 1)]
             lux = base + sigma * z[j] if sigma > 0 else base
             lux = min(max(lux, LUX_MIN), LUX_MAX)
             samples.append(Sample(t=t, location=location, lux=lux))

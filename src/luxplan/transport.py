@@ -10,7 +10,6 @@ identified by the integer whose bit i is luminaire i's state.
 from __future__ import annotations
 
 import csv
-import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -32,27 +31,22 @@ from .scene import (
 
 @dataclass(frozen=True)
 class LightConfig:
-    """On/off state of every luminaire; bit i of .index is bits[i]."""
+    """On/off state of n luminaires: bit i of index is luminaire i's state."""
 
-    bits: tuple[int, ...]
+    index: int
+    n: int
 
     def __post_init__(self) -> None:
-        if any(b not in (0, 1) for b in self.bits):
-            raise ValueError("config bits must be 0 or 1")
+        if not 0 <= self.index < (1 << self.n):
+            raise ValueError(f"config index {self.index} out of range for {self.n} luminaires")
 
     @classmethod
     def from_index(cls, index: int, n: int) -> "LightConfig":
-        if not 0 <= index < (1 << n):
-            raise ValueError(f"config index {index} out of range for {n} luminaires")
-        return cls(bits=tuple((index >> i) & 1 for i in range(n)))
-
-    @property
-    def index(self) -> int:
-        return sum(bit << i for i, bit in enumerate(self.bits))
+        return cls(index, n)
 
     @property
     def on_indices(self) -> tuple[int, ...]:
-        return tuple(i for i, bit in enumerate(self.bits) if bit)
+        return tuple(i for i in range(self.n) if self.index >> i & 1)
 
 
 @dataclass(frozen=True)
@@ -273,8 +267,8 @@ def reading(
     so repeated calls with the same inputs return the same value, and the
     reading is clamped at zero like a real sensor.
     """
-    if len(config.bits) != x.n:
-        raise ValueError(f"config has {len(config.bits)} bits, vector has {x.n}")
+    if config.n != x.n:
+        raise ValueError(f"config has {config.n} bits, vector has {x.n}")
     base = math.fsum(x.values[i] for i in config.on_indices)
     if noise.kind == "gaussian" and noise.sigma > 0:
         key = (noise.seed, x.point_index, x.door_state_index, config.index)
@@ -286,21 +280,14 @@ def reading(
 CSV_SIG_DIGITS = 6
 
 
-def _fmt_lux(v: float) -> str:
-    return f"{v:.{CSV_SIG_DIGITS}g}"
-
-
 def matrix_to_csv(matrix: ContributionMatrix) -> str:
     """CSV with one row per (point, door state): point_index,door_state,lum_*."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    header = ["point_index", "door_state"] + [f"lum_{i}" for i in range(matrix.n_luminaires)]
-    writer.writerow(header)
+    n = matrix.n_luminaires
+    lines = [",".join(["point_index", "door_state"] + [f"lum_{i}" for i in range(n)]) + "\n"]
+    row = "%d,%d" + f",%.{CSV_SIG_DIGITS}g" * n + "\n"
     for p in range(matrix.n_points):
-        for q in range(matrix.n_door_states):
-            row = [str(p), str(q)] + [_fmt_lux(v) for v in matrix.values[p, q]]
-            writer.writerow(row)
-    return buf.getvalue()
+        lines += [row % (p, q, *vals) for q, vals in enumerate(matrix.values[p].tolist())]
+    return "".join(lines)
 
 
 def write_matrix_csv(matrix: ContributionMatrix, path: str | Path) -> None:

@@ -69,6 +69,32 @@ class TestExitCodes:
         ])
         assert code == EXIT_INVALID
 
+    def test_short_readings_row_rejected(self, toy_scene_file, tmp_path, capsys):
+        readings = tmp_path / "r.csv"
+        readings.write_text("trial,point_index,door_state,truth\n0,5,0,1\n0,5\n", encoding="utf-8")
+        code = run([
+            "infer", "--scene", str(toy_scene_file),
+            "--readings", str(readings), "--out", str(tmp_path),
+        ])
+        assert code == EXIT_INVALID
+        assert "r.csv: line 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("samples_text, commands_text, where", [
+        ("t,location,lux\n0.0,s0,1.0\n1.0,a\n", "t,bitmask\n0.0,1\n", "samples.csv: line 3"),
+        ("t,location,lux\n0.0,s0,1.0\n", "t,bitmask\n0.0\n", "commands.csv: line 2"),
+        ("t,location,lux\n0.0,s0,bright\n", "t,bitmask\n0.0,1\n", "samples.csv: line 2"),
+        ("t,location,lux\n0.0,s0,1.0\n", "t,bitmask\n\n0.0,1,2\n", "commands.csv: line 3"),
+    ])
+    def test_malformed_log_row_rejected(self, tmp_path, capsys, samples_text, commands_text, where):
+        samples, commands = tmp_path / "samples.csv", tmp_path / "commands.csv"
+        samples.write_text(samples_text, encoding="utf-8")
+        commands.write_text(commands_text, encoding="utf-8")
+        code = run([
+            "ingest", "--samples", str(samples), "--commands", str(commands), "--out", str(tmp_path),
+        ])
+        assert code == EXIT_INVALID
+        assert where in capsys.readouterr().err
+
 
 class TestSimulate:
     def test_writes_contributions(self, toy_scene_file, tmp_path, capsys):

@@ -146,24 +146,24 @@ class TestNearestFallback:
 
 class TestJaccard:
     def test_worked_ambiguity(self):
-        truth = LightConfig(bits=(1, 1, 0))
-        cands = [LightConfig(bits=(1, 1, 0)), LightConfig(bits=(1, 0, 1))]
+        truth = LightConfig.from_index(0b011, 3)
+        cands = [LightConfig.from_index(0b011, 3), LightConfig.from_index(0b101, 3)]
         assert jaccard_accuracy(truth, cands) == pytest.approx(2 / 3, abs=1e-12)
 
     def test_exact_match_scores_one(self):
-        truth = LightConfig(bits=(0, 1))
+        truth = LightConfig.from_index(0b10, 2)
         assert jaccard_accuracy(truth, [truth]) == 1.0
 
     def test_all_off_pair_scores_one(self):
-        off = LightConfig(bits=(0, 0, 0))
+        off = LightConfig.from_index(0, 3)
         assert jaccard_accuracy(off, [off]) == 1.0
 
     def test_empty_candidates_score_zero(self):
-        assert jaccard_accuracy(LightConfig(bits=(1,)), []) == 0.0
+        assert jaccard_accuracy(LightConfig.from_index(1, 1), []) == 0.0
 
     def test_disjoint_sets_score_zero(self):
-        truth = LightConfig(bits=(1, 0))
-        assert jaccard_accuracy(truth, [LightConfig(bits=(0, 1))]) == 0.0
+        truth = LightConfig.from_index(0b01, 2)
+        assert jaccard_accuracy(truth, [LightConfig.from_index(0b10, 2)]) == 0.0
 
     def test_infer_reading_scores_against_truth(self):
         q = PerfectSumQuery(contributions=(2.0, 3.0, 4.0, 5.0), target=7.0, epsilon=0.0)
@@ -178,45 +178,35 @@ class TestJaccard:
 class TestVoting:
     def test_single_candidate_votes_its_bits(self):
         x = ContributionVector(values=np.array([3.0, 2.0]))
-        votes = sensor_votes(x, [LightConfig(bits=(1, 0))])
+        votes = sensor_votes(x, [LightConfig.from_index(0b01, 2)])
         assert votes.votes == (1, -1)
 
     def test_out_of_range_luminaire_abstains(self):
         x = ContributionVector(values=np.array([3.0, 2.0, 0.0]))
-        votes = sensor_votes(x, [LightConfig(bits=(1, 0, 1))])
+        votes = sensor_votes(x, [LightConfig.from_index(0b101, 3)])
         assert votes.votes[2] == 0
 
     def test_split_candidates_abstain(self):
         x = ContributionVector(values=np.array([3.0, 2.0]))
-        cands = [LightConfig(bits=(1, 0)), LightConfig(bits=(0, 1))]
+        cands = [LightConfig.from_index(0b01, 2), LightConfig.from_index(0b10, 2)]
         assert sensor_votes(x, cands).votes == (0, 0)
 
     def test_majority_of_candidates_wins(self):
         x = ContributionVector(values=np.array([3.0, 2.0]))
-        cands = [LightConfig(bits=(1, 1)), LightConfig(bits=(1, 0)), LightConfig(bits=(0, 1))]
+        cands = [LightConfig.from_index(p, 2) for p in (0b11, 0b01, 0b10)]
         assert sensor_votes(x, cands).votes == (1, 1)
-
-    def test_explicit_range_mask(self):
-        x = ContributionVector(values=np.array([3.0, 2.0]))
-        votes = sensor_votes(x, [LightConfig(bits=(1, 1))], range_mask=[True, False])
-        assert votes.votes == (1, 0)
-
-    def test_mask_length_checked(self):
-        x = ContributionVector(values=np.array([3.0, 2.0]))
-        with pytest.raises(ValueError):
-            sensor_votes(x, [], range_mask=[True])
 
     def test_fusion_majority_on(self):
         votes = [VoteVector(votes=(1,)), VoteVector(votes=(1,)), VoteVector(votes=(-1,))]
-        assert fuse_votes(votes).bits == (1,)
+        assert fuse_votes(votes) == LightConfig.from_index(1, 1)
 
     def test_fusion_tie_resolves_off(self):
         votes = [VoteVector(votes=(1,)), VoteVector(votes=(-1,))]
-        assert fuse_votes(votes).bits == (0,)
+        assert fuse_votes(votes) == LightConfig.from_index(0, 1)
 
     def test_fusion_abstain_plus_off_is_off(self):
         votes = [VoteVector(votes=(-1,)), VoteVector(votes=(0,))]
-        assert fuse_votes(votes).bits == (0,)
+        assert fuse_votes(votes) == LightConfig.from_index(0, 1)
 
     def test_fusion_needs_votes(self):
         with pytest.raises(ValueError):
@@ -280,3 +270,54 @@ class TestCandidateFusion:
     def test_needs_a_candidate_set(self):
         with pytest.raises(ValueError):
             fuse_candidates([], LightConfig.from_index(0, 1))
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_scoring_voting_and_fusion_match_a_bit_tuple_reference(data):
+    n = data.draw(st.integers(min_value=1, max_value=8))
+    config = st.integers(min_value=0, max_value=(1 << n) - 1)
+    # small sets over a few luminaires make ties, shared members and all-off common
+    truth = data.draw(config)
+    sets = data.draw(st.lists(st.lists(config, max_size=6, unique=True), min_size=1, max_size=4))
+    values = data.draw(st.lists(st.sampled_from([0.0, 1.5]), min_size=n, max_size=n))
+    bits = {p: tuple(p >> i & 1 for i in range(n)) for p in range(1 << n)}
+
+    def on(p):
+        return {i for i, b in enumerate(bits[p]) if b}
+
+    def ref_jaccard(t, cands):
+        scores = [len(on(t) & on(c)) / len(on(t) | on(c)) if on(t) | on(c) else 1.0
+                  for c in cands]
+        return sum(scores) / len(scores) if scores else 0.0
+
+    def ref_votes(cands):
+        votes = []
+        for i in range(n):
+            ones = sum(bits[c][i] for c in cands)
+            zeros = len(cands) - ones
+            votes.append(0 if values[i] == 0 or ones == zeros else (1 if ones > zeros else -1))
+        return tuple(votes)
+
+    configs = [[LightConfig.from_index(p, n) for p in s] for s in sets]
+    truth_config = LightConfig.from_index(truth, n)
+    x = ContributionVector(values=np.array(values))
+    for s, cands in zip(sets, configs):
+        assert jaccard_accuracy(truth_config, cands) == pytest.approx(ref_jaccard(truth, s), abs=1e-12)
+    assert jaccard_accuracy(LightConfig.from_index(0, n), [LightConfig.from_index(0, n)]) == 1.0
+
+    votes = [sensor_votes(x, cands) for cands in configs]
+    assert [v.votes for v in votes] == [ref_votes(s) for s in sets]
+    sums = [sum(v.votes[i] for v in votes) for i in range(n)]
+    voted = fuse_votes(votes)
+    assert bits[voted.index] == tuple(int(t > 0) for t in sums)
+
+    common = set(sets[0]).intersection(*map(set, sets[1:]))
+    fused, rule = fuse_candidates(configs, voted)
+    if not common:
+        assert (fused, rule) == (voted, "vote")
+    else:
+        distance = {c: sum(a != b for a, b in zip(bits[c], bits[voted.index])) for c in common}
+        nearest = min(distance.values())
+        assert rule == "intersection"
+        assert fused == LightConfig.from_index(min(c for c in common if distance[c] == nearest), n)

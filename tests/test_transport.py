@@ -159,10 +159,10 @@ class TestReadings:
     def test_reading_additive_over_disjoint_configs(self):
         values = np.array([0.1, 0.2, 0.3, 7.7, 11.11])
         x = ContributionVector(values=values)
-        a = LightConfig(bits=(1, 0, 1, 0, 0))
-        b = LightConfig(bits=(0, 1, 0, 0, 1))
-        union = LightConfig(bits=(1, 1, 1, 0, 1))
-        exact = sum(Fraction(v) for i, v in enumerate(values) if union.bits[i])
+        a = LightConfig.from_index(0b00101, 5)
+        b = LightConfig.from_index(0b10010, 5)
+        union = LightConfig.from_index(0b10111, 5)
+        exact = sum(Fraction(v) for i, v in enumerate(values) if i in union.on_indices)
         assert reading(x, union) == float(exact)
         assert reading(x, a) + reading(x, b) == pytest.approx(reading(x, union), rel=1e-15)
 
@@ -178,18 +178,22 @@ class TestReadings:
     def test_config_index_round_trip(self):
         for p in range(16):
             cfg = LightConfig.from_index(p, 4)
-            assert cfg.index == p
-            assert all(b in (0, 1) for b in cfg.bits)
+            assert (cfg.index, cfg.n) == (p, 4)
+            assert sum(1 << i for i in cfg.on_indices) == p
         assert LightConfig.from_index(5, 4).on_indices == (0, 2)
 
     def test_config_index_out_of_range(self):
         with pytest.raises(ValueError):
             LightConfig.from_index(16, 4)
+        with pytest.raises(ValueError):
+            LightConfig.from_index(-1, 4)
 
     def test_mismatched_config_length_rejected(self):
         x = ContributionVector(values=np.array([1.0, 2.0]))
         with pytest.raises(ValueError):
             reading(x, LightConfig.from_index(1, 3))
+        with pytest.raises(ValueError):
+            reading(x, LightConfig.from_index(1, 1))
 
 
 class TestNoise:
@@ -215,7 +219,7 @@ class TestNoise:
         x = ContributionVector(values=np.array([0.001]))
         noise = NoiseModel("gaussian", 50.0, seed=0)
         vals = [
-            reading(ContributionVector(values=x.values, point_index=k), LightConfig((1,)), noise)
+            reading(ContributionVector(values=x.values, point_index=k), LightConfig.from_index(1, 1), noise)
             for k in range(50)
         ]
         assert min(vals) == 0.0  # sigma 50 on a 1 mlux signal must clip sometimes
