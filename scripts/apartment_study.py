@@ -46,13 +46,13 @@ def parse_args(argv=None) -> argparse.Namespace:
     return parser.parse_args(argv)
 
 
-def describe_cover(label: str, solution, matrix) -> None:
+def describe_cover(label: str, solution, grid) -> None:
     print(f"\n{label}:")
     total = 0
     for step, (point, gain) in enumerate(zip(solution.chosen, solution.gains), 1):
         total += gain
-        pos = matrix.points[point].position
-        print(f"  {step}. point {point} at ({pos.x:.3f}, {pos.y:.3f}) "
+        x, y = grid.points[point].tolist()
+        print(f"  {step}. point {point} at ({x:.3f}, {y:.3f}) "
               f"isolates {gain} new states (running total {total})")
     verdict = "complete" if solution.complete else "incomplete"
     print(f"  -> {len(solution.chosen)} sensors, cover {verdict}, "
@@ -86,10 +86,10 @@ def main(argv=None) -> int:
         for q, state in enumerate(states):
             col = scores[:, q]
             best = int(col.argmax())
-            pos = matrix.points[best].position
+            x, y = scene.grid.points[best].tolist()
             angles = ",".join(f"{a:g}" for a in state.angles_deg) or "none"
             print(f"  q{q} (angles {angles}): point {best} at "
-                  f"({pos.x:.3f}, {pos.y:.3f}) isolates {int(col[best])}/{n_configs}")
+                  f"({x:.3f}, {y:.3f}) isolates {int(col[best])}/{n_configs}")
         totals = scores.sum(axis=1)
         b = int(totals.argmax())
         print(f"aggregate best: point {b} with {int(totals[b])}/{n_configs * len(states)}")
@@ -99,9 +99,9 @@ def main(argv=None) -> int:
         q_open = open_door_state_index(scene)
         keep = frozenset(space.state_id(p, q_open) for p in range(space.n_configs))
         open_cover = greedy_set_cover(restrict_cover_instance(instance, keep))
-        describe_cover(f"greedy cover, doors-open universe (q{q_open})", open_cover, matrix)
+        describe_cover(f"greedy cover, doors-open universe (q{q_open})", open_cover, scene.grid)
         full_cover = greedy_set_cover(instance)
-        describe_cover("greedy cover, full universe", full_cover, matrix)
+        describe_cover("greedy cover, full universe", full_cover, scene.grid)
 
         args.out.mkdir(parents=True, exist_ok=True)
         paths = write_heatmap_set(scene.grid, scores, n_configs, args.out)
@@ -110,8 +110,8 @@ def main(argv=None) -> int:
             w = csv.writer(fh)
             w.writerow(["step", "point_index", "x", "y", "gain"])
             for step, (point, gain) in enumerate(zip(full_cover.chosen, full_cover.gains), 1):
-                pos = matrix.points[point].position
-                w.writerow([step, point, f"{pos.x:.6g}", f"{pos.y:.6g}", gain])
+                x, y = scene.grid.points[point].tolist()
+                w.writerow([step, point, f"{x:.6g}", f"{y:.6g}", gain])
         print(f"\nwrote {len(paths)} heatmap files and {report}")
     return 0
 

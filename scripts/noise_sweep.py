@@ -75,8 +75,8 @@ def main(argv=None) -> int:
     n_configs = 1 << scene.n_luminaires
     sums = np.sort(config_sums_batch(x))
     min_gap = float(np.diff(sums).min())
-    pos = matrix.points[point].position
-    print(f"cell {point} at ({pos.x:.3f}, {pos.y:.3f}), door state {q}")
+    px, py = scene.grid.points[point].tolist()
+    print(f"cell {point} at ({px:.3f}, {py:.3f}), door state {q}")
     print(f"contributions (lux): {np.array2string(x, precision=3)}")
     print(f"smallest gap between configuration sums: {min_gap:.4f} lux")
     print(f"epsilon {args.epsilon} lux; accuracy over all {n_configs} configurations\n")

@@ -97,7 +97,7 @@ def _load_scene_with_grid(config: RunConfig) -> tuple[Scene, Grid]:
             grid.normal,
             scene.walls,
         )
-        scene = replace(scene, grid=grid, candidates=grid.points)
+        scene = replace(scene, grid=grid)
     return scene, grid
 
 
@@ -151,12 +151,12 @@ def cmd_solve_cover(config: RunConfig) -> int:
     covered_total = 0
     for step, (point_index, gain) in enumerate(zip(solution.chosen, solution.gains), start=1):
         covered_total += gain
-        pt = matrix.points[point_index]
+        x, y = grid.points[point_index].tolist()
         print(
-            f"step {step}: point {point_index} at ({pt.position.x:.6g}, {pt.position.y:.6g}) "
+            f"step {step}: point {point_index} at ({x:.6g}, {y:.6g}) "
             f"gain {gain} covered {covered_total}"
         )
-        rows.append([step, point_index, f"{pt.position.x:.6g}", f"{pt.position.y:.6g}", gain, covered_total])
+        rows.append([step, point_index, f"{x:.6g}", f"{y:.6g}", gain, covered_total])
     status = "complete" if solution.complete else (
         f"incomplete: {n_states - len(solution.covered)} states cannot be covered"
     )

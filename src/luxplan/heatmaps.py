@@ -6,7 +6,6 @@ wall) render as 0.
 """
 from __future__ import annotations
 
-import io
 from pathlib import Path
 
 import numpy as np
@@ -19,10 +18,9 @@ def heatmap_csv(grid: Grid, values: np.ndarray) -> str:
     values = np.asarray(values)
     if values.shape[0] != len(grid.points):
         raise ValueError("one value per grid point required")
-    lines = ["x,y,score"]
-    for pt, v in zip(grid.points, values):
-        lines.append(f"{pt.position.x:.6g},{pt.position.y:.6g},{int(v)}")
-    return "\n".join(lines) + "\n"
+    xs, ys = grid.points.T.tolist()
+    rows = zip(xs, ys, values.tolist())
+    return "x,y,score\n" + "".join("%.6g,%.6g,%d\n" % row for row in rows)
 
 
 def heatmap_pgm(grid: Grid, values: np.ndarray, maxval: int) -> str:
@@ -33,16 +31,11 @@ def heatmap_pgm(grid: Grid, values: np.ndarray, maxval: int) -> str:
     if maxval < 1:
         raise ValueError("maxval must be at least 1")
     raster = np.zeros((grid.ny, grid.nx), dtype=int)
-    for (ix, iy), v in zip(grid.cells, values):
-        raster[iy, ix] = int(v)
+    raster[grid.cells[:, 1], grid.cells[:, 0]] = values
     if raster.max(initial=0) > maxval:
         raise ValueError("score exceeds the declared maxval")
-    buf = io.StringIO()
-    buf.write(f"P2\n{grid.nx} {grid.ny}\n{maxval}\n")
-    for iy in range(grid.ny - 1, -1, -1):  # image convention: top row first
-        buf.write(" ".join(str(v) for v in raster[iy]))
-        buf.write("\n")
-    return buf.getvalue()
+    rows = raster[::-1].tolist()  # image convention: top row first
+    return f"P2\n{grid.nx} {grid.ny}\n{maxval}\n" + "".join(" ".join(map(str, row)) + "\n" for row in rows)
 
 
 def write_heatmap_set(

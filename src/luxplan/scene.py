@@ -61,9 +61,12 @@ class Door:
             raise SceneError(f"door {self.label}: leaf length must be positive")
         if not self.allowed_angles_deg:
             raise SceneError(f"door {self.label}: needs at least one allowed angle")
-        for a in self.allowed_angles_deg:
+        for i, a in enumerate(self.allowed_angles_deg):
             if not 0.0 <= a <= 90.0:
                 raise SceneError(f"door {self.label}: angle {a} outside [0, 90] degrees")
+            # door_leaf_segment matches an angle within this tolerance
+            if any(math.isclose(a, b, abs_tol=1e-9) for b in self.allowed_angles_deg[:i]):
+                raise SceneError(f"door {self.label}: angle {a} repeats an earlier allowed angle")
 
 
 @dataclass(frozen=True)
@@ -85,15 +88,22 @@ class Luminaire:
 
 @dataclass(frozen=True)
 class CandidatePoint:
+    """One sensor position, for the single-point contribution API; a
+    scene's candidate cells are its Grid arrays."""
+
     position: Point2
     height: float
     normal: tuple[float, float, float] | None = None  # None = omnidirectional
 
     def __post_init__(self) -> None:
-        if self.normal is not None:
-            mag = math.sqrt(sum(c * c for c in self.normal))
-            if not math.isclose(mag, 1.0, rel_tol=0, abs_tol=1e-9):
-                raise SceneError("candidate normal must have unit length")
+        _check_unit_normal(self.normal)
+
+
+def _check_unit_normal(normal: tuple[float, float, float] | None) -> None:
+    if normal is not None:
+        mag = math.sqrt(sum(c * c for c in normal))
+        if not math.isclose(mag, 1.0, rel_tol=0, abs_tol=1e-9):
+            raise SceneError("candidate normal must have unit length")
 
 
 @dataclass(frozen=True)
@@ -103,9 +113,14 @@ class DoorState:
     angles_deg: tuple[float, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Grid:
-    """Candidate lattice plus the bookkeeping needed to rasterize results."""
+    """Candidate lattice plus the bookkeeping needed to rasterize results.
+
+    points is a read-only (P, 2) float array of plan x, y and cells the
+    matching read-only (P, 2) int array of lattice (ix, iy), both in
+    row-major order. Every cell has the grid's height and normal.
+    """
 
     minx: float
     miny: float
@@ -116,8 +131,8 @@ class Grid:
     normal: tuple[float, float, float] | None
     nx: int
     ny: int
-    points: tuple[CandidatePoint, ...]
-    cells: tuple[tuple[int, int], ...]  # (ix, iy) per point, aligned with points
+    points: np.ndarray
+    cells: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -126,7 +141,6 @@ class Scene:
     walls: tuple[WallSegment, ...]
     doors: tuple[Door, ...]
     luminaires: tuple[Luminaire, ...]
-    candidates: tuple[CandidatePoint, ...] = ()
     grid: Grid | None = None
 
     def __post_init__(self) -> None:
@@ -203,15 +217,10 @@ def open_door_state_index(scene: Scene) -> int:
     raise SceneError("no door state with all doors at their widest angle")
 
 
-def check_door_state(scene: Scene, state: DoorState) -> None:
-    """Raise SceneError unless state gives one angle per scene door."""
-    if len(state.angles_deg) != len(scene.doors):
-        raise SceneError("door state does not match scene doors")
-
-
 def active_occluders(scene: Scene, state: DoorState) -> list[WallSegment]:
     """Walls plus every door leaf at its angle for this state."""
-    check_door_state(scene, state)
+    if len(state.angles_deg) != len(scene.doors):
+        raise SceneError("door state does not match scene doors")
     segs = list(scene.walls)
     for door, angle in zip(scene.doors, state.angles_deg):
         segs.append(door_leaf_segment(door, angle))
@@ -235,29 +244,28 @@ def build_grid(
         raise SceneError("grid bounds are empty")
     if spacing <= 0:
         raise SceneError("grid spacing must be positive")
+    _check_unit_normal(normal)
     nx = math.ceil((maxx - minx) / spacing)
     ny = math.ceil((maxy - miny) / spacing)
-    xs = [minx + ix * spacing for ix in range(nx)]
-    ys = [miny + iy * spacing for iy in range(ny)]
-    lattice = np.column_stack([np.tile(xs, ny), np.repeat(ys, nx)])
+    ix = np.tile(np.arange(nx), ny)
+    iy = np.repeat(np.arange(ny), nx)
+    lattice = np.column_stack([minx + ix * spacing, miny + iy * spacing])
     # the doubled tolerance keeps every point the scalar test drops
     near = np.zeros(nx * ny, dtype=bool)
     for w in walls:
         near |= points_near_segment(lattice, w, 2 * CROSSING_TOL)
-    near = near.reshape(ny, nx)
-    points: list[CandidatePoint] = []
-    cells: list[tuple[int, int]] = []
-    for iy, y in enumerate(ys):
-        for ix, x in enumerate(xs):
-            p = Point2(x, y)
-            if near[iy, ix] and any(point_on_segment(p, w) for w in walls):
-                continue
-            points.append(CandidatePoint(position=p, height=height, normal=normal))
-            cells.append((ix, iy))
+    for k in np.flatnonzero(near):
+        p = Point2(*lattice[k].tolist())
+        near[k] = any(point_on_segment(p, w) for w in walls)
+    keep = ~near
+    points = lattice[keep]
+    cells = np.column_stack([ix[keep], iy[keep]])
+    points.flags.writeable = False
+    cells.flags.writeable = False
     return Grid(
         minx=minx, miny=miny, maxx=maxx, maxy=maxy,
         spacing=spacing, height=height, normal=normal,
-        nx=nx, ny=ny, points=tuple(points), cells=tuple(cells),
+        nx=nx, ny=ny, points=points, cells=cells,
     )
 
 
@@ -366,7 +374,6 @@ def parse_scene(text: str, base_dir: str | Path | None = None) -> Scene:
         walls=tuple(walls),
         doors=tuple(doors),
         luminaires=tuple(luminaires),
-        candidates=grid.points if grid is not None else (),
         grid=grid,
     )
 

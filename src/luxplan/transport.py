@@ -23,7 +23,6 @@ from .scene import (
     Luminaire,
     Scene,
     active_occluders,
-    check_door_state,
     door_leaf_segment,
     enumerate_door_states,
 )
@@ -86,12 +85,11 @@ class ContributionVector:
 class ContributionMatrix:
     """Contributions for every (candidate point, door state) pair.
 
-    values has shape (n_points, n_door_states, n_luminaires).
+    values has shape (n_points, n_door_states, n_luminaires), in the order
+    of the grid's points and of enumerate_door_states.
     """
 
     values: np.ndarray
-    points: tuple[CandidatePoint, ...] = ()
-    door_states: tuple[DoorState, ...] = ()
 
     def __post_init__(self) -> None:
         self.values = np.asarray(self.values, dtype=float)
@@ -121,18 +119,15 @@ class ContributionMatrix:
 def _unoccluded_batch(
     lum: Luminaire,
     pts_xy: np.ndarray,
-    heights: np.ndarray,
-    normals: np.ndarray | None,
+    height: float,
+    normal: tuple[float, float, float] | None,
 ) -> np.ndarray:
-    """Direct lux from one luminaire at many points, ignoring occluders.
-
-    normals is (P, 3) with NaN rows for omnidirectional points, or None when
-    every point is omnidirectional.
-    """
+    """Direct lux from one luminaire at many points of one height and
+    normal (None for omnidirectional), ignoring occluders."""
     lx, ly, lz = lum.position.x, lum.position.y, lum.mount_height
     dx = pts_xy[:, 0] - lx
     dy = pts_xy[:, 1] - ly
-    dz = heights - lz
+    dz = height - lz
     d2 = dx * dx + dy * dy + dz * dz
     if np.any(d2 == 0.0):
         raise ValueError(f"candidate point coincides with luminaire {lum.label}")
@@ -140,17 +135,16 @@ def _unoccluded_batch(
 
     # Emission direction in the profile's frame: vertical angle from nadir,
     # horizontal angle in plan from +x.
-    cos_down = np.clip((lz - heights) / d, -1.0, 1.0)
+    cos_down = np.clip((lz - height) / d, -1.0, 1.0)
     v_deg = np.degrees(np.arccos(cos_down))
     h_deg = np.degrees(np.arctan2(dy, dx)) % 360.0
     rel = np.asarray(lum.profile.relative_intensity(v_deg, h_deg), dtype=float)
 
-    if normals is None:
+    if normal is None:
         cos_inc = 1.0
     else:
-        ux, uy, uz = dx / d, dy / d, dz / d
-        dot = -(ux * normals[:, 0] + uy * normals[:, 1] + uz * normals[:, 2])
-        cos_inc = np.where(np.isnan(dot), 1.0, np.maximum(0.0, dot))
+        nx, ny, nz = normal
+        cos_inc = np.maximum(0.0, -(dx / d * nx + dy / d * ny + dz / d * nz))
 
     return lum.intensity * rel * cos_inc / d2
 
@@ -158,27 +152,14 @@ def _unoccluded_batch(
 def _illuminance_batch(
     lum: Luminaire,
     pts_xy: np.ndarray,
-    heights: np.ndarray,
-    normals: np.ndarray | None,
+    height: float,
+    normal: tuple[float, float, float] | None,
     segments: np.ndarray,
 ) -> np.ndarray:
     """Direct lux from one luminaire at many points (order-independent)."""
-    lux = _unoccluded_batch(lum, pts_xy, heights, normals)
+    lux = _unoccluded_batch(lum, pts_xy, height, normal)
     blocked = sightlines_blocked(np.array([lum.position.x, lum.position.y]), pts_xy, segments)
     return np.where(blocked, 0.0, lux)
-
-
-def _candidate_arrays(points) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    pts_xy = np.array([(p.position.x, p.position.y) for p in points], dtype=float)
-    heights = np.array([p.height for p in points], dtype=float)
-    if all(p.normal is None for p in points):
-        normals = None
-    else:
-        normals = np.array(
-            [p.normal if p.normal is not None else (math.nan,) * 3 for p in points],
-            dtype=float,
-        )
-    return pts_xy, heights, normals
 
 
 def contribution(
@@ -189,8 +170,8 @@ def contribution(
 ) -> float:
     """Lux that one luminaire alone delivers to one point."""
     segments = segments_as_array(active_occluders(scene, door_state))
-    pts_xy, heights, normals = _candidate_arrays([point])
-    return float(_illuminance_batch(luminaire, pts_xy, heights, normals, segments)[0])
+    xy = np.array([[point.position.x, point.position.y]], dtype=float)
+    return float(_illuminance_batch(luminaire, xy, point.height, point.normal, segments)[0])
 
 
 def contribution_vector(
@@ -202,47 +183,38 @@ def contribution_vector(
 ) -> ContributionVector:
     """Per-luminaire contributions at one point under one door state."""
     segments = segments_as_array(active_occluders(scene, door_state))
-    pts_xy, heights, normals = _candidate_arrays([point])
+    xy = np.array([[point.position.x, point.position.y]], dtype=float)
     values = np.array([
-        _illuminance_batch(lum, pts_xy, heights, normals, segments)[0]
+        _illuminance_batch(lum, xy, point.height, point.normal, segments)[0]
         for lum in scene.luminaires
     ])
     return ContributionVector(values=values, point_index=point_index, door_state_index=door_state_index)
 
 
-def sweep(
-    scene: Scene,
-    door_states: list[DoorState] | tuple[DoorState, ...] | None = None,
-    candidates: list[CandidatePoint] | tuple[CandidatePoint, ...] | None = None,
-) -> ContributionMatrix:
-    """Contributions for every (candidate, door state, luminaire) triple.
+def sweep(scene: Scene) -> ContributionMatrix:
+    """Contributions for every (grid point, door state, luminaire) triple,
+    over the scene's grid and every state of enumerate_door_states.
 
     Factored over door states: per luminaire, the photometry and the walls'
-    occlusion mask are computed once, and one mask per (door, angle) leaf
-    the states use. A state's mask ORs the wall mask with its leaves'
-    masks, which equals testing its active_occluders together, bit for bit.
-    The computation is independent per candidate, so the result does not
-    depend on evaluation order.
+    occlusion mask are computed once, and one mask per (door, angle) leaf.
+    A state's mask ORs the wall mask with its leaves' masks, which equals
+    testing its active_occluders together, bit for bit. The computation is
+    independent per point, so the result does not depend on evaluation order.
     """
-    if door_states is None:
-        door_states = enumerate_door_states(scene)
-    if candidates is None:
-        candidates = scene.candidates
-    candidates = tuple(candidates)
-    if not candidates:
-        raise ValueError("sweep needs at least one candidate point")
-    for state in door_states:
-        check_door_state(scene, state)
+    grid = scene.grid
+    if grid is None or len(grid.points) == 0:
+        raise ValueError("sweep needs a scene grid with at least one candidate point")
+    door_states = enumerate_door_states(scene)
     leaf_segments = {
-        (d, a): segments_as_array([door_leaf_segment(scene.doors[d], a)])
-        for state in door_states for d, a in enumerate(state.angles_deg)
+        (d, a): segments_as_array([door_leaf_segment(door, a)])
+        for d, door in enumerate(scene.doors) for a in door.allowed_angles_deg
     }
     walls = segments_as_array(scene.walls)
-    pts_xy, heights, normals = _candidate_arrays(candidates)
-    values = np.zeros((len(candidates), len(door_states), scene.n_luminaires))
+    pts_xy = grid.points
+    values = np.zeros((len(pts_xy), len(door_states), scene.n_luminaires))
     for i, lum in enumerate(scene.luminaires):
         origin = np.array([lum.position.x, lum.position.y])
-        lux = _unoccluded_batch(lum, pts_xy, heights, normals)
+        lux = _unoccluded_batch(lum, pts_xy, grid.height, grid.normal)
         wall_blocked = sightlines_blocked(origin, pts_xy, walls)
         leaf_blocked = {
             leaf: sightlines_blocked(origin, pts_xy, seg) for leaf, seg in leaf_segments.items()
@@ -252,7 +224,7 @@ def sweep(
             for leaf in enumerate(state.angles_deg):
                 blocked |= leaf_blocked[leaf]
             values[:, q, i] = np.where(blocked, 0.0, lux)
-    return ContributionMatrix(values=values, points=candidates, door_states=tuple(door_states))
+    return ContributionMatrix(values=values)
 
 
 def reading(
@@ -295,23 +267,43 @@ def write_matrix_csv(matrix: ContributionMatrix, path: str | Path) -> None:
 
 
 def read_matrix_csv(path: str | Path) -> ContributionMatrix:
-    """Inverse of write_matrix_csv (values carry CSV rounding)."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or rows[0][:2] != ["point_index", "door_state"]:
-        raise ValueError(f"{path}: not a contribution matrix CSV")
-    n = len(rows[0]) - 2
+    """Inverse of write_matrix_csv (values carry CSV rounding).
+
+    Rows may come in any order but must give each (point_index, door_state)
+    pair of the full points x door states block exactly once. A short,
+    overlong, unparsable or repeated row raises ValueError naming the file
+    and its 1-based line.
+    """
     data: dict[tuple[int, int], list[float]] = {}
-    for row in rows[1:]:
-        if not row:
-            continue
-        p, q = int(row[0]), int(row[1])
-        data[(p, q)] = [float(v) for v in row[2:]]
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        if header[:2] != ["point_index", "door_state"]:
+            raise ValueError(f"{path}: not a contribution matrix CSV")
+        width = len(header)
+        for row in reader:
+            if not row:
+                continue
+            try:
+                if len(row) != width:
+                    raise ValueError(f"expected {width} fields, got {len(row)}")
+                key = (int(row[0]), int(row[1]))
+                if min(key) < 0:
+                    raise ValueError("negative point_index or door_state")
+                if key in data:
+                    raise ValueError(f"point {key[0]}, door state {key[1]} given twice")
+                data[key] = [float(v) for v in row[2:]]
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
     if not data:
         raise ValueError(f"{path}: empty contribution matrix")
     n_points = max(k[0] for k in data) + 1
     n_states = max(k[1] for k in data) + 1
-    values = np.zeros((n_points, n_states, n))
+    if len(data) != n_points * n_states:
+        raise ValueError(
+            f"{path}: {len(data)} rows do not cover {n_points} points x {n_states} door states"
+        )
+    values = np.zeros((n_points, n_states, width - 2))
     for (p, q), vals in data.items():
         values[p, q] = vals
     return ContributionMatrix(values=values)

@@ -38,6 +38,15 @@ class TestExitCodes:
         assert code == EXIT_INVALID
         assert "line 10" in capsys.readouterr().err
 
+    def test_repeated_door_angle_rejected(self, toy_scene_file, tmp_path, capsys):
+        text = toy_scene_file.read_text(encoding="utf-8")
+        toy_scene_file.write_text(text.replace("door d 3 1.5 1.0 90 0,90", "door d 3 1.5 1.0 90 0,0,90"),
+                                  encoding="utf-8")
+        code = run(["simulate", "--scene", str(toy_scene_file), "--out", str(tmp_path)])
+        assert code == EXIT_INVALID
+        assert "door d: angle 0.0 repeats an earlier allowed angle" in capsys.readouterr().err
+        assert not (tmp_path / "contributions.csv").exists()
+
     def test_scene_without_grid_rejected(self, tmp_path, capsys):
         bare = tmp_path / "bare.scene"
         bare.write_text("lum A 1 1 2.5 5 iso\n", encoding="utf-8")

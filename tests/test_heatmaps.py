@@ -1,8 +1,11 @@
 """CSV and plain-PGM rasters of distinctness scores."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from luxplan import (
+    Point2,
     build_grid,
     heatmap_csv,
     heatmap_pgm,
@@ -11,6 +14,7 @@ from luxplan import (
     sweep,
     write_heatmap_set,
 )
+from luxplan.geometry import WallSegment
 
 ONE_LAMP = """\
 ceiling 3.0
@@ -55,9 +59,6 @@ def test_pgm_validates_scale():
 
 
 def test_excluded_cells_render_as_zero():
-    from luxplan.geometry import WallSegment
-    from luxplan import Point2
-
     wall = WallSegment(Point2(0.5, -1.0), Point2(0.5, 2.0))
     grid = build_grid((0.0, 0.0, 1.0, 1.0), 0.5, 1.0, None, walls=[wall])
     assert len(grid.points) == 2  # the x = 0.5 column was dropped
@@ -69,11 +70,10 @@ def test_excluded_cells_render_as_zero():
 def test_one_lamp_scene_heatmap_is_binary():
     scene = parse_scene(ONE_LAMP)
     scores = heatmap_scores(sweep(scene), tau=0.01)
-    assert scores.shape == (len(scene.candidates), 1)
+    assert scores.shape == (len(scene.grid.points), 1)
     assert set(np.unique(scores)) == {0, 2}
     # points east of the wall see nothing; the rest resolve on/off
-    for pt, score in zip(scene.candidates, scores[:, 0]):
-        assert score == (0 if pt.position.x > 0.75 else 2)
+    assert np.array_equal(scores[:, 0], np.where(scene.grid.points[:, 0] > 0.75, 0, 2))
 
 
 def test_write_heatmap_set_files(tmp_path, apartment, apartment_scores):
@@ -101,3 +101,43 @@ def test_heatmap_outputs_are_deterministic(tmp_path):
     b = write_heatmap_set(scene.grid, scores, 2, tmp_path / "b")
     for pa, pb in zip(a, b):
         assert pa.read_bytes() == pb.read_bytes()
+
+
+def reference_csv(grid, values):
+    lines = ["x,y,score"]
+    for (x, y), v in zip(grid.points.tolist(), values):
+        lines.append(f"{x:.6g},{y:.6g},{int(v)}")
+    return "\n".join(lines) + "\n"
+
+
+def reference_pgm(grid, values, maxval):
+    raster = [[0] * grid.nx for _ in range(grid.ny)]
+    for (ix, iy), v in zip(grid.cells.tolist(), values):
+        raster[iy][ix] = int(v)
+    rows = [" ".join(str(v) for v in raster[iy]) for iy in range(grid.ny - 1, -1, -1)]
+    return f"P2\n{grid.nx} {grid.ny}\n{maxval}\n" + "".join(row + "\n" for row in rows)
+
+
+@given(
+    st.tuples(st.floats(-50, 50), st.floats(-50, 50)),
+    st.sampled_from([0.1, 0.165, 0.25, 1.0 / 3.0, 0.5, 1.7]),
+    st.integers(min_value=1, max_value=14),
+    st.integers(min_value=1, max_value=14),
+    st.lists(st.tuples(*[st.integers(min_value=-1, max_value=15)] * 4), max_size=4),
+    st.data(),
+)
+@settings(max_examples=150, deadline=None)
+def test_writers_equal_a_per_cell_reference(corner, spacing, nx, ny, ends, data):
+    # walls run between lattice points, so some cells are dropped
+    minx, miny = corner
+    walls = [WallSegment(Point2(minx + ax * spacing, miny + ay * spacing),
+                         Point2(minx + bx * spacing, miny + by * spacing))
+             for ax, ay, bx, by in ends if (ax, ay) != (bx, by)]
+    bounds = (minx, miny, minx + (nx - 0.5) * spacing, miny + (ny - 0.5) * spacing)
+    grid = build_grid(bounds, spacing, 1.0, None, walls)
+    maxval = data.draw(st.integers(min_value=1, max_value=600))
+    values = np.array(data.draw(st.lists(st.integers(min_value=0, max_value=maxval),
+                                         min_size=len(grid.points), max_size=len(grid.points))),
+                      dtype=np.int64)
+    assert heatmap_csv(grid, values) == reference_csv(grid, values)
+    assert heatmap_pgm(grid, values, maxval) == reference_pgm(grid, values, maxval)

@@ -1,6 +1,7 @@
 """Scene grammar, door kinematics, candidate grids, and validation."""
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -30,7 +31,7 @@ class TestParsing:
         assert scene.n_luminaires == 1
         assert scene.ceiling_height == 3.0  # default
         assert scene.walls == () and scene.doors == ()
-        assert scene.grid is None and scene.candidates == ()
+        assert scene.grid is None
 
     def test_comments_and_blank_lines_ignored(self):
         text = "# header\n\nlum A 1 1 2.5 100 iso  # trailing\n\n"
@@ -86,7 +87,8 @@ class TestParsing:
             assert (a.label, a.position, a.mount_height, a.intensity) == (
                 b.label, b.position, b.mount_height, b.intensity)
         assert back.grid is not None
-        assert back.grid.points == apartment.grid.points
+        assert np.array_equal(back.grid.points, apartment.grid.points)
+        assert np.array_equal(back.grid.cells, apartment.grid.cells)
 
 
 class TestValidation:
@@ -106,6 +108,11 @@ class TestValidation:
     def test_scene_needs_a_luminaire(self):
         with pytest.raises(SceneError, match="luminaire"):
             parse_scene("ceiling 3\n")
+
+    @pytest.mark.parametrize("angles", ["0,0,90", "45,0,45", "0,45,45.0000000001"])
+    def test_repeated_door_angle_rejected(self, angles):
+        with pytest.raises(SceneError, match="door d: angle .* repeats"):
+            parse_scene(f"door d 1 1 0.8 0 {angles}\n" + MINIMAL)
 
     def test_door_angle_outside_quarter_turn(self):
         with pytest.raises(SceneError, match="outside"):
@@ -194,16 +201,19 @@ class TestGrid:
     def test_lattice_is_row_major_from_min_corner(self):
         grid = build_grid((0.0, 0.0, 1.0, 1.0), 0.5, 1.2, None)
         assert (grid.nx, grid.ny) == (2, 2)
-        xy = [(p.position.x, p.position.y) for p in grid.points]
-        assert xy == [(0.0, 0.0), (0.5, 0.0), (0.0, 0.5), (0.5, 0.5)]
-        assert grid.cells == ((0, 0), (1, 0), (0, 1), (1, 1))
-        assert all(p.height == 1.2 and p.normal is None for p in grid.points)
+        assert grid.points.tolist() == [[0.0, 0.0], [0.5, 0.0], [0.0, 0.5], [0.5, 0.5]]
+        assert grid.cells.tolist() == [[0, 0], [1, 0], [0, 1], [1, 1]]
+        assert grid.points.dtype == np.float64 and grid.cells.dtype.kind == "i"
+        assert (grid.height, grid.normal) == (1.2, None)
+        with pytest.raises(ValueError):
+            grid.points[0, 0] = 9.0
+        with pytest.raises(ValueError):
+            grid.cells[0, 0] = 9
 
     def test_points_buried_in_walls_are_dropped(self):
         wall = WallSegment(Point2(0.5, -1.0), Point2(0.5, 2.0))
         grid = build_grid((0.0, 0.0, 1.0, 1.0), 0.5, 1.0, None, walls=[wall])
-        xs = {p.position.x for p in grid.points}
-        assert 0.5 not in xs
+        assert 0.5 not in grid.points[:, 0]
         assert len(grid.points) == 2
 
     @given(
@@ -219,9 +229,13 @@ class TestGrid:
         grid = build_grid((0.0, 0.0, 4.0, 3.0), spacing, 1.0, None, walls=walls)
         kept = [(ix, iy) for iy in range(grid.ny) for ix in range(grid.nx)
                 if not any(point_on_segment(Point2(ix * spacing, iy * spacing), w) for w in walls)]
-        assert grid.cells == tuple(kept)
-        assert [(p.position.x, p.position.y) for p in grid.points] == [
-            (ix * spacing, iy * spacing) for ix, iy in kept]
+        assert grid.cells.tolist() == [list(c) for c in kept]
+        assert grid.points.tolist() == [
+            [ix * spacing, iy * spacing] for ix, iy in kept]
+
+    def test_non_unit_normal_rejected(self):
+        with pytest.raises(SceneError, match="unit length"):
+            build_grid((0.0, 0.0, 1.0, 1.0), 0.5, 1.0, (0.0, 0.0, 2.0))
 
     def test_zero_spacing_rejected(self):
         with pytest.raises(SceneError, match="spacing"):
@@ -249,7 +263,7 @@ class TestApartment:
 
     def test_grid_size_suits_a_full_sweep(self, apartment):
         assert apartment.grid is not None
-        assert 2000 <= len(apartment.candidates) <= 3600
+        assert 2000 <= len(apartment.grid.points) <= 3600
         assert apartment.grid.height == 2.13
         assert apartment.grid.normal is None
 

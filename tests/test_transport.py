@@ -26,16 +26,17 @@ from luxplan.geometry import WallSegment, segments_as_array
 from luxplan.scene import Luminaire, Scene, SceneError, active_occluders, enumerate_door_states
 from luxplan.transport import (
     ContributionVector,
-    _candidate_arrays,
     _illuminance_batch,
     matrix_to_csv,
 )
 
 
-def single_lamp_scene(walls=(), intensity=100.0, mount=3.0, profile="iso"):
+def single_lamp_scene(walls=(), intensity=100.0, mount=3.0, profile="iso", grid=None):
     lines = ["ceiling 4.0"]
     lines += [f"wall {w.a.x} {w.a.y} {w.b.x} {w.b.y}" for w in walls]
     lines.append(f"lum L 0.0 0.0 {mount} {intensity} {profile}")
+    if grid is not None:
+        lines.append(f"grid {grid}")
     return parse_scene("\n".join(lines))
 
 
@@ -233,16 +234,16 @@ class TestNoise:
 
 class TestSweep:
     def test_single_cell_matches_contribution(self):
-        scene = single_lamp_scene(intensity=90.0)
-        pt = omni(1.5, 0.5)
-        matrix = sweep(scene, candidates=[pt])
+        scene = single_lamp_scene(intensity=90.0, grid="1.5 0.5 1.6 0.6 0.5 1.0 omni")
+        assert scene.grid.points.tolist() == [[1.5, 0.5]]
+        matrix = sweep(scene)
         assert matrix.values.shape == (1, 1, 1)
-        expected = contribution(scene, NO_DOORS, scene.luminaires[0], pt)
+        expected = contribution(scene, NO_DOORS, scene.luminaires[0], omni(1.5, 0.5))
         assert matrix.values[0, 0, 0] == expected
 
     def test_sweep_shape_and_vector_at(self, apartment, apartment_matrix):
         m = apartment_matrix
-        assert m.values.shape == (len(apartment.candidates), 9, 6)
+        assert m.values.shape == (len(apartment.grid.points), 9, 6)
         x = m.vector_at(5, 2)
         assert x.point_index == 5 and x.door_state_index == 2
         assert np.array_equal(x.values, m.values[5, 2])
@@ -268,21 +269,35 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep(scene)
 
-    def test_mismatched_door_state_rejected(self, apartment):
-        with pytest.raises(SceneError, match="does not match scene doors"):
-            sweep(apartment, door_states=[DoorState(angles_deg=(90.0,))],
-                  candidates=apartment.candidates[:3])
+    @pytest.mark.parametrize("normal", ["0 0 1", "1 0 1", "0 1 -1", "0 0 -1"])
+    def test_directional_grid_matches_contribution_per_point(self, normal):
+        # a door, a wall and a lamp mounted below the grid, so cells see
+        # light from above, from below (cosine 0) and through the doorway
+        scene = parse_scene(
+            "ceiling 3.0\nwall 3 0 3 1.5\nwall 3 2.5 3 4\ndoor d 3 1.5 1.0 90 0,90\n"
+            "lum L 1.5 2.0 2.7 80 cos\nlum R 4.5 2.0 0.5 60 iso\n"
+            f"grid 0.25 0.25 5.75 3.75 0.5 1.0 {normal}\n"
+        )
+        grid = scene.grid
+        matrix = sweep(scene)
+        for q, state in enumerate(enumerate_door_states(scene)):
+            for k, (x, y) in enumerate(grid.points.tolist()):
+                pt = CandidatePoint(position=Point2(x, y), height=grid.height, normal=grid.normal)
+                for i, lum in enumerate(scene.luminaires):
+                    expected = contribution(scene, state, lum, pt)
+                    assert matrix.values[k, q, i] == pytest.approx(expected, rel=1e-12, abs=0.0)
+        assert (matrix.values == 0).any() and (matrix.values > 0).any()
 
 
-def per_state_sweep(scene, states, candidates):
+def per_state_sweep(scene, states):
     """The sweep without door factoring: every state tests its
-    active_occluders together."""
-    pts_xy, heights, normals = _candidate_arrays(candidates)
-    out = np.zeros((len(candidates), len(states), scene.n_luminaires))
+    active_occluders together, over the whole grid."""
+    grid = scene.grid
+    out = np.zeros((len(grid.points), len(states), scene.n_luminaires))
     for q, state in enumerate(states):
         segments = segments_as_array(active_occluders(scene, state))
         for i, lum in enumerate(scene.luminaires):
-            out[:, q, i] = _illuminance_batch(lum, pts_xy, heights, normals, segments)
+            out[:, q, i] = _illuminance_batch(lum, grid.points, grid.height, grid.normal, segments)
     return out
 
 
@@ -316,29 +331,21 @@ def door_scenes(draw):
         return None
 
 
-@given(door_scenes(), st.data())
+@given(door_scenes())
 @settings(max_examples=120, deadline=None)
-def test_door_factored_sweep_equals_per_state_sweep(scene, data):
-    if scene is None or not scene.candidates:
+def test_door_factored_sweep_equals_per_state_sweep(scene):
+    if scene is None or len(scene.grid.points) == 0:
         return
     states = enumerate_door_states(scene)
     got = sweep(scene)
-    assert got.door_states == tuple(states)
-    assert np.array_equal(got.values, per_state_sweep(scene, states, scene.candidates))
-    # an explicit subset, in any order, leaves unused leaves out
-    subset = data.draw(st.lists(st.sampled_from(states), min_size=1, max_size=4))
-    candidates = scene.candidates[:7]
-    got = sweep(scene, door_states=subset, candidates=candidates)
-    assert np.array_equal(got.values, per_state_sweep(scene, subset, candidates))
-    if scene.doors:
-        with pytest.raises(SceneError, match="does not match scene doors"):
-            sweep(scene, door_states=[DoorState(angles_deg=())])
+    assert np.array_equal(got.values, per_state_sweep(scene, states))
 
 
 class TestCsv:
     def test_round_trip(self, tmp_path):
-        scene = single_lamp_scene()
-        matrix = sweep(scene, candidates=[omni(1.0, 1.0), omni(2.0, 0.5)])
+        scene = single_lamp_scene(grid="1 0.5 3 1.5 1 1.0 omni")
+        matrix = sweep(scene)
+        assert matrix.values.shape == (2, 1, 1)
         path = tmp_path / "m.csv"
         write_matrix_csv(matrix, path)
         back = read_matrix_csv(path)
@@ -346,8 +353,8 @@ class TestCsv:
         assert np.allclose(back.values, matrix.values, rtol=1e-5)
 
     def test_csv_is_deterministic(self):
-        scene = single_lamp_scene()
-        matrix = sweep(scene, candidates=[omni(1.0, 1.0)])
+        scene = single_lamp_scene(grid="1 1 1.5 1.5 1 1.0 omni")
+        matrix = sweep(scene)
         assert matrix_to_csv(matrix) == matrix_to_csv(matrix)
 
     def test_read_rejects_wrong_header(self, tmp_path):
@@ -355,6 +362,28 @@ class TestCsv:
         path.write_text("a,b,c\n1,2,3\n", encoding="utf-8")
         with pytest.raises(ValueError):
             read_matrix_csv(path)
+
+    @pytest.mark.parametrize("body, message", [
+        # (0, 1) and (1, 0) are missing, not dark
+        ("0,0,1.5\n1,1,2.5\n", r"2 rows do not cover 2 points x 2 door states"),
+        ("0,0,1.5\n0,1,2.5\n0,0,3.5\n", r"line 4: point 0, door state 0 given twice"),
+        ("0,0,1.5\n0,1\n", r"line 3: expected 3 fields, got 2"),
+        ("0,0,1.5\n0,1,2.5,7\n", r"line 3: expected 3 fields, got 4"),
+        ("0,0,1.5\n0,1,bright\n", r"line 3: could not convert"),
+        ("0,0,1.5\n0,x,2.5\n", r"line 3: invalid literal"),
+        ("0,0,1.5\n0,-1,2.5\n", r"line 3: negative"),
+    ])
+    def test_read_rejects_incomplete_or_malformed_rows(self, tmp_path, body, message):
+        path = tmp_path / "m.csv"
+        path.write_text("point_index,door_state,lum_0\n" + body, encoding="utf-8")
+        with pytest.raises(ValueError, match=f"m.csv: {message}"):
+            read_matrix_csv(path)
+
+    def test_read_accepts_rows_in_any_order(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("point_index,door_state,lum_0\n1,0,3\n0,1,2\n\n1,1,4\n0,0,1\n",
+                        encoding="utf-8")
+        assert read_matrix_csv(path).values[:, :, 0].tolist() == [[1.0, 2.0], [3.0, 4.0]]
 
 
 @given(st.lists(st.floats(min_value=0.0, max_value=100.0, allow_nan=False), min_size=1, max_size=10))
