@@ -45,7 +45,6 @@ from .inference import (
     fuse_votes,
     infer_reading,
     jaccard_accuracy,
-    nearest_sum_configs,
     perfect_sum,
     sensor_votes,
 )
@@ -91,8 +90,7 @@ __all__ = [
     "contribution", "contribution_vector",
     "read_matrix_csv", "reading", "sweep", "write_matrix_csv",
     "InferenceResult", "PerfectSumQuery", "VoteVector", "fuse_candidates", "fuse_votes",
-    "infer_reading", "jaccard_accuracy", "nearest_sum_configs",
-    "perfect_sum", "sensor_votes",
+    "infer_reading", "jaccard_accuracy", "perfect_sum", "sensor_votes",
     "CoverInstance", "CoverSolution", "DEFAULT_TAU", "DistinctnessVector",
     "StateSpace", "build_cover_instance", "config_sums_batch",
     "distinctness_flags_batch", "distinctness_vector", "exact_min_cover",

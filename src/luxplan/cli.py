@@ -25,12 +25,15 @@ import numpy as np
 from . import ingest as ingest_mod
 from .heatmaps import write_heatmap_set
 from .inference import (
+    InferenceResult,
     PerfectSumQuery,
     fuse_candidates,
     fuse_votes,
+    half_sums_batch,
     infer_reading,
     jaccard_accuracy,
     sensor_votes,
+    tables_per_batch,
 )
 from .planning import (
     DEFAULT_TAU,
@@ -52,6 +55,7 @@ from .scene import (
 )
 from .transport import (
     ContributionMatrix,
+    ContributionVector,
     LightConfig,
     NoiseModel,
     reading,
@@ -192,7 +196,24 @@ def _read_readings_csv(path: Path) -> list[dict]:
                 })
             except (TypeError, ValueError):
                 raise ValueError(f"{path}: line {reader.line_num}: malformed reading row") from None
+            if rows[-1]["lux"] is not None and not math.isfinite(rows[-1]["lux"]):
+                raise ValueError(f"{path}: line {reader.line_num}: lux {row['lux']!r} is not finite")
         return rows
+
+
+def _answer_batch(
+    first: int,
+    contributions: list[tuple[float, ...]],
+    rows: list[int],
+    posed: list[tuple[PerfectSumQuery, LightConfig | None, int]],
+    results: list[InferenceResult | None],
+) -> None:
+    """Answer these rows against tables built in one pass for vectors
+    first, first + 1, ...; the tables go when this returns."""
+    tables = half_sums_batch(np.array(contributions, dtype=float))
+    for i in rows:
+        query, truth, v = posed[i]
+        results[i] = infer_reading(query, truth=truth, halves=tables[v - first])
 
 
 def cmd_infer(config: RunConfig, readings_path: Path) -> int:
@@ -203,24 +224,47 @@ def cmd_infer(config: RunConfig, readings_path: Path) -> int:
                        sigma=config.sigma, seed=config.seed)
     n = scene.n_luminaires
 
-    report_buf = io.StringIO()
-    report = csv.writer(report_buf, lineterminator="\n")
-    report.writerow(["point_index", "door_state", "config_p", "n_candidates", "accuracy", "no_solution"])
-    by_trial: dict[str, list] = {}
-    for row in rows:
+    # Every row is checked, in file order, before any is answered. Rows that
+    # revisit a (point, door state) share its vector; vectors are numbered
+    # as they first appear, and each run of `step` of them shares one table
+    # build. Each batch's rows are answered in file order.
+    step = tables_per_batch(n)
+    numbers: dict[tuple[int, int], int] = {}
+    vectors: list[ContributionVector] = []
+    contributions: list[tuple[float, ...]] = []
+    posed: list[tuple[PerfectSumQuery, LightConfig | None, int]] = []
+    batches: list[list[int]] = []
+    for i, row in enumerate(rows):
         if not 0 <= row["point_index"] < matrix.n_points:
             raise ValueError(f"point_index {row['point_index']} outside the candidate grid")
         if not 0 <= row["door_state"] < matrix.n_door_states:
             raise ValueError(f"door_state {row['door_state']} out of range")
-        x = matrix.vector_at(row["point_index"], row["door_state"])
+        v = numbers.setdefault((row["point_index"], row["door_state"]), len(vectors))
+        if v == len(vectors):
+            vectors.append(matrix.vector_at(row["point_index"], row["door_state"]))
+            contributions.append(tuple(vectors[v].values.tolist()))
+            if v % step == 0:
+                batches.append([])
         truth = LightConfig.from_index(row["truth"], n) if row["truth"] is not None else None
         lux = row["lux"]
         if lux is None:
             if truth is None:
                 raise ValueError("a reading row needs lux, or truth to simulate it")
-            lux = reading(x, truth, noise)
-        query = PerfectSumQuery.from_vector(x, target=lux, epsilon=config.epsilon)
-        result = infer_reading(query, truth=truth)
+            lux = reading(vectors[v], truth, noise)
+        query = PerfectSumQuery(contributions=contributions[v], target=lux, epsilon=config.epsilon)
+        posed.append((query, truth, v))
+        batches[v // step].append(i)
+
+    results: list[InferenceResult | None] = [None] * len(rows)
+    for b, batch_rows in enumerate(batches):
+        first = b * step
+        _answer_batch(first, contributions[first:first + step], batch_rows, posed, results)
+
+    report_buf = io.StringIO()
+    report = csv.writer(report_buf, lineterminator="\n")
+    report.writerow(["point_index", "door_state", "config_p", "n_candidates", "accuracy", "no_solution"])
+    by_trial: dict[str, list] = {}
+    for row, (_, _, v), result in zip(rows, posed, results):
         report.writerow([
             row["point_index"],
             row["door_state"],
@@ -229,7 +273,7 @@ def cmd_infer(config: RunConfig, readings_path: Path) -> int:
             f"{result.accuracy:.6g}" if result.accuracy is not None else "",
             int(result.no_solution),
         ])
-        by_trial.setdefault(row["trial"], []).append((row, x, result))
+        by_trial.setdefault(row["trial"], []).append((row, vectors[v], result))
 
     fused_buf = io.StringIO()
     fused_csv = csv.writer(fused_buf, lineterminator="\n")

@@ -11,15 +11,24 @@ from __future__ import annotations
 
 import logging
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from operator import itemgetter
+from operator import attrgetter
 
+import numpy as np
+
+from .planning import config_sums_batch
 from .transport import ContributionVector, LightConfig
 
 log = logging.getLogger(__name__)
 
 MAX_SOLVER_BITS = 24
+# bytes of meet-in-the-middle tables built at once; one 24-luminaire
+# vector's tables take 96 KB
+TABLE_BUDGET_BYTES = 16 << 20
+# sensor_votes counts on-bits one luminaire at a time in Python up to this
+# many (candidate, luminaire) pairs; beyond it one numpy pass, whose fixed
+# cost is about 10 us a call, is cheaper
+VOTE_LOOP_BITS = 128
 
 
 @dataclass(frozen=True)
@@ -29,6 +38,8 @@ class PerfectSumQuery:
     epsilon: float
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.target) and math.isfinite(self.epsilon)):
+            raise ValueError(f"target {self.target} and epsilon {self.epsilon} must be finite")
         if self.epsilon < 0:
             raise ValueError("epsilon must be nonnegative")
         if any(v < 0 for v in self.contributions):
@@ -61,63 +72,68 @@ class InferenceResult:
     no_solution: bool = False
 
 
-def _half_sums(values: list[float]) -> tuple[list[float], list[int]]:
-    """Subset sums of a short value list, sorted, with aligned masks."""
-    pairs = [(0.0, 0)]
-    for i, v in enumerate(values):
-        pairs += [(s + v, m | (1 << i)) for s, m in pairs]
-    pairs.sort(key=itemgetter(0))
-    sums, masks = zip(*pairs)
-    return list(sums), list(masks)
+@dataclass(eq=False)
+class HalfSums:
+    """Meet-in-the-middle tables of one contribution vector of n luminaires.
+
+    lo holds the subset sums of the low n // 2 luminaires, indexed by low
+    mask. hi holds the subset sums of the other luminaires, sorted
+    ascending, and hi_masks the configuration bits of each (the high mask
+    shifted past the low half). Every sum adds its luminaires in
+    increasing bit order starting from 0.0.
+    """
+
+    lo: np.ndarray
+    hi: np.ndarray
+    hi_masks: np.ndarray
 
 
-def perfect_sum(query: PerfectSumQuery) -> list[LightConfig]:
+def half_sums_batch(values: np.ndarray) -> list[HalfSums]:
+    """The tables of each row of a (V, n) stack of contribution vectors."""
+    values = np.asarray(values, dtype=float)
+    h = values.shape[-1] // 2
+    lo = config_sums_batch(values[:, :h])
+    hi = config_sums_batch(values[:, h:])
+    order = hi.argsort(axis=1, kind="stable")
+    hi.sort(axis=1)
+    order <<= h
+    return list(map(HalfSums, lo, hi, order))
+
+
+def tables_per_batch(n: int) -> int:
+    """How many n-luminaire vectors' tables fit TABLE_BUDGET_BYTES."""
+    h = n // 2
+    return max(1, TABLE_BUDGET_BYTES // (8 * ((1 << h) + 2 * (1 << (n - h)))))
+
+
+def perfect_sum(query: PerfectSumQuery, halves: HalfSums | None = None) -> list[LightConfig]:
     """Every configuration whose reading matches the target within epsilon.
 
-    Meet in the middle (Horowitz and Sahni, JACM 1974): the sorted subset
-    sums of the low half of the luminaires are matched against those of
-    the high half by binary search, so a query takes O(n 2^(n/2)) steps
-    plus one per match. Results are sorted ascending by configuration index.
+    Meet in the middle (Horowitz and Sahni, JACM 1974): each low-half sum s
+    admits the sorted high-half sums in [target - epsilon - s,
+    target + epsilon - s], found by binary search, so a query takes
+    O(n 2^(n/2)) steps plus one per match once the tables of its
+    contribution vector are built. `halves` are those tables, built by
+    half_sums_batch; without them the query builds its own. Results are
+    sorted ascending by configuration index.
     """
-    values = list(query.contributions)
-    n = len(values)
-    h = n // 2
-    lo_sums, lo_masks = _half_sums(values[:h])
-    hi_sums, hi_masks = _half_sums(values[h:])
+    n = len(query.contributions)
+    if halves is None:
+        (halves,) = half_sums_batch(np.array([query.contributions], dtype=float))
+    lo, hi = halves.lo, halves.hi
     low, high = query.target - query.epsilon, query.target + query.epsilon
-    masks: list[int] = []
-    for s, m in zip(lo_sums, lo_masks):
-        first = bisect_left(hi_sums, low - s)
-        last = bisect_right(hi_sums, high - s)
-        masks += [m | (hi << h) for hi in hi_masks[first:last]]
-    return [LightConfig(m, n) for m in sorted(masks)]
-
-
-def nearest_sum_configs(query: PerfectSumQuery) -> list[LightConfig]:
-    """Configurations minimizing |sum - target|; the opt-in fallback when
-    the tolerance window is empty."""
-    values = list(query.contributions)
-    n = len(values)
-    h = n // 2
-    lo_sums, lo_masks = _half_sums(values[:h])
-    hi_sums, hi_masks = _half_sums(values[h:])
-    best = math.inf
-    masks: list[int] = []
-    for s, m in zip(lo_sums, lo_masks):
-        want = query.target - s
-        j = bisect_left(hi_sums, want)
-        for k in (j - 1, j):
-            if 0 <= k < len(hi_sums):
-                err = abs(s + hi_sums[k] - query.target)
-                if err < best - 1e-15:
-                    best = err
-                    masks = []
-                elif abs(err - best) > 1e-15:
-                    continue
-                # every high-half subset with this sum ties with it
-                tied = hi_masks[bisect_left(hi_sums, hi_sums[k]):bisect_right(hi_sums, hi_sums[k])]
-                masks += [m | (hi << h) for hi in tied]
-    return [LightConfig(m, n) for m in sorted(set(masks))]
+    first = hi.searchsorted(low - lo, "left")
+    last = hi.searchsorted(high - lo, "right")
+    counts = last - first
+    ends = counts.cumsum()
+    if not ends[-1]:
+        return []
+    # the matches of low mask m are hi_masks[first[m]:last[m]], at
+    # positions ends[m] - counts[m] ... ends[m] - 1 of the result
+    pos = np.arange(ends[-1]) + np.repeat(last - ends, counts)
+    masks = np.repeat(np.arange(lo.size), counts) | halves.hi_masks[pos]
+    masks.sort()
+    return [LightConfig(m, n) for m in masks.tolist()]
 
 
 def jaccard_accuracy(truth: LightConfig, candidates: list[LightConfig]) -> float:
@@ -140,15 +156,13 @@ def jaccard_accuracy(truth: LightConfig, candidates: list[LightConfig]) -> float
 def infer_reading(
     query: PerfectSumQuery,
     truth: LightConfig | None = None,
-    nearest_fallback: bool = False,
+    halves: HalfSums | None = None,
 ) -> InferenceResult:
-    """Run the perfect-sum search and score it when truth is known."""
-    candidates = perfect_sum(query)
-    no_solution = not candidates
-    if no_solution and nearest_fallback:
-        candidates = nearest_sum_configs(query)
+    """Run the perfect-sum search, on the vector's tables when given, and
+    score it when truth is known."""
+    candidates = perfect_sum(query, halves)
     accuracy = jaccard_accuracy(truth, candidates) if truth is not None else None
-    return InferenceResult(candidates=candidates, accuracy=accuracy, no_solution=no_solution)
+    return InferenceResult(candidates=candidates, accuracy=accuracy, no_solution=not candidates)
 
 
 def sensor_votes(x: ContributionVector, candidates: list[LightConfig]) -> VoteVector:
@@ -157,15 +171,16 @@ def sensor_votes(x: ContributionVector, candidates: list[LightConfig]) -> VoteVe
     Luminaires outside the sensor's range (x_i == 0) abstain, as do exact
     ties and empty candidate lists.
     """
-    votes = []
-    for i, in_range in enumerate(x.values > 0):
-        if not in_range:
-            votes.append(0)
-            continue
-        ones = sum(c.index >> i & 1 for c in candidates)
-        zeros = len(candidates) - ones
-        votes.append(1 if ones > zeros else (-1 if zeros > ones else 0))
-    return VoteVector(votes=tuple(votes))
+    k = len(candidates)
+    in_range = [v > 0 for v in x.values.tolist()]
+    if k * x.n <= VOTE_LOOP_BITS:
+        ones = [sum(c.index >> i & 1 for c in candidates) if r else 0 for i, r in enumerate(in_range)]
+    else:
+        # one pass over all candidates: column i of their unpacked
+        # little-endian masks is luminaire i
+        masks = np.fromiter(map(attrgetter("index"), candidates), "<u8", k)
+        ones = np.unpackbits(masks.view(np.uint8), bitorder="little").reshape(k, 64).sum(axis=0).tolist()
+    return VoteVector(votes=tuple((o + o > k) - (o + o < k) if r else 0 for o, r in zip(ones, in_range)))
 
 
 def fuse_candidates(

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .inference import PerfectSumQuery, infer_reading
+from .inference import PerfectSumQuery, half_sums_batch, infer_reading
 from .transport import LightConfig
 
 LUX_MIN = 0.0
@@ -251,18 +251,18 @@ def evaluate_locations(
         off = table.cell(location, 0)
         if off is None or off.flag:
             raise ValueError(f"{location!r}: missing or flagged all-off baseline")
+        contributions = tuple(calib.values.tolist())
+        (halves,) = half_sums_batch(calib.values[None, :])
         accs: list[float] = []
         for p in table.configs(location):
             cell = table.cell(location, p)
             if cell is None or cell.flag:
                 continue
             query = PerfectSumQuery(
-                contributions=tuple(float(v) for v in calib.values),
-                target=cell.mean - off.mean,
-                epsilon=epsilon,
+                contributions=contributions, target=cell.mean - off.mean, epsilon=epsilon,
             )
             truth = LightConfig.from_index(p, calib.n)
-            result = infer_reading(query, truth=truth)
+            result = infer_reading(query, truth=truth, halves=halves)
             accs.append(result.accuracy if result.accuracy is not None else 0.0)
         if not accs:
             raise ValueError(f"{location!r}: no usable baselines to evaluate")
@@ -384,6 +384,6 @@ def synthesize_logs(
             t = j / rate_hz
             base = bases[min(int(t // dwell), len(config_indices) - 1)]
             lux = base + sigma * z[j] if sigma > 0 else base
-            lux = min(max(lux, LUX_MIN), LUX_MAX)
+            lux = float(min(max(lux, LUX_MIN), LUX_MAX))  # a Python float writes as a plain number
             samples.append(Sample(t=t, location=location, lux=lux))
     return SampleLog(samples=samples), CommandLog(commands=commands)

@@ -4,7 +4,17 @@ import csv
 import numpy as np
 import pytest
 
-from luxplan import synthesize_logs
+from luxplan import (
+    LightConfig,
+    PerfectSumQuery,
+    infer_reading,
+    inference,
+    load_scene,
+    reading,
+    sweep,
+    synthesize_logs,
+)
+from luxplan import cli
 from luxplan.cli import EXIT_INVALID, EXIT_OK, EXIT_USAGE, build_parser, run
 from luxplan.ingest import write_commands_csv, write_samples_csv
 
@@ -244,6 +254,73 @@ class TestInfer:
             assert code == EXIT_OK
             outs.append((out / "inference_report.csv").read_bytes())
         assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("lux", ["nan", "inf", "-inf", "NaN"])
+    def test_non_finite_lux_rejected(self, toy_scene_file, tmp_path, capsys, lux):
+        readings = tmp_path / "r.csv"
+        write_readings(readings, [("t0", 38, 1, "", 3), ("t0", 40, 1, lux, 3)])
+        assert run([
+            "infer", "--scene", str(toy_scene_file),
+            "--readings", str(readings), "--out", str(tmp_path),
+        ]) == EXIT_INVALID
+        assert "r.csv: line 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("epsilon", ["nan", "inf"])
+    def test_non_finite_epsilon_rejected(self, toy_scene_file, tmp_path, capsys, epsilon):
+        readings = tmp_path / "r.csv"
+        write_readings(readings, [("t0", 38, 1, "", 3)])
+        assert run([
+            "infer", "--scene", str(toy_scene_file), "--readings", str(readings),
+            "--epsilon", epsilon, "--out", str(tmp_path),
+        ]) == EXIT_INVALID
+        assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("budget", [1, 600, inference.TABLE_BUDGET_BYTES])
+    def test_batched_tables_answer_like_one_row_at_a_time(
+        self, apartment_path, tmp_path, monkeypatch, budget,
+    ):
+        # shuffled rows that come back to earlier (point, door state) keys;
+        # a small table budget splits the keys over several batches
+        rng = np.random.default_rng(4)
+        keys = [(int(p), int(q)) for p, q in zip(rng.integers(0, 2880, 9), rng.integers(0, 9, 9))]
+        rows = []
+        for k in range(40):
+            p, q = keys[int(rng.integers(len(keys)))]
+            lux = f"{rng.uniform(0, 300):.4f}" if k % 5 == 0 else ""
+            rows.append((f"t{k % 13}", p, q, lux, int(rng.integers(64))))
+        readings = tmp_path / "r.csv"
+        write_readings(readings, rows)
+        monkeypatch.setattr(inference, "TABLE_BUDGET_BYTES", budget)
+        builds = []
+        monkeypatch.setattr(cli, "half_sums_batch",
+                            lambda v: builds.append(len(v)) or inference.half_sums_batch(v))
+        out = tmp_path / "inf"
+        assert run([
+            "infer", "--scene", str(apartment_path), "--readings", str(readings),
+            "--sigma", "0.05", "--out", str(out),
+        ]) == EXIT_OK
+        distinct = len({(p, q) for _, p, q, _, _ in rows})
+        per_batch = inference.tables_per_batch(6)
+        assert builds == [min(per_batch, distinct - k) for k in range(0, distinct, per_batch)]
+
+        matrix = sweep(load_scene(apartment_path))
+        noise = cli.NoiseModel(kind="gaussian", sigma=0.05, seed=0)
+        want = ["point_index,door_state,config_p,n_candidates,accuracy,no_solution"]
+        for _, p, q, lux, truth in rows:
+            x = matrix.vector_at(p, q)
+            truth_config = LightConfig(truth, 6)
+            target = float(lux) if lux else reading(x, truth_config, noise)
+            res = infer_reading(PerfectSumQuery.from_vector(x, target, 0.01), truth=truth_config)
+            want.append(f"{p},{q},{truth},{len(res.candidates)},{res.accuracy:.6g},{int(res.no_solution)}")
+        assert (out / "inference_report.csv").read_text(encoding="utf-8").splitlines() == want
+
+        monkeypatch.setattr(inference, "TABLE_BUDGET_BYTES", 1 << 30)  # one batch
+        assert run([
+            "infer", "--scene", str(apartment_path), "--readings", str(readings),
+            "--sigma", "0.05", "--out", str(tmp_path / "one"),
+        ]) == EXIT_OK
+        for name in ("inference_report.csv", "fused.csv"):
+            assert (out / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
 
     def test_out_of_range_point_rejected(self, toy_scene_file, tmp_path):
         readings = tmp_path / "r.csv"

@@ -1,5 +1,7 @@
 """Perfect-sum search, ambiguity scoring, and multi-sensor voting."""
 import math
+from bisect import bisect_left, bisect_right
+from operator import itemgetter
 
 import numpy as np
 import pytest
@@ -15,10 +17,11 @@ from luxplan import (
     fuse_votes,
     infer_reading,
     jaccard_accuracy,
-    nearest_sum_configs,
     perfect_sum,
     sensor_votes,
 )
+from luxplan import inference
+from luxplan.inference import half_sums_batch
 from luxplan.transport import ContributionVector
 
 
@@ -118,30 +121,80 @@ def test_perfect_sum_equals_brute_force(data):
     assert solve(values, target, epsilon) == expected
 
 
-class TestNearestFallback:
-    def test_returns_closest_sums(self):
-        q = PerfectSumQuery(contributions=(2.0, 4.0), target=3.5, epsilon=0.0)
-        got = [c.index for c in nearest_sum_configs(q)]
-        assert got == [0b10]  # 4 misses by 0.5; 2 misses by 1.5
+def bisect_reference(values, target, epsilon):
+    """The pure-Python meet-in-the-middle search that per-vector tables
+    replaced: both halves' subset sums, built and sorted per query, then
+    bisected once per low-half sum."""
+    def half_sums(vals):
+        pairs = [(0.0, 0)]
+        for i, v in enumerate(vals):
+            pairs += [(s + v, m | (1 << i)) for s, m in pairs]
+        pairs.sort(key=itemgetter(0))
+        sums, masks = zip(*pairs)
+        return list(sums), list(masks)
 
-    def test_keeps_all_tied_minimizers(self):
-        q = PerfectSumQuery(contributions=(2.0, 4.0), target=3.0, epsilon=0.0)
-        got = [c.index for c in nearest_sum_configs(q)]
-        assert got == [0b01, 0b10]
+    h = len(values) // 2
+    lo_sums, lo_masks = half_sums(values[:h])
+    hi_sums, hi_masks = half_sums(values[h:])
+    low, high = target - epsilon, target + epsilon
+    masks = []
+    for s, m in zip(lo_sums, lo_masks):
+        first = bisect_left(hi_sums, low - s)
+        last = bisect_right(hi_sums, high - s)
+        masks += [m | (hi << h) for hi in hi_masks[first:last]]
+    return sorted(masks)
 
-    def test_keeps_every_config_that_ties_on_one_high_half_sum(self):
-        # the high half (1, 1) has two subsets summing to 1; both are nearest
-        q = PerfectSumQuery(contributions=(5.0, 1.0, 1.0), target=1.0, epsilon=0.0)
-        assert [c.index for c in nearest_sum_configs(q)] == [0b010, 0b100]
-        assert [c.index for c in nearest_sum_configs(q)] == solve((5.0, 1.0, 1.0), 1.0, 0.0)
 
-    def test_infer_reading_opt_in(self):
-        q = PerfectSumQuery(contributions=(2.0, 4.0), target=3.5, epsilon=0.0)
-        bare = infer_reading(q)
-        assert bare.no_solution and bare.candidates == []
-        fallback = infer_reading(q, nearest_fallback=True)
-        assert fallback.no_solution
-        assert [c.index for c in fallback.candidates] == [0b10]
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_perfect_sum_with_and_without_tables_equals_the_bisect_reference(data):
+    # values come from a small pool (repeats and zeros) or are drawn fresh;
+    # on the 1/64 lattice every sum is exact, so brute force agrees too
+    n = data.draw(st.integers(min_value=1, max_value=12), label="n")
+    lattice = data.draw(st.booleans(), label="lattice")
+    fresh = (st.integers(min_value=0, max_value=640).map(lambda k: k / 64.0) if lattice
+             else st.floats(min_value=0.0, max_value=100.0, allow_subnormal=False))
+    pool = data.draw(st.lists(fresh, min_size=1, max_size=3), label="pool")
+    values = data.draw(st.lists(st.one_of(st.sampled_from(pool + [0.0]), fresh),
+                                min_size=n, max_size=n), label="values")
+    epsilon = data.draw(st.integers(min_value=0, max_value=64), label="eps") / 64.0
+    p = data.draw(st.integers(min_value=0, max_value=(1 << n) - 1), label="p")
+    at = 0.0
+    for i in range(n):  # the subset sum in the order the tables add it
+        if p >> i & 1:
+            at += values[i]
+    target = at + data.draw(st.sampled_from([-epsilon, 0.0, epsilon]), label="offset")
+    query = PerfectSumQuery(contributions=tuple(values), target=target, epsilon=epsilon)
+    (halves,) = half_sums_batch(np.array([values]))
+    want = bisect_reference(values, target, epsilon)
+    assert [c.index for c in perfect_sum(query)] == want
+    assert [c.index for c in perfect_sum(query, halves)] == want
+    if lattice:
+        assert want == brute_force(values, target, epsilon)
+
+
+@pytest.mark.parametrize("n", [0, 1, 5, 6, 13])
+def test_batched_tables_equal_tables_built_one_at_a_time(n):
+    rng = np.random.default_rng(n)
+    values = rng.uniform(0, 5, size=(7, n))
+    values[rng.random(values.shape) < 0.3] = 0.0
+    values[3] = values[1]
+    for row, batched in zip(values, half_sums_batch(values)):
+        (alone,) = half_sums_batch(row[None, :])
+        for field in ("lo", "hi", "hi_masks"):
+            got, want = getattr(batched, field), getattr(alone, field)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert batched.lo.shape == (1 << n // 2,)
+        assert np.all(np.diff(batched.hi) >= 0)
+        assert sorted(batched.hi_masks.tolist()) == [m << n // 2 for m in range(1 << (n - n // 2))]
+
+
+@pytest.mark.parametrize("target, epsilon", [
+    (math.nan, 0.01), (math.inf, 0.01), (-math.inf, 0.01), (1.0, math.nan), (1.0, math.inf),
+])
+def test_query_rejects_non_finite_target_and_epsilon(target, epsilon):
+    with pytest.raises(ValueError, match="finite"):
+        PerfectSumQuery(contributions=(1.0, 2.0), target=target, epsilon=epsilon)
 
 
 class TestJaccard:
@@ -196,6 +249,17 @@ class TestVoting:
         cands = [LightConfig.from_index(p, 2) for p in (0b11, 0b01, 0b10)]
         assert sensor_votes(x, cands).votes == (1, 1)
 
+    def test_high_luminaires_vote_like_low_ones(self):
+        n = 24
+        values = np.ones(n)
+        values[5] = 0.0
+        top = 1 << 23
+        votes = sensor_votes(ContributionVector(values=values), [
+            LightConfig(top, n), LightConfig(top | 1 << 5 | 1, n), LightConfig(1 << 5, n),
+        ]).votes
+        assert votes[23] == 1 and votes[0] == -1 and votes[5] == 0
+        assert votes[1:5] + votes[6:23] == (-1,) * 21
+
     def test_fusion_majority_on(self):
         votes = [VoteVector(votes=(1,)), VoteVector(votes=(1,)), VoteVector(votes=(-1,))]
         assert fuse_votes(votes) == LightConfig.from_index(1, 1)
@@ -219,18 +283,23 @@ class TestVoting:
             VoteVector(votes=(2,))
 
 
-@given(st.data())
-@settings(max_examples=150, deadline=None)
-def test_nearest_sum_configs_equals_brute_force(data):
-    # small integers make ties common and every sum exact
-    n = data.draw(st.integers(min_value=1, max_value=8))
-    values = data.draw(st.lists(st.integers(min_value=0, max_value=6), min_size=n, max_size=n))
-    target = data.draw(st.integers(min_value=0, max_value=30)) + data.draw(st.sampled_from([0, 0.5]))
-    sums = [sum(v for i, v in enumerate(values) if p >> i & 1) for p in range(1 << n)]
-    best = min(abs(s - target) for s in sums)
-    want = [p for p, s in enumerate(sums) if abs(s - target) == best]
-    q = PerfectSumQuery(contributions=tuple(map(float, values)), target=float(target), epsilon=0.0)
-    assert [c.index for c in nearest_sum_configs(q)] == want
+@pytest.mark.parametrize("loop_bits", [0, 1 << 30])
+def test_vote_counting_paths_match_a_per_luminaire_reference(monkeypatch, loop_bits):
+    # sensor_votes counts small sets per luminaire and large ones with
+    # numpy; force each path over the same random sets
+    monkeypatch.setattr(inference, "VOTE_LOOP_BITS", loop_bits)
+    rng = np.random.default_rng(8)
+    for _ in range(200):
+        n = int(rng.integers(1, 25))
+        values = rng.uniform(0, 2, n) * (rng.random(n) < 0.7)
+        masks = sorted(set(rng.integers(0, 1 << n, int(rng.integers(0, 40))).tolist()))
+        want = []
+        for i in range(n):
+            ones = sum(m >> i & 1 for m in masks)
+            zeros = len(masks) - ones
+            want.append(0 if values[i] == 0 or ones == zeros else (1 if ones > zeros else -1))
+        got = sensor_votes(ContributionVector(values=values), [LightConfig(m, n) for m in masks])
+        assert got.votes == tuple(want)
 
 
 class TestCandidateFusion:

@@ -77,6 +77,14 @@ class TestLogs:
         assert read_samples_csv(tmp_path / "s.csv").samples == samples.samples
         assert read_commands_csv(tmp_path / "c.csv").commands == commands.commands
 
+    def test_noisy_synthetic_log_round_trips(self, tmp_path):
+        samples, commands = synthesize_logs({"a": [10, 20]}, [0, 1, 2, 3], sigma=0.05)
+        assert {type(s.lux) for s in samples.samples} == {float}
+        write_samples_csv(samples, tmp_path / "s.csv")
+        write_commands_csv(commands, tmp_path / "c.csv")
+        assert read_samples_csv(tmp_path / "s.csv").samples == samples.samples
+        assert read_commands_csv(tmp_path / "c.csv").commands == commands.commands
+
     def test_csv_header_checked(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("time,loc,value\n0,a,1\n", encoding="utf-8")
