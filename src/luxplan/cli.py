@@ -25,7 +25,6 @@ import numpy as np
 from . import ingest as ingest_mod
 from .heatmaps import write_heatmap_set
 from .inference import (
-    InferenceResult,
     PerfectSumQuery,
     fuse_candidates,
     fuse_votes,
@@ -201,21 +200,6 @@ def _read_readings_csv(path: Path) -> list[dict]:
         return rows
 
 
-def _answer_batch(
-    first: int,
-    contributions: list[tuple[float, ...]],
-    rows: list[int],
-    posed: list[tuple[PerfectSumQuery, LightConfig | None, int]],
-    results: list[InferenceResult | None],
-) -> None:
-    """Answer these rows against tables built in one pass for vectors
-    first, first + 1, ...; the tables go when this returns."""
-    tables = half_sums_batch(np.array(contributions, dtype=float))
-    for i in rows:
-        query, truth, v = posed[i]
-        results[i] = infer_reading(query, truth=truth, halves=tables[v - first])
-
-
 def cmd_infer(config: RunConfig, readings_path: Path) -> int:
     scene, grid = _load_scene_with_grid(config)
     matrix = sweep(scene)
@@ -234,6 +218,7 @@ def cmd_infer(config: RunConfig, readings_path: Path) -> int:
     contributions: list[tuple[float, ...]] = []
     posed: list[tuple[PerfectSumQuery, LightConfig | None, int]] = []
     batches: list[list[int]] = []
+    trials: dict[str, list[int]] = {}  # each trial's rows, trials in first-appearance order
     for i, row in enumerate(rows):
         if not 0 <= row["point_index"] < matrix.n_points:
             raise ValueError(f"point_index {row['point_index']} outside the candidate grid")
@@ -254,51 +239,64 @@ def cmd_infer(config: RunConfig, readings_path: Path) -> int:
         query = PerfectSumQuery(contributions=contributions[v], target=lux, epsilon=config.epsilon)
         posed.append((query, truth, v))
         batches[v // step].append(i)
+        trials.setdefault(row["trial"], []).append(i)
 
-    results: list[InferenceResult | None] = [None] * len(rows)
+    # A trial is fused as soon as its last row is answered, so candidate
+    # lists are held only for the rows of trials still open.
+    left = {trial: len(members) for trial, members in trials.items()}
+    report_rows: list[tuple | None] = [None] * len(rows)
+    fused_rows: dict[str, tuple | None] = dict.fromkeys(trials)
+    held: dict[int, list[LightConfig]] = {}
     for b, batch_rows in enumerate(batches):
-        first = b * step
-        _answer_batch(first, contributions[first:first + step], batch_rows, posed, results)
+        tables = half_sums_batch(np.array(contributions[b * step:(b + 1) * step], dtype=float))
+        for i in batch_rows:
+            row, trial = rows[i], rows[i]["trial"]
+            query, truth, v = posed[i]
+            result = infer_reading(query, truth=truth, halves=tables[v - b * step])
+            acc = f"{result.accuracy:.6g}" if result.accuracy is not None else ""
+            truth_p = row["truth"] if row["truth"] is not None else -1
+            report_rows[i] = (row["point_index"], row["door_state"], truth_p,
+                              len(result.candidates), acc, int(result.no_solution))
+            held[i] = result.candidates
+            left[trial] -= 1
+            if not left[trial]:
+                fused_rows[trial] = _fused_row(trial, [(rows[j], vectors[posed[j][2]], held.pop(j))
+                                                       for j in trials[trial]], n)
+        del tables  # the next batch's tables replace these rather than join them
 
     report_buf = io.StringIO()
     report = csv.writer(report_buf, lineterminator="\n")
     report.writerow(["point_index", "door_state", "config_p", "n_candidates", "accuracy", "no_solution"])
-    by_trial: dict[str, list] = {}
-    for row, (_, _, v), result in zip(rows, posed, results):
-        report.writerow([
-            row["point_index"],
-            row["door_state"],
-            row["truth"] if row["truth"] is not None else -1,
-            len(result.candidates),
-            f"{result.accuracy:.6g}" if result.accuracy is not None else "",
-            int(result.no_solution),
-        ])
-        by_trial.setdefault(row["trial"], []).append((row, vectors[v], result))
-
+    report.writerows(report_rows)
     fused_buf = io.StringIO()
     fused_csv = csv.writer(fused_buf, lineterminator="\n")
     fused_csv.writerow(["trial", "door_state", "truth", "fused_p", "accuracy", "rule"])
-    for trial, entries in by_trial.items():
-        votes = [sensor_votes(x, res.candidates) for _, x, res in entries]
-        fused, rule = fuse_candidates([res.candidates for _, _, res in entries], fuse_votes(votes))
-        truths = {r["truth"] for r, _, _ in entries}
-        truth_index = truths.pop() if len(truths) == 1 else None
-        acc = ""
-        if truth_index is not None:
-            acc = f"{jaccard_accuracy(LightConfig.from_index(truth_index, n), [fused]):.6g}"
-        door_states = {r["door_state"] for r, _, _ in entries}
-        ds = door_states.pop() if len(door_states) == 1 else -1
-        fused_csv.writerow([trial, ds, truth_index if truth_index is not None else -1, fused.index, acc, rule])
+    fused_csv.writerows(fused_rows.values())
 
     config.out_dir.mkdir(parents=True, exist_ok=True)
     report_path = config.out_dir / "inference_report.csv"
     fused_path = config.out_dir / "fused.csv"
     report_path.write_text(report_buf.getvalue(), encoding="utf-8")
     fused_path.write_text(fused_buf.getvalue(), encoding="utf-8")
-    print(f"{len(rows)} readings in {len(by_trial)} trials")
+    print(f"{len(rows)} readings in {len(trials)} trials")
     print(f"wrote {report_path}")
     print(f"wrote {fused_path}")
     return EXIT_OK
+
+
+def _fused_row(trial: str, entries: list[tuple[dict, ContributionVector, list[LightConfig]]],
+               n: int) -> tuple:
+    """The fused.csv row of a trial from its (row, vector, candidates) entries."""
+    votes = [sensor_votes(x, candidates) for _, x, candidates in entries]
+    fused, rule = fuse_candidates([candidates for _, _, candidates in entries], fuse_votes(votes))
+    truths = {r["truth"] for r, _, _ in entries}
+    truth_index = truths.pop() if len(truths) == 1 else None
+    acc = ""
+    if truth_index is not None:
+        acc = f"{jaccard_accuracy(LightConfig.from_index(truth_index, n), [fused]):.6g}"
+    door_states = {r["door_state"] for r, _, _ in entries}
+    ds = door_states.pop() if len(door_states) == 1 else -1
+    return (trial, ds, truth_index if truth_index is not None else -1, fused.index, acc, rule)
 
 
 def cmd_ingest(config: RunConfig, samples_path: Path, commands_path: Path,

@@ -13,8 +13,9 @@ from __future__ import annotations
 import csv
 import io
 import math
-from bisect import bisect_left
+from collections.abc import Iterable
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +32,8 @@ DEFAULT_WINDOW = 3.0  # seconds averaged after the settle period
 FLAG_OK = ""
 FLAG_SHORT = "short_interval"
 FLAG_NO_SAMPLES = "no_samples"
-FLAG_CLAMPED = "clamped"
+
+SAMPLES_HEADER = ["t", "location", "lux"]
 
 
 @dataclass(frozen=True)
@@ -47,31 +49,64 @@ class Command:
     config_index: int
 
 
-@dataclass
+@dataclass(eq=False)
 class SampleLog:
-    samples: list[Sample]
+    """Lux samples as columns: row i is lux[i] at time t[i] from location
+    names[code[i]]; names are in first-appearance order."""
+
+    t: np.ndarray
+    code: np.ndarray
+    lux: np.ndarray
+    names: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        last_t: dict[str, float] = {}
-        for s in self.samples:
-            if not math.isfinite(s.t):
-                raise ValueError(f"timestamp {s.t} is not a finite number")
-            if not LUX_MIN <= s.lux <= LUX_MAX:
-                raise ValueError(f"lux {s.lux} outside [{LUX_MIN}, {LUX_MAX}]")
-            if s.location in last_t and s.t < last_t[s.location]:
-                raise ValueError(f"timestamps for {s.location!r} must be nondecreasing")
-            last_t[s.location] = s.t
+        if not self.t.shape == self.code.shape == self.lux.shape == (self.t.size,):
+            raise ValueError("sample columns must be 1-D and of equal length")
+        # a rewind is a timestamp below the one before it at its location;
+        # the first row that breaks any rule is reported, as a check of the
+        # rows in order would
+        bad_t = ~np.isfinite(self.t)
+        bad_lux = ~((self.lux >= LUX_MIN) & (self.lux <= LUX_MAX))
+        order = self.code.argsort(kind="stable")
+        code, t = self.code[order], self.t[order]
+        bad = bad_t | bad_lux
+        bad[order[1:][(code[1:] == code[:-1]) & (t[1:] < t[:-1])]] = True
+        if bad.any():
+            i = int(bad.argmax())
+            if bad_t[i]:
+                raise ValueError(f"timestamp {self.t[i].item()} is not a finite number")
+            if bad_lux[i]:
+                raise ValueError(f"lux {self.lux[i].item()} outside [{LUX_MIN}, {LUX_MAX}]")
+            raise ValueError(f"timestamps for {self.names[self.code[i]]!r} must be nondecreasing")
+
+    @classmethod
+    def from_samples(cls, samples: Iterable[Sample]) -> SampleLog:
+        samples = list(samples)
+        return _coded_log([s.t for s in samples], [s.location for s in samples],
+                          [s.lux for s in samples])
+
+    @property
+    def samples(self) -> list[Sample]:
+        """The rows as Sample objects, built anew on each access; luxplan
+        itself reads only the columns."""
+        names = map(self.names.__getitem__, self.code.tolist())
+        return list(map(Sample, self.t.tolist(), names, self.lux.tolist()))
 
     @property
     def locations(self) -> list[str]:
-        seen: dict[str, None] = {}
-        for s in self.samples:
-            seen.setdefault(s.location, None)
-        return list(seen)
+        return list(self.names)
 
     @property
     def end_time(self) -> float:
-        return max((s.t for s in self.samples), default=-math.inf)
+        return self.t.max().item() if self.t.size else -math.inf
+
+
+def _coded_log(t: list[float], locations: list[str], lux: list[float]) -> SampleLog:
+    """The log of these columns, locations coded in first-appearance order."""
+    codes: dict[str, int] = {}
+    code = [codes.setdefault(loc, len(codes)) for loc in locations]
+    return SampleLog(t=np.array(t, dtype=float), code=np.array(code, dtype=np.intp),
+                     lux=np.array(lux, dtype=float), names=tuple(codes))
 
 
 @dataclass
@@ -79,6 +114,9 @@ class CommandLog:
     commands: list[Command]
 
     def __post_init__(self) -> None:
+        for c in self.commands:
+            if not math.isfinite(c.t):
+                raise ValueError(f"command timestamp {c.t} is not a finite number")
         for a, b in zip(self.commands, self.commands[1:]):
             if b.t <= a.t:
                 raise ValueError("command timestamps must be strictly increasing")
@@ -166,32 +204,32 @@ def extract_baselines(
     than settle + window produce flagged cells rather than silent averages;
     the final interval ends at the last sample timestamp.
     """
-    if settle < 0 or window <= 0:
-        raise ValueError("settle must be >= 0 and window > 0")
+    if not (0 <= settle < math.inf and 0 < window < math.inf):
+        raise ValueError("settle must be finite and >= 0, window finite and > 0")
     if not commands.commands:
         raise ValueError("command log is empty")
-    # per location: timestamps (nondecreasing, so windows are bisected) and lux
-    per_loc: dict[str, tuple[list[float], list[float]]] = {}
-    for s in samples.samples:
-        times, lux = per_loc.setdefault(s.location, ([], []))
-        times.append(s.t)
-        lux.append(s.lux)
+    cmd_t = np.array([c.t for c in commands.commands])
+    interval_end = np.append(cmd_t[1:], samples.end_time)
+    win_lo = cmd_t + settle
+    win_hi = win_lo + window
+    short = (interval_end < win_hi).tolist()
+    win_end = np.minimum(win_hi, interval_end)
+    # each location's rows in time order, and each command's window in them
+    order = samples.code.argsort(kind="stable")
+    bounds = samples.code[order].searchsorted(np.arange(len(samples.names) + 1)).tolist()
+    per_loc = []
+    for loc, a, b in zip(samples.names, bounds, bounds[1:]):
+        times = samples.t[order[a:b]]
+        per_loc.append((loc, samples.lux[order[a:b]].tolist(),
+                        times.searchsorted(win_lo).tolist(), times.searchsorted(win_end).tolist()))
 
-    log_end = samples.end_time
     collected: dict[tuple[str, int], list[float]] = {}
     flags: dict[tuple[str, int], str] = {}
-    cmds = commands.commands
-    for k, cmd in enumerate(cmds):
-        interval_end = cmds[k + 1].t if k + 1 < len(cmds) else log_end
-        win_lo = cmd.t + settle
-        win_hi = win_lo + window
-        short = interval_end < win_hi
-        win_end = min(win_hi, interval_end)
-        for loc, (times, lux) in per_loc.items():
+    for k, cmd in enumerate(commands.commands):
+        for loc, lux, lo, hi in per_loc:
             key = (loc, cmd.config_index)
-            vals = lux[bisect_left(times, win_lo):bisect_left(times, win_end)]
-            collected.setdefault(key, []).extend(vals)
-            if short:
+            collected.setdefault(key, []).extend(lux[lo[k]:hi[k]])
+            if short[k]:
                 flags[key] = FLAG_SHORT
 
     cells: dict[tuple[str, int], BaselineCell] = {}
@@ -306,10 +344,39 @@ def _read_log(path: str | Path, header: list[str], parse) -> list:
 
 def read_samples_csv(path: str | Path) -> SampleLog:
     """Read a 't,location,lux' log."""
-    return SampleLog(samples=_read_log(
-        path, ["t", "location", "lux"],
+    return _read_samples_text(path) or SampleLog.from_samples(_read_log(
+        path, SAMPLES_HEADER,
         lambda t, location, lux: Sample(t=float(t), location=location, lux=float(lux)),
     ))
+
+
+def _read_samples_text(path: str | Path) -> SampleLog | None:
+    """The log split at line ends and commas, or None where csv's quoting,
+    limits or error messages are needed. Lines end at CR LF, CR or LF, as
+    for csv.reader; str.splitlines would also split at VT, FF, NEL and more."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError:
+        return None
+    if '"' in text or "\0" in text:
+        return None
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    limit = csv.field_size_limit()
+    if len(text) > limit and max(map(len, lines)) > limit:
+        return None
+    if [c.strip() for c in lines[0].split(",")] != SAMPLES_HEADER:
+        return None
+    rows = list(filter(None, lines[1:]))
+    if list(map(str.count, rows, repeat(","))).count(2) != len(rows):
+        return None
+    fields = ",".join(rows).split(",") if rows else []
+    try:
+        t = list(map(float, fields[0::3]))
+        lux = list(map(float, fields[2::3]))
+    except ValueError:
+        return None
+    return _coded_log(t, fields[1::3], lux)
 
 
 def read_commands_csv(path: str | Path) -> CommandLog:
@@ -322,9 +389,9 @@ def read_commands_csv(path: str | Path) -> CommandLog:
 def write_samples_csv(log: SampleLog, path: str | Path) -> None:
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["t", "location", "lux"])
-    for s in log.samples:
-        w.writerow([repr(s.t), s.location, repr(s.lux)])
+    w.writerow(SAMPLES_HEADER)
+    names = map(log.names.__getitem__, log.code.tolist())
+    w.writerows(zip(map(repr, log.t.tolist()), names, map(repr, log.lux.tolist())))
     Path(path).write_text(buf.getvalue(), encoding="utf-8")
 
 
@@ -373,17 +440,19 @@ def synthesize_logs(
     commands = [Command(t=k * dwell, config_index=p) for k, p in enumerate(config_indices)]
     total = dwell * (len(config_indices) + 1)
     n_samples = int(math.ceil(total * rate_hz))
-    samples: list[Sample] = []
-    for loc_index, (location, x) in enumerate(contributions_by_location.items()):
+    t = np.arange(n_samples) / rate_hz
+    interval = np.minimum(t // dwell, len(config_indices) - 1).astype(np.intp)
+    lux = np.empty((len(contributions_by_location), n_samples))
+    for loc_index, x in enumerate(contributions_by_location.values()):
         x = np.asarray(x, dtype=float)
         bases = [ambient + math.fsum(x[i] for i in LightConfig.from_index(p, x.shape[0]).on_indices)
                  for p in config_indices]
-        rng = np.random.default_rng(np.random.SeedSequence((seed, loc_index)))
-        z = rng.standard_normal(n_samples)
-        for j in range(n_samples):
-            t = j / rate_hz
-            base = bases[min(int(t // dwell), len(config_indices) - 1)]
-            lux = base + sigma * z[j] if sigma > 0 else base
-            lux = float(min(max(lux, LUX_MIN), LUX_MAX))  # a Python float writes as a plain number
-            samples.append(Sample(t=t, location=location, lux=lux))
-    return SampleLog(samples=samples), CommandLog(commands=commands)
+        lux[loc_index] = np.array(bases, dtype=float)[interval]
+        if sigma > 0:
+            rng = np.random.default_rng(np.random.SeedSequence((seed, loc_index)))
+            lux[loc_index] += sigma * rng.standard_normal(n_samples)
+    lux[lux < LUX_MIN] = LUX_MIN
+    lux[lux > LUX_MAX] = LUX_MAX
+    samples = SampleLog(t=np.tile(t, len(lux)), code=np.arange(len(lux)).repeat(n_samples),
+                        lux=lux.ravel(), names=tuple(contributions_by_location))
+    return samples, CommandLog(commands=commands)

@@ -7,10 +7,13 @@ import pytest
 from luxplan import (
     LightConfig,
     PerfectSumQuery,
+    fuse_candidates,
+    fuse_votes,
     infer_reading,
     inference,
     load_scene,
     reading,
+    sensor_votes,
     sweep,
     synthesize_logs,
 )
@@ -97,6 +100,16 @@ class TestExitCodes:
         ])
         assert code == EXIT_INVALID
         assert "r.csv: line 3" in capsys.readouterr().err
+
+    def test_non_finite_command_timestamp_rejected(self, tmp_path, capsys):
+        samples, commands = synthesize_logs({"s0": np.array([5.0, 9.0])}, [0, 1, 2])
+        write_samples_csv(samples, tmp_path / "s.csv")
+        (tmp_path / "c.csv").write_text("t,bitmask\n0,0\nnan,1\n14,2\n", encoding="utf-8")
+        assert run([
+            "ingest", "--samples", str(tmp_path / "s.csv"), "--commands", str(tmp_path / "c.csv"),
+            "--out", str(tmp_path),
+        ]) == EXIT_INVALID
+        assert "command timestamp nan is not a finite number" in capsys.readouterr().err
 
     @pytest.mark.parametrize("samples_text, commands_text, where", [
         ("t,location,lux\n0.0,s0,1.0\n1.0,a\n", "t,bitmask\n0.0,1\n", "samples.csv: line 3"),
@@ -321,6 +334,58 @@ class TestInfer:
         ]) == EXIT_OK
         for name in ("inference_report.csv", "fused.csv"):
             assert (out / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
+
+    @pytest.mark.parametrize("budget", [1, 600])
+    def test_trials_split_across_batches_fuse_like_grouped_rows(
+        self, apartment_path, tmp_path, monkeypatch, budget,
+    ):
+        # each trial's rows lie scattered through the file, and its vectors
+        # fall in different table batches, so a trial's last row is often
+        # answered long after its first
+        rng = np.random.default_rng(11)
+        keys = [(int(p), int(q)) for p, q in zip(rng.integers(0, 2880, 12), rng.integers(0, 9, 12))]
+        rows = []
+        for k in range(45):
+            p, q = keys[int(rng.integers(len(keys)))]
+            truth = int(rng.integers(64)) if k % 7 else ""
+            lux = f"{rng.uniform(0, 300):.4f}" if truth == "" or k % 5 == 0 else ""
+            rows.append((f"t{int(rng.integers(6))}", p, q, lux, truth))
+        readings = tmp_path / "r.csv"
+        write_readings(readings, rows)
+        monkeypatch.setattr(inference, "TABLE_BUDGET_BYTES", budget)
+        builds = []
+        monkeypatch.setattr(cli, "half_sums_batch",
+                            lambda v: builds.append(len(v)) or inference.half_sums_batch(v))
+        out = tmp_path / "inf"
+        assert run([
+            "infer", "--scene", str(apartment_path), "--readings", str(readings),
+            "--sigma", "0.05", "--out", str(out),
+        ]) == EXIT_OK
+        assert len(builds) > 1
+
+        matrix = sweep(load_scene(apartment_path))
+        noise = cli.NoiseModel(kind="gaussian", sigma=0.05, seed=0)
+        by_trial = {}
+        for trial, p, q, lux, truth in rows:
+            by_trial.setdefault(trial, []).append((p, q, lux, truth))
+        want = ["trial,door_state,truth,fused_p,accuracy,rule"]
+        for trial, members in by_trial.items():
+            votes, candidate_sets = [], []
+            for p, q, lux, truth in members:
+                x = matrix.vector_at(p, q)
+                truth_config = LightConfig(truth, 6) if truth != "" else None
+                target = float(lux) if lux else reading(x, truth_config, noise)
+                res = infer_reading(PerfectSumQuery.from_vector(x, target, 0.01), truth=truth_config)
+                votes.append(sensor_votes(x, res.candidates))
+                candidate_sets.append(res.candidates)
+            fused, rule = fuse_candidates(candidate_sets, fuse_votes(votes))
+            truths = {truth for _, _, _, truth in members}
+            truth = truths.pop() if len(truths) == 1 else ""
+            acc = f"{inference.jaccard_accuracy(LightConfig(truth, 6), [fused]):.6g}" if truth != "" else ""
+            doors = {q for _, q, _, _ in members}
+            door = doors.pop() if len(doors) == 1 else -1
+            want.append(f"{trial},{door},{truth if truth != '' else -1},{fused.index},{acc},{rule}")
+        assert (out / "fused.csv").read_text(encoding="utf-8").splitlines() == want
 
     def test_out_of_range_point_rejected(self, toy_scene_file, tmp_path):
         readings = tmp_path / "r.csv"

@@ -1,9 +1,10 @@
 """Log reduction: baselines, calibration, and accuracy scoring round trips."""
+import csv
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from luxplan import (
@@ -23,6 +24,8 @@ from luxplan.ingest import (
     CommandLog,
     FLAG_NO_SAMPLES,
     FLAG_SHORT,
+    LUX_MAX,
+    LUX_MIN,
     Sample,
     SampleLog,
     _window_mean,
@@ -37,25 +40,25 @@ from luxplan.transport import ContributionVector
 
 def constant_log(location="s0", lux=100.0, rate=4.7, duration=10.0):
     n = int(duration * rate)
-    return SampleLog(samples=[Sample(t=j / rate, location=location, lux=lux) for j in range(n)])
+    return SampleLog.from_samples([Sample(t=j / rate, location=location, lux=lux) for j in range(n)])
 
 
 class TestLogs:
     def test_lux_range_enforced(self):
         with pytest.raises(ValueError, match="lux"):
-            SampleLog(samples=[Sample(t=0.0, location="s0", lux=-1.0)])
+            SampleLog.from_samples([Sample(t=0.0, location="s0", lux=-1.0)])
         with pytest.raises(ValueError, match="lux"):
-            SampleLog(samples=[Sample(t=0.0, location="s0", lux=88_001.0)])
-        SampleLog(samples=[Sample(t=0.0, location="s0", lux=88_000.0)])  # ceiling is valid
+            SampleLog.from_samples([Sample(t=0.0, location="s0", lux=88_001.0)])
+        SampleLog.from_samples([Sample(t=0.0, location="s0", lux=88_000.0)])  # ceiling is valid
 
     def test_timestamps_nondecreasing_per_location(self):
         with pytest.raises(ValueError, match="nondecreasing"):
-            SampleLog(samples=[
+            SampleLog.from_samples([
                 Sample(t=1.0, location="s0", lux=1.0),
                 Sample(t=0.5, location="s0", lux=1.0),
             ])
         # interleaved locations may rewind relative to each other
-        SampleLog(samples=[
+        SampleLog.from_samples([
             Sample(t=1.0, location="s0", lux=1.0),
             Sample(t=0.5, location="s1", lux=1.0),
         ])
@@ -63,11 +66,40 @@ class TestLogs:
     @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
     def test_non_finite_timestamp_rejected(self, t):
         with pytest.raises(ValueError, match="finite"):
-            SampleLog(samples=[Sample(t=t, location="s0", lux=1.0)])
+            SampleLog.from_samples([Sample(t=t, location="s0", lux=1.0)])
 
     def test_command_timestamps_strictly_increasing(self):
         with pytest.raises(ValueError, match="increasing"):
             CommandLog(commands=[Command(t=0.0, config_index=0), Command(t=0.0, config_index=1)])
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_non_finite_command_timestamp_rejected(self, t):
+        # every comparison with nan is false, so "strictly increasing" alone
+        # lets a nan through, and its window would read as no_samples
+        with pytest.raises(ValueError, match="command timestamp .* not a finite number"):
+            CommandLog(commands=[Command(t=0.0, config_index=0), Command(t=t, config_index=1),
+                                 Command(t=14.0, config_index=2)])
+
+    def test_first_bad_row_is_reported(self):
+        # the columns are checked at once, but the message is the one a
+        # row-by-row check in file order gives
+        rows = [Sample(1.0, "a", 1.0), Sample(2.0, "b", 1.0), Sample(1.0, "b", -3.0),
+                Sample(0.5, "a", 1.0), Sample(math.nan, "c", 1.0)]
+        with pytest.raises(ValueError, match=r"^lux -3.0 outside"):
+            SampleLog.from_samples(rows)
+        with pytest.raises(ValueError, match="timestamps for 'a' must be nondecreasing"):
+            SampleLog.from_samples(rows[:2] + rows[3:])
+        with pytest.raises(ValueError, match="timestamp nan is not a finite number"):
+            SampleLog.from_samples(rows[:2] + rows[4:])
+
+    def test_columns_code_locations_in_first_appearance_order(self):
+        log = SampleLog.from_samples([Sample(0.0, "b", 1.0), Sample(0.0, "a", 2.0),
+                                      Sample(1.0, "b", 3.0)])
+        assert log.names == ("b", "a") and log.locations == ["b", "a"]
+        assert log.code.tolist() == [0, 1, 0]
+        assert log.end_time == 1.0
+        assert len(log.samples) == 3 and log.samples[2] == Sample(1.0, "b", 3.0)
+        assert SampleLog.from_samples([]).end_time == -math.inf
 
     def test_csv_round_trip(self, tmp_path):
         samples = constant_log(duration=2.0)
@@ -84,6 +116,34 @@ class TestLogs:
         write_commands_csv(commands, tmp_path / "c.csv")
         assert read_samples_csv(tmp_path / "s.csv").samples == samples.samples
         assert read_commands_csv(tmp_path / "c.csv").commands == commands.commands
+
+    def test_quoted_location_with_comma_round_trips(self, tmp_path):
+        samples, _ = synthesize_logs({"hall, east": [10.0], 'say "hi"': [5.0]}, [0, 1], sigma=0.05)
+        write_samples_csv(samples, tmp_path / "s.csv")
+        back = read_samples_csv(tmp_path / "s.csv")
+        assert back.names == ("hall, east", 'say "hi"')
+        assert back.t.tolist() == samples.t.tolist() and back.lux.tolist() == samples.lux.tolist()
+
+    @pytest.mark.parametrize("location", [b"a\0b", b"x" * (csv.field_size_limit() + 1), b"\xff"],
+                             ids=["nul", "oversized", "not-utf8"])
+    def test_nul_oversized_and_undecodable_fields_read_as_csv_reads_them(self, tmp_path, location):
+        # csv.reader's own rules decide these: depending on the Python
+        # version a NUL is accepted or raises csv.Error, a field over the
+        # size limit raises csv.Error, and bad UTF-8 fails while decoding
+        path = tmp_path / "s.csv"
+        path.write_bytes(b"t,location,lux\n0.0," + location + b",1.0\n")
+
+        def outcome(read):
+            try:
+                return read(path)
+            except (csv.Error, ValueError) as exc:
+                return repr(exc)
+
+        want = outcome(rowwise_read_samples)
+        got = outcome(read_samples_csv)
+        if not isinstance(want, str):
+            got = list(zip(got.t.tolist(), [got.names[c] for c in got.code.tolist()], got.lux.tolist()))
+        assert got == want
 
     def test_csv_header_checked(self, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -114,7 +174,7 @@ class TestExtractBaselines:
     def test_settle_discards_the_ramp(self):
         ramp = [Sample(t=0.1 * j, location="s0", lux=2.0 * j) for j in range(30)]  # t < 3
         plateau = [Sample(t=3.0 + 0.1 * j, location="s0", lux=42.5) for j in range(40)]
-        samples = SampleLog(samples=ramp + plateau)
+        samples = SampleLog.from_samples(ramp + plateau)
         commands = CommandLog(commands=[Command(t=0.0, config_index=1)])
         table = extract_baselines(samples, commands)
         cell = table.cell("s0", 1)
@@ -132,7 +192,7 @@ class TestExtractBaselines:
         assert table.cell("s0", 1).flag == ""
 
     def test_empty_window_flagged(self):
-        samples = SampleLog(samples=[Sample(t=0.0, location="s0", lux=1.0)])
+        samples = SampleLog.from_samples([Sample(t=0.0, location="s0", lux=1.0)])
         commands = CommandLog(commands=[Command(t=0.0, config_index=0)])
         table = extract_baselines(samples, commands)
         assert table.cell("s0", 0).flag == FLAG_NO_SAMPLES
@@ -146,6 +206,9 @@ class TestExtractBaselines:
             extract_baselines(samples, commands, window=0.0)
         with pytest.raises(ValueError):
             extract_baselines(samples, CommandLog(commands=[]))
+        for settle, window in [(math.nan, 3.0), (math.inf, 3.0), (3.0, math.nan), (3.0, math.inf)]:
+            with pytest.raises(ValueError, match="finite"):
+                extract_baselines(samples, commands, settle=settle, window=window)
 
 
 def scanned_baselines(samples, commands, settle, window):
@@ -187,10 +250,137 @@ def test_bisected_windows_equal_a_full_scan(data):
         Command(t=t, config_index=data.draw(st.integers(min_value=0, max_value=3))) for t in times])
     settle = data.draw(halves) / 4
     window = data.draw(halves) / 4 + 0.5
-    log = SampleLog(samples=samples)
+    log = SampleLog.from_samples(samples)
     table = extract_baselines(log, commands, settle=settle, window=window)
     got = {k: (c.mean, c.count, c.stddev, c.flag) for k, c in table.cells.items()}
     assert repr(got) == repr(scanned_baselines(log, commands, settle, window))
+
+
+def rowwise_read_samples(path):
+    """(t, location, lux) rows of a samples file, read and checked one row
+    at a time with csv.reader, as luxplan did before a log became columns."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        if [c.strip() for c in next(reader, [])] != ["t", "location", "lux"]:
+            raise ValueError(f"{path}: expected header 't,location,lux'")
+        rows = []
+        for row in reader:
+            if not row:
+                continue
+            try:
+                if len(row) != 3:
+                    raise ValueError(f"expected 3 fields, got {len(row)}")
+                rows.append((float(row[0]), row[1], float(row[2])))
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+    last_t = {}
+    for t, location, lux in rows:
+        if not math.isfinite(t):
+            raise ValueError(f"timestamp {t} is not a finite number")
+        if not LUX_MIN <= lux <= LUX_MAX:
+            raise ValueError(f"lux {lux} outside [{LUX_MIN}, {LUX_MAX}]")
+        if location in last_t and t < last_t[location]:
+            raise ValueError(f"timestamps for {location!r} must be nondecreasing")
+        last_t[location] = t
+    return rows
+
+
+@st.composite
+def sample_files(draw):
+    """Text of a samples file: interleaved locations, blank lines, mixed line
+    ends and quoted names with commas; half the files also get one or two
+    faults, such as a row of the wrong width or a bad, non-finite,
+    out-of-range or rewinding value."""
+    header = draw(st.sampled_from(["t,location,lux"] * 8 + [" t , location,lux ", '"t",location,lux',
+                                                             "t,loc,lux", ""]))
+    names = ["a", "b", " a", "g h", "5"] + draw(st.sampled_from([[], ['"c,d"', '"e""f"', '"a"']]))
+    rows, clock = [], 0.0
+    for _ in range(draw(st.integers(min_value=0, max_value=10))):
+        clock += draw(st.sampled_from([0.0, 0.25, 1.5]))
+        location = draw(st.sampled_from(names))
+        rows.append([repr(clock), location, draw(st.sampled_from(["1.5", "0", "88000", " 3e2"]))])
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2])) if rows else 0):
+        row = draw(st.sampled_from(rows))
+        if len(row) != 3:
+            continue
+        fault = draw(st.sampled_from(["rewind", "t", "lux", "short", "long", "space"]))
+        if fault == "rewind":
+            row[0] = "-1.0"
+        elif fault == "t":
+            row[0] = draw(st.sampled_from(["nan", "inf", "-inf", "x", "", "1_0"]))
+        elif fault == "lux":
+            row[2] = draw(st.sampled_from(["88000.5", "-0.5", "nan", "dim", ""]))
+        elif fault == "short":
+            del row[draw(st.integers(min_value=1, max_value=2)):]
+        elif fault == "long":
+            row.append("7")
+        else:
+            row[:] = [" "]
+    lines = [header]
+    for row in rows:
+        lines += [""] * draw(st.integers(min_value=0, max_value=1)) + [",".join(row)]
+    ends = draw(st.lists(st.sampled_from(["\n", "\n", "\r\n", "\r"]),
+                         min_size=len(lines), max_size=len(lines)))
+    if draw(st.booleans()):
+        ends[-1] = ""
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+@given(text=sample_files())
+@example(text="t,location,lux\n1.0,a,1.5,7\n2.0,5\n")  # a long and a short row that realign
+@settings(max_examples=400, deadline=None)
+def test_columnar_reader_equals_the_rowwise_reader(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "samples.csv"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(text)
+    try:
+        want = rowwise_read_samples(path)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            read_samples_csv(path)
+        assert str(got.value) == str(exc)
+        return
+    log = read_samples_csv(path)
+    got = list(zip(log.t.tolist(), [log.names[c] for c in log.code.tolist()], log.lux.tolist()))
+    assert repr(got) == repr(want)
+    assert log.locations == list(dict.fromkeys(location for _, location, _ in want))
+
+
+def rowwise_synthesize(contributions_by_location, config_indices, dwell=7.0, rate_hz=4.7,
+                       sigma=0.0, seed=0, ambient=0.0):
+    """synthesize_logs's samples as (t, location, lux), one sample at a time,
+    as luxplan built them before a log became columns."""
+    total = dwell * (len(config_indices) + 1)
+    n_samples = int(math.ceil(total * rate_hz))
+    rows = []
+    for loc_index, (location, x) in enumerate(contributions_by_location.items()):
+        x = np.asarray(x, dtype=float)
+        bases = [ambient + math.fsum(x[i] for i in LightConfig.from_index(p, x.shape[0]).on_indices)
+                 for p in config_indices]
+        rng = np.random.default_rng(np.random.SeedSequence((seed, loc_index)))
+        z = rng.standard_normal(n_samples)
+        for j in range(n_samples):
+            t = j / rate_hz
+            base = bases[min(int(t // dwell), len(config_indices) - 1)]
+            lux = base + sigma * z[j] if sigma > 0 else base
+            rows.append((t, location, float(min(max(lux, LUX_MIN), LUX_MAX))))
+    return rows
+
+
+@pytest.mark.parametrize("kwargs", [
+    {},
+    {"sigma": 0.05, "seed": 3},
+    {"sigma": 40.0, "seed": 5, "ambient": 2.5},  # clamps at zero
+    {"sigma": 0.3, "dwell": 6.5, "rate_hz": 5.3, "ambient": 1.0},
+    {"sigma": 1.0, "dwell": 0.7, "rate_hz": 9.1},
+])
+def test_synthesized_columns_equal_the_per_sample_loop(kwargs):
+    contributions = {"a": [10.0, 20.0, 40.0], "b, east": [4.0, 0.0, 30.0], "c": [0.1, 0.2, 0.3]}
+    configs = [0, 5, 1, 7, 2, 2, 3]
+    samples, _ = synthesize_logs(contributions, configs, **kwargs)
+    got = list(zip(samples.t.tolist(), [samples.names[c] for c in samples.code.tolist()],
+                   samples.lux.tolist()))
+    assert repr(got) == repr(rowwise_synthesize(contributions, configs, **kwargs))
 
 
 class TestCalibration:
@@ -203,7 +393,7 @@ class TestCalibration:
         assert calib.clamped == ()
 
     def test_negative_estimate_clamped_and_flagged(self):
-        samples = SampleLog(samples=(
+        samples = SampleLog.from_samples((
             [Sample(t=0.1 * j, location="s0", lux=10.0) for j in range(70)]
             + [Sample(t=7.0 + 0.1 * j, location="s0", lux=8.0) for j in range(71)]
         ))
