@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -144,7 +145,9 @@ def _unoccluded_batch(
         cos_inc = 1.0
     else:
         nx, ny, nz = normal
-        cos_inc = np.maximum(0.0, -(dx / d * nx + dy / d * ny + dz / d * nz))
+        cos_inc = -(dx / d * nx + dy / d * ny + dz / d * nz)
+        # np.maximum(0.0, -0.0) is -0.0, which would print as "-0" lux
+        cos_inc = np.where(cos_inc > 0.0, cos_inc, 0.0)
 
     return lum.intensity * rel * cos_inc / d2
 
@@ -250,20 +253,49 @@ def reading(
 
 
 CSV_SIG_DIGITS = 6
+CSV_BLOCK_BYTES = 1 << 18
+"""Bytes of matrix values whose rows make one block of contributions.csv."""
+
+
+def _csv_blocks(matrix: ContributionMatrix) -> Iterator[str]:
+    """contributions.csv as its header, then blocks of whole points' rows.
+
+    A row whose values are bit-identical to its point's door-state-0 row
+    reuses that row's text (-0.0 and 0.0 differ in bits and in print), and
+    a block's other rows are formatted in one call.
+    """
+    values = matrix.values
+    n_points, n_states, n = values.shape
+    yield ",".join(["point_index", "door_state"] + [f"lum_{i}" for i in range(n)]) + "\n"
+    row = f",%.{CSV_SIG_DIGITS}g" * n + "\n"
+    states = [f",{q}" for q in range(n_states)]
+    step = max(1, CSV_BLOCK_BYTES // max(1, values.itemsize * n_states * n))
+    for start in range(0, n_points, step):
+        block = values[start:start + step]
+        bits = block.view(np.int64)
+        reused = np.zeros(block.shape[:2], dtype=bool)
+        reused[:, 1:] = (bits[:, 1:] == bits[:, :1]).all(axis=2)
+        fresh = block[~reused]
+        # pieces[p, q] is the row's point, its door state and its values
+        pieces = np.empty((len(block), n_states, 3), dtype=object)
+        pieces[:, :, 0] = np.array([str(p) for p in range(start, start + len(block))],
+                                   dtype=object)[:, None]
+        pieces[:, :, 1] = states
+        text = pieces[:, :, 2]
+        text[~reused] = (row * len(fresh) % tuple(fresh.ravel().tolist())).splitlines(keepends=True)
+        np.copyto(text, text[:, :1], where=reused)
+        yield "".join(pieces.ravel().tolist())
 
 
 def matrix_to_csv(matrix: ContributionMatrix) -> str:
     """CSV with one row per (point, door state): point_index,door_state,lum_*."""
-    n = matrix.n_luminaires
-    lines = [",".join(["point_index", "door_state"] + [f"lum_{i}" for i in range(n)]) + "\n"]
-    row = "%d,%d" + f",%.{CSV_SIG_DIGITS}g" * n + "\n"
-    for p in range(matrix.n_points):
-        lines += [row % (p, q, *vals) for q, vals in enumerate(matrix.values[p].tolist())]
-    return "".join(lines)
+    return "".join(_csv_blocks(matrix))
 
 
 def write_matrix_csv(matrix: ContributionMatrix, path: str | Path) -> None:
-    Path(path).write_text(matrix_to_csv(matrix), encoding="utf-8")
+    """Write matrix_to_csv's text block by block, never holding all of it."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(_csv_blocks(matrix))
 
 
 def read_matrix_csv(path: str | Path) -> ContributionMatrix:
@@ -271,8 +303,9 @@ def read_matrix_csv(path: str | Path) -> ContributionMatrix:
 
     Rows may come in any order but must give each (point_index, door_state)
     pair of the full points x door states block exactly once. A short,
-    overlong, unparsable or repeated row raises ValueError naming the file
-    and its 1-based line.
+    overlong, unparsable or repeated row, or a lux value that is NaN,
+    infinite or negative, raises ValueError naming the file and its 1-based
+    line.
     """
     data: dict[tuple[int, int], list[float]] = {}
     with open(path, newline="", encoding="utf-8") as fh:
@@ -292,7 +325,11 @@ def read_matrix_csv(path: str | Path) -> ContributionMatrix:
                     raise ValueError("negative point_index or door_state")
                 if key in data:
                     raise ValueError(f"point {key[0]}, door state {key[1]} given twice")
-                data[key] = [float(v) for v in row[2:]]
+                lux = [float(v) for v in row[2:]]
+                bad = [text for text, v in zip(row[2:], lux) if not 0.0 <= v < math.inf]
+                if bad:
+                    raise ValueError(f"lux {bad[0]!r} is not finite and nonnegative")
+                data[key] = lux
             except ValueError as exc:
                 raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
     if not data:

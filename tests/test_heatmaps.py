@@ -141,3 +141,15 @@ def test_writers_equal_a_per_cell_reference(corner, spacing, nx, ny, ends, data)
                       dtype=np.int64)
     assert heatmap_csv(grid, values) == reference_csv(grid, values)
     assert heatmap_pgm(grid, values, maxval) == reference_pgm(grid, values, maxval)
+
+
+def test_heatmap_set_equals_the_references(tmp_path, apartment, apartment_scores):
+    write_heatmap_set(apartment.grid, apartment_scores, 64, tmp_path)
+    n_states = apartment_scores.shape[1]
+    expected = {f"q{q}": (apartment_scores[:, q], 64) for q in range(n_states)}
+    expected["total"] = (apartment_scores.sum(axis=1), 64 * n_states)
+    for name, (values, maxval) in expected.items():
+        csv_text = (tmp_path / f"heatmap_{name}.csv").read_text(encoding="utf-8")
+        pgm_text = (tmp_path / f"heatmap_{name}.pgm").read_text(encoding="utf-8")
+        assert csv_text == reference_csv(apartment.grid, values), name
+        assert pgm_text == reference_pgm(apartment.grid, values, maxval), name

@@ -1,10 +1,12 @@
 """Direct-illuminance transport: falloff, occlusion, readings, CSV round trip."""
 import math
+import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from luxplan import (
@@ -22,9 +24,11 @@ from luxplan import (
     sweep,
     write_matrix_csv,
 )
+from luxplan import transport
 from luxplan.geometry import WallSegment, segments_as_array
 from luxplan.scene import Luminaire, Scene, SceneError, active_occluders, enumerate_door_states
 from luxplan.transport import (
+    ContributionMatrix,
     ContributionVector,
     _illuminance_batch,
     matrix_to_csv,
@@ -372,6 +376,9 @@ class TestCsv:
         ("0,0,1.5\n0,1,bright\n", r"line 3: could not convert"),
         ("0,0,1.5\n0,x,2.5\n", r"line 3: invalid literal"),
         ("0,0,1.5\n0,-1,2.5\n", r"line 3: negative"),
+        ("0,0,1.5\n0,1,nan\n", r"line 3: lux 'nan' is not finite and nonnegative"),
+        ("0,0,inf\n0,1,2.5\n", r"line 2: lux 'inf' is not finite and nonnegative"),
+        ("0,0,1.5\n0,1,-2.5\n", r"line 3: lux '-2.5' is not finite and nonnegative"),
     ])
     def test_read_rejects_incomplete_or_malformed_rows(self, tmp_path, body, message):
         path = tmp_path / "m.csv"
@@ -384,6 +391,94 @@ class TestCsv:
         path.write_text("point_index,door_state,lum_0\n1,0,3\n0,1,2\n\n1,1,4\n0,0,1\n",
                         encoding="utf-8")
         assert read_matrix_csv(path).values[:, :, 0].tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+    def test_level_grid_facing_up_writes_zero_not_minus_zero(self, tmp_path):
+        # the lamp's rays reach these cells edge-on, at cos(incidence) = 0
+        scene = single_lamp_scene(grid="1 0.5 3 1.5 1 3.0 0 0 1")
+        matrix = sweep(scene)
+        assert matrix.values.tolist() == [[[0.0]], [[0.0]]]
+        assert not np.signbit(matrix.values).any()
+        path = tmp_path / "m.csv"
+        write_matrix_csv(matrix, path)
+        assert path.read_text(encoding="utf-8") == "point_index,door_state,lum_0\n0,0,0\n1,0,0\n"
+        # "-0" is not negative lux, so it still reads
+        path.write_text("point_index,door_state,lum_0\n0,0,-0\n1,0,-0\n", encoding="utf-8")
+        assert read_matrix_csv(path).values.tolist() == [[[0.0]], [[0.0]]]
+
+    def test_streamed_file_spans_blocks_and_stays_smaller_than_itself(self, tmp_path):
+        # the 0.05 m apartment's shape: each cell repeats one row over 9 door states,
+        # and 15% of those rows are dark
+        rng = np.random.default_rng(5)
+        values = np.repeat(np.round(rng.uniform(0.0, 60.0, (31050, 1, 6)), 1), 9, axis=1)
+        values[rng.random((31050, 9)) < 0.15] = 0.0
+        matrix = ContributionMatrix(values)
+        assert values[0].nbytes * len(values) > 4 * transport.CSV_BLOCK_BYTES
+        path = tmp_path / "m.csv"
+        tracemalloc.start()
+        try:
+            write_matrix_csv(matrix, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < path.stat().st_size
+        assert path.read_text(encoding="utf-8") == matrix_to_csv(matrix)
+
+
+def reference_matrix_csv(values):
+    """contributions.csv formatted row by row."""
+    n = values.shape[2]
+    lines = ["point_index,door_state" + "".join(f",lum_{i}" for i in range(n))]
+    for p, rows in enumerate(values.tolist()):
+        for q, row in enumerate(rows):
+            lines.append(f"{p},{q}" + "".join(",%.6g" % v for v in row))
+    return "\n".join(lines) + "\n"
+
+
+lux_values = st.sampled_from([0.0, -0.0, 1.0, 0.1, 2.5e-7, 123456.5, 1234567.0, 9.9999995,
+                              1e300, math.inf, math.nan]) | st.floats(min_value=0.0, max_value=1e4)
+
+
+@st.composite
+def repeating_matrices(draw):
+    """Matrices whose later door states copy state 0's row, copy it with
+    the sign of every zero flipped, or are drawn afresh."""
+    n = draw(st.sampled_from([1, 2, 6, 16]))
+    n_states = draw(st.sampled_from([1, 2, 3, 9]))
+    n_points = draw(st.integers(min_value=1, max_value=12))
+    values = np.zeros((n_points, n_states, n))
+    for p in range(n_points):
+        values[p, 0] = draw(st.lists(lux_values, min_size=n, max_size=n))
+        first = values[p, 0]
+        for q in range(1, n_states):
+            kind = draw(st.sampled_from(["copy", "flip_zeros", "fresh"]))
+            if kind == "copy":
+                values[p, q] = first
+            elif kind == "flip_zeros":
+                values[p, q] = np.where(first == 0.0, -first, first)
+            else:
+                values[p, q] = draw(st.lists(lux_values, min_size=n, max_size=n))
+    return values
+
+
+@given(repeating_matrices(), st.integers(min_value=1, max_value=4096))
+@example(np.array([[[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0]]]), 8)
+@settings(max_examples=100, deadline=None)
+def test_writers_equal_a_per_row_reference(tmp_path_factory, values, block_bytes):
+    # small blocks put most examples over several blocks
+    matrix = ContributionMatrix(values)
+    expected = reference_matrix_csv(values)
+    path = tmp_path_factory.mktemp("csv") / "m.csv"
+    with mock.patch.object(transport, "CSV_BLOCK_BYTES", block_bytes):
+        assert matrix_to_csv(matrix) == expected
+        write_matrix_csv(matrix, path)
+    assert path.read_text(encoding="utf-8") == expected
+
+
+def test_writers_equal_the_reference_past_one_default_block():
+    # Q = 1, n = 16: no row repeats, and 2.5 blocks of points at the default size
+    n_points = 5 * transport.CSV_BLOCK_BYTES // (2 * 16 * 8)
+    values = np.random.default_rng(3).uniform(0.0, 50.0, (n_points, 1, 16))
+    assert matrix_to_csv(ContributionMatrix(values)) == reference_matrix_csv(values)
 
 
 @given(st.lists(st.floats(min_value=0.0, max_value=100.0, allow_nan=False), min_size=1, max_size=10))
