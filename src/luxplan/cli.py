@@ -140,8 +140,8 @@ def cmd_solve_cover(config: RunConfig) -> int:
     space = StateSpace(n_luminaires=scene.n_luminaires, door_states=tuple(enumerate_door_states(scene)))
     if config.universe == "open-door":
         q_open = open_door_state_index(scene)
-        keep = frozenset(space.state_id(p, q_open) for p in range(space.n_configs))
-        instance = restrict_cover_instance(instance, keep)
+        instance = restrict_cover_instance(
+            instance, range(q_open * space.n_configs, (q_open + 1) * space.n_configs))
     solution = (
         exact_min_cover(instance, limit=config.exact_limit)
         if config.exact

@@ -44,8 +44,10 @@ def heatmap_pgm(grid: Grid, values: np.ndarray, maxval: int) -> str:
     raster[grid.cells[:, 1], grid.cells[:, 0]] = values
     if raster.max(initial=0) > maxval:
         raise ValueError("score exceeds the declared maxval")
-    rows = raster[::-1].tolist()  # image convention: top row first
-    return f"P2\n{grid.nx} {grid.ny}\n{maxval}\n" + "".join(" ".join(map(str, row)) + "\n" for row in rows)
+    row_format = " ".join(["%d"] * grid.nx) + "\n"
+    # image convention: top row first
+    body = row_format * grid.ny % tuple(raster[::-1].ravel().tolist())
+    return f"P2\n{grid.nx} {grid.ny}\n{maxval}\n" + body
 
 
 def write_heatmap_set(

@@ -112,14 +112,20 @@ def _isolated(values: np.ndarray, tau: float) -> np.ndarray:
     return flags
 
 
+def _check_tau(tau: float) -> None:
+    """A tolerance must be a finite number >= 0: a negative one calls
+    colliding readings isolated, and NaN or infinity isolates nothing."""
+    if not 0 <= tau < math.inf:
+        raise ValueError("tau must be nonnegative and finite")
+
+
 def distinctness_vector(values, tau: float) -> DistinctnessVector:
     """Flag entries whose nearest other entry is more than tau away.
 
     Strict inequality: a gap of exactly tau is not distinct. A single
     entry is trivially distinct.
     """
-    if tau < 0:
-        raise ValueError("tau must be nonnegative")
+    _check_tau(tau)
     vals = np.asarray(values, dtype=float)
     if vals.ndim != 1 or vals.size == 0:
         raise ValueError("need a 1-D, nonempty value vector")
@@ -150,13 +156,23 @@ def distinctness_flags_batch(values: np.ndarray, tau: float) -> np.ndarray:
     function of x, and door states leave most cells' vectors unchanged, so
     each distinct byte pattern of x is flagged once and the result is
     scattered back to every row that repeats it.
+
+    A vector with an entry equal to 0 (or -0.0) isolates nothing, so its
+    2^n sums are never built. Adding zero is exact, so configurations p
+    and p with that luminaire toggled get the same float through every
+    later doubling step: each sum has an equal twin, a gap of 0, which is
+    not more than any tau >= 0.
     """
+    _check_tau(tau)
     values = np.asarray(values, dtype=float)
     n = values.shape[-1]
     rows = np.ascontiguousarray(values).reshape(-1, n)
     keys = rows.view(np.dtype((np.void, rows.itemsize * n))).ravel()
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    flags = _isolated(config_sums_batch(rows[first]), tau)
+    distinct = rows[first]
+    live = (distinct != 0).all(axis=1)
+    flags = np.zeros((distinct.shape[0], 1 << n), dtype=bool)
+    flags[live] = _isolated(config_sums_batch(distinct[live]), tau)
     return flags[inverse].reshape(values.shape[:-1] + (1 << n,))
 
 
@@ -177,9 +193,13 @@ def build_cover_instance(matrix: ContributionMatrix, tau: float = DEFAULT_TAU) -
     return CoverInstance._of_matrix(rows, np.arange(rows.shape[1], dtype=np.int64))
 
 
-def restrict_cover_instance(instance: CoverInstance, keep: frozenset[int]) -> CoverInstance:
-    """Project an instance onto a sub-universe (e.g. a single door state)."""
-    columns = np.isin(instance.ids, np.fromiter(keep, dtype=np.int64, count=len(keep)))
+def restrict_cover_instance(instance: CoverInstance, keep: Iterable[int]) -> CoverInstance:
+    """Project an instance onto a sub-universe (e.g. a single door state).
+
+    keep is any iterable of state ids, such as a range or a frozenset; ids
+    outside the instance's universe are ignored.
+    """
+    columns = np.isin(instance.ids, np.fromiter(keep, dtype=np.int64))
     return CoverInstance._of_matrix(instance.matrix[:, columns], instance.ids[columns])
 
 
@@ -187,27 +207,30 @@ def greedy_set_cover(instance: CoverInstance) -> CoverSolution:
     """Classic greedy cover: repeatedly take the set with the largest
     uncovered gain, ties broken by the lowest point index.
 
-    Stops early (complete=False) when no set adds coverage, which happens
-    whenever part of the universe is in no set.
+    Runs on the instance's non-empty part: rows that cover nothing can
+    never be taken, and columns no row covers can never be gained, so
+    both are dropped first. The kept rows stay in ascending order, so
+    ties still go to the lowest point index. Every coverable state ends
+    up covered; complete=False says some state is in no set.
     """
     m = instance.matrix
-    uncovered = np.ones(m.shape[1], dtype=bool)
+    rows = np.flatnonzero(m.any(axis=1))
+    cols = m.any(axis=0)
+    sub = m[np.ix_(rows, np.flatnonzero(cols))]
+    uncovered = np.ones(sub.shape[1], dtype=bool)
     chosen: list[int] = []
     gains: list[int] = []
-    while uncovered.any():
-        counts = (m & uncovered).sum(axis=1)
+    while uncovered.any():  # some kept row covers each uncovered column, so gain > 0
+        counts = (sub & uncovered).sum(axis=1)
         best = int(np.argmax(counts))  # argmax returns the first (lowest) index on ties
-        gain = int(counts[best])
-        if gain == 0:
-            break
-        chosen.append(best)
-        gains.append(gain)
-        uncovered &= ~m[best]
+        chosen.append(int(rows[best]))
+        gains.append(int(counts[best]))
+        uncovered &= ~sub[best]
     return CoverSolution(
         chosen=chosen,
         gains=gains,
-        covered=frozenset(instance.ids[~uncovered].tolist()),
-        complete=not uncovered.any(),
+        covered=frozenset(instance.ids[cols].tolist()),
+        complete=bool(cols.all()),
     )
 
 

@@ -127,6 +127,17 @@ class TestExitCodes:
         assert code == EXIT_INVALID
         assert where in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["heatmap", "solve-cover"])
+    @pytest.mark.parametrize("tau", ["-1", "nan", "inf"])
+    def test_bad_tau_rejected(self, toy_scene_file, tmp_path, capsys, command, tau):
+        # a negative tau used to report every configuration isolated, and
+        # nan none, both with exit 0
+        out = tmp_path / "out"
+        code = run([command, "--scene", str(toy_scene_file), "--tau", tau, "--out", str(out)])
+        assert code == EXIT_INVALID
+        assert "tau must be nonnegative" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSimulate:
     def test_writes_contributions(self, toy_scene_file, tmp_path, capsys):

@@ -21,6 +21,7 @@ from luxplan import (
     heatmap_scores,
     restrict_cover_instance,
 )
+from luxplan.planning import _isolated
 from luxplan.transport import ContributionMatrix
 
 
@@ -191,6 +192,61 @@ class TestBatch:
         assert scores.sum(axis=1).tolist() == [8 + 4]
 
 
+def unpruned_flags(values, tau):
+    """The batch kernel without the exact-zero prune: every row's 2^n sums
+    are built and compared, one row at a time."""
+    values = np.asarray(values, dtype=float)
+    rows = values.reshape(-1, values.shape[-1])
+    flags = [_isolated(config_sums_batch(row), tau) for row in rows]
+    return np.array(flags).reshape(values.shape[:-1] + (1 << values.shape[-1],))
+
+
+class TestExactZeroPrune:
+    @pytest.mark.parametrize("tau", [-1.0, -0.5, -1e-300, math.nan, math.inf, -math.inf])
+    def test_bad_tau_rejected(self, tau):
+        # a negative tau would call every colliding reading isolated
+        with pytest.raises(ValueError, match="tau must be nonnegative"):
+            distinctness_flags_batch(np.array([[1.0, 0.0]]), tau)
+        with pytest.raises(ValueError, match="tau must be nonnegative"):
+            distinctness_vector([1.0, 2.0], tau)
+
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    def test_row_with_a_zero_entry_isolates_nothing(self, zero):
+        values = np.array([[3.0, zero, 5.0], [3.0, 1.0, 5.0]])
+        flags = distinctness_flags_batch(values, tau=0.0)
+        assert not flags[0].any()
+        assert flags[1].all()
+        assert np.array_equal(flags, unpruned_flags(values, 0.0))
+
+    def test_all_rows_zero_and_no_row_zero(self):
+        for values in (np.zeros((3, 2, 4)), np.broadcast_to([1.0, 2.0, 4.0, 8.0], (3, 2, 4))):
+            assert np.array_equal(distinctness_flags_batch(values, 0.01), unpruned_flags(values, 0.01))
+
+
+# half-lux lattice values collide often; tiny and -0.0 entries sit at the prune's edge
+any_entry = (st.integers(min_value=0, max_value=8).map(lambda k: k / 2.0)
+             | st.sampled_from([-0.0, 1e-300]) | st.floats(0.0, 50.0))
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_pruned_flags_equal_the_unpruned_kernel(data):
+    n = data.draw(st.integers(min_value=1, max_value=10))
+    n_rows = data.draw(st.integers(min_value=1, max_value=6))
+    rows = [data.draw(st.lists(any_entry, min_size=n, max_size=n)) for _ in range(n_rows)]
+    # plant 0.0 and -0.0 in some rows, and repeat some rows
+    for row in rows:
+        if data.draw(st.booleans()):
+            where = data.draw(st.integers(min_value=0, max_value=n - 1))
+            row[where] = data.draw(st.sampled_from([0.0, -0.0]))
+    rows += [rows[i] for i in data.draw(st.lists(st.integers(min_value=0, max_value=n_rows - 1), max_size=3))]
+    values = np.array(rows).reshape(len(rows), 1, n)
+    tau = data.draw(st.sampled_from([0.0, 0.0, 0.01, 0.25, 1.0]))
+    flags = distinctness_flags_batch(values, tau)
+    assert flags.dtype == bool
+    assert np.array_equal(flags, unpruned_flags(values, tau))
+
+
 class TestStateSpace:
     def test_totals(self):
         space = StateSpace(n_luminaires=6, door_states=tuple(DoorState((a,)) for a in (0, 45, 90)))
@@ -243,6 +299,14 @@ class TestCoverInstance:
         # 99 is outside the universe and is dropped
         assert instance.matrix.tolist() == [[True, False, True], [False, False, False]]
 
+    def test_restrict_takes_any_iterable_of_ids(self):
+        instance = CoverInstance(universe=range(6), sets=(frozenset({0, 4}), frozenset({1, 5})))
+        for keep in (range(2, 6), frozenset({2, 3, 4, 5}), iter([5, 4, 3, 2]), (k for k in (2, 3, 4, 5, 9))):
+            sub = restrict_cover_instance(instance, keep)
+            assert sub.ids.tolist() == [2, 3, 4, 5]
+            assert sub.matrix.tolist() == [[False, False, True, False], [False, False, False, True]]
+        assert restrict_cover_instance(instance, range(0)).matrix.shape == (2, 0)
+
     def test_restrict_projects_universe_and_sets(self):
         instance = CoverInstance(
             universe=frozenset({0, 1, 2, 3}),
@@ -284,6 +348,46 @@ def test_matrix_and_hand_built_instances_solve_alike(data):
         assert solution_fields(exact_min_cover(a)) == solution_fields(exact_min_cover(b))
 
 
+def greedy_reference(instance):
+    """greedy_set_cover before it dropped empty rows and columns: the full
+    matrix, stopping when the best gain is 0."""
+    m = instance.matrix
+    uncovered = np.ones(m.shape[1], dtype=bool)
+    chosen, gains = [], []
+    while uncovered.any():
+        counts = (m & uncovered).sum(axis=1)
+        best = int(np.argmax(counts))
+        gain = int(counts[best])
+        if gain == 0:
+            break
+        chosen.append(best)
+        gains.append(gain)
+        uncovered &= ~m[best]
+    return chosen, gains, frozenset(instance.ids[~uncovered].tolist()), not uncovered.any()
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_greedy_equals_the_full_matrix_loop(data):
+    n_rows = data.draw(st.integers(min_value=1, max_value=9))
+    n_cols = data.draw(st.integers(min_value=0, max_value=14))
+    density = data.draw(st.sampled_from([0.1, 0.3, 0.6]))
+    seed = data.draw(st.integers(min_value=0, max_value=2**32 - 1))
+    rng = np.random.default_rng(seed)
+    m = rng.random((n_rows, n_cols)) < density
+    # empty rows, empty columns and duplicate rows (equal gains tie)
+    m[rng.random(n_rows) < 0.3] = False
+    m[:, rng.random(n_cols) < 0.2] = False
+    for k in np.flatnonzero(rng.random(n_rows) < 0.3):
+        m[k] = m[rng.integers(n_rows)]
+    ids = np.sort(rng.choice(4 * n_cols + 1, size=n_cols, replace=False))
+    instance = CoverInstance(universe=frozenset(ids.tolist()),
+                             sets=[frozenset(ids[row].tolist()) for row in m])
+    keep = frozenset(data.draw(st.lists(st.sampled_from(ids.tolist()), max_size=n_cols)) if n_cols else ())
+    for inst in (instance, restrict_cover_instance(instance, keep)):
+        assert solution_fields(greedy_set_cover(inst)) == greedy_reference(inst)
+
+
 class TestGreedy:
     def test_hand_traceable_instance(self):
         instance = CoverInstance(
@@ -317,6 +421,10 @@ class TestGreedy:
         assert not sol.complete
         assert sol.covered == frozenset({1, 2})
         assert len(sol.chosen) == 2
+
+    def test_instance_without_rows_covers_nothing(self):
+        sol = greedy_set_cover(CoverInstance(universe=frozenset({1, 2}), sets=()))
+        assert (sol.chosen, sol.covered, sol.complete) == ([], frozenset(), False)
 
     def test_covered_is_union_of_chosen(self):
         rng = np.random.default_rng(4)
@@ -427,3 +535,20 @@ class TestApartmentPlanning:
         sol = greedy_set_cover(restrict_cover_instance(instance, keep))
         assert sol.complete
         assert len(sol.chosen) == 1
+
+    def test_open_door_range_restricts_like_the_state_id_set(self, apartment, apartment_matrix):
+        from luxplan.scene import enumerate_door_states, open_door_state_index
+
+        instance = build_cover_instance(apartment_matrix, tau=0.01)
+        space = StateSpace(
+            n_luminaires=apartment.n_luminaires,
+            door_states=tuple(enumerate_door_states(apartment)),
+        )
+        q_open = open_door_state_index(apartment)
+        by_set = restrict_cover_instance(
+            instance, frozenset(space.state_id(p, q_open) for p in range(space.n_configs)))
+        by_range = restrict_cover_instance(
+            instance, range(q_open * space.n_configs, (q_open + 1) * space.n_configs))
+        assert np.array_equal(by_range.ids, by_set.ids)
+        assert np.array_equal(by_range.matrix, by_set.matrix)
+        assert solution_fields(greedy_set_cover(by_range)) == solution_fields(greedy_set_cover(by_set))
