@@ -46,6 +46,7 @@ from .inference import (
     infer_reading,
     jaccard_accuracy,
     perfect_sum,
+    perfect_sum_indices,
     sensor_votes,
 )
 from .planning import (
@@ -90,7 +91,7 @@ __all__ = [
     "contribution", "contribution_vector",
     "read_matrix_csv", "reading", "sweep", "write_matrix_csv",
     "InferenceResult", "PerfectSumQuery", "VoteVector", "fuse_candidates", "fuse_votes",
-    "infer_reading", "jaccard_accuracy", "perfect_sum", "sensor_votes",
+    "infer_reading", "jaccard_accuracy", "perfect_sum", "perfect_sum_indices", "sensor_votes",
     "CoverInstance", "CoverSolution", "DEFAULT_TAU", "DistinctnessVector",
     "StateSpace", "build_cover_instance", "config_sums_batch",
     "distinctness_flags_batch", "distinctness_vector", "exact_min_cover",

@@ -208,7 +208,8 @@ def cmd_infer(config: RunConfig, readings_path: Path) -> int:
                        sigma=config.sigma, seed=config.seed)
     n = scene.n_luminaires
 
-    # Every row is checked, in file order, before any is answered. Rows that
+    # Every row is checked, in file order, before any is answered; a row
+    # keeps only its lux and its vector's number until then. Rows that
     # revisit a (point, door state) share its vector; vectors are numbered
     # as they first appear, and each run of `step` of them shares one table
     # build. Each batch's rows are answered in file order.
@@ -216,7 +217,8 @@ def cmd_infer(config: RunConfig, readings_path: Path) -> int:
     numbers: dict[tuple[int, int], int] = {}
     vectors: list[ContributionVector] = []
     contributions: list[tuple[float, ...]] = []
-    posed: list[tuple[PerfectSumQuery, LightConfig | None, int]] = []
+    luxes: list[float] = []
+    vector_of: list[int] = []
     batches: list[list[int]] = []
     trials: dict[str, list[int]] = {}  # each trial's rows, trials in first-appearance order
     for i, row in enumerate(rows):
@@ -236,8 +238,8 @@ def cmd_infer(config: RunConfig, readings_path: Path) -> int:
             if truth is None:
                 raise ValueError("a reading row needs lux, or truth to simulate it")
             lux = reading(vectors[v], truth, noise)
-        query = PerfectSumQuery(contributions=contributions[v], target=lux, epsilon=config.epsilon)
-        posed.append((query, truth, v))
+        luxes.append(lux)
+        vector_of.append(v)
         batches[v // step].append(i)
         trials.setdefault(row["trial"], []).append(i)
 
@@ -246,12 +248,14 @@ def cmd_infer(config: RunConfig, readings_path: Path) -> int:
     left = {trial: len(members) for trial, members in trials.items()}
     report_rows: list[tuple | None] = [None] * len(rows)
     fused_rows: dict[str, tuple | None] = dict.fromkeys(trials)
-    held: dict[int, list[LightConfig]] = {}
+    held: dict[int, list[int]] = {}
     for b, batch_rows in enumerate(batches):
         tables = half_sums_batch(np.array(contributions[b * step:(b + 1) * step], dtype=float))
         for i in batch_rows:
-            row, trial = rows[i], rows[i]["trial"]
-            query, truth, v = posed[i]
+            row, trial, v = rows[i], rows[i]["trial"], vector_of[i]
+            truth = LightConfig.from_index(row["truth"], n) if row["truth"] is not None else None
+            query = PerfectSumQuery(contributions=contributions[v], target=luxes[i],
+                                    epsilon=config.epsilon)
             result = infer_reading(query, truth=truth, halves=tables[v - b * step])
             acc = f"{result.accuracy:.6g}" if result.accuracy is not None else ""
             truth_p = row["truth"] if row["truth"] is not None else -1
@@ -260,7 +264,7 @@ def cmd_infer(config: RunConfig, readings_path: Path) -> int:
             held[i] = result.candidates
             left[trial] -= 1
             if not left[trial]:
-                fused_rows[trial] = _fused_row(trial, [(rows[j], vectors[posed[j][2]], held.pop(j))
+                fused_rows[trial] = _fused_row(trial, [(rows[j], vectors[vector_of[j]], held.pop(j))
                                                        for j in trials[trial]], n)
         del tables  # the next batch's tables replace these rather than join them
 
@@ -284,16 +288,16 @@ def cmd_infer(config: RunConfig, readings_path: Path) -> int:
     return EXIT_OK
 
 
-def _fused_row(trial: str, entries: list[tuple[dict, ContributionVector, list[LightConfig]]],
+def _fused_row(trial: str, entries: list[tuple[dict, ContributionVector, list[int]]],
                n: int) -> tuple:
-    """The fused.csv row of a trial from its (row, vector, candidates) entries."""
+    """The fused.csv row of a trial from its (row, vector, candidate indices) entries."""
     votes = [sensor_votes(x, candidates) for _, x, candidates in entries]
     fused, rule = fuse_candidates([candidates for _, _, candidates in entries], fuse_votes(votes))
     truths = {r["truth"] for r, _, _ in entries}
     truth_index = truths.pop() if len(truths) == 1 else None
     acc = ""
     if truth_index is not None:
-        acc = f"{jaccard_accuracy(LightConfig.from_index(truth_index, n), [fused]):.6g}"
+        acc = f"{jaccard_accuracy(LightConfig.from_index(truth_index, n), [fused.index]):.6g}"
     door_states = {r["door_state"] for r, _, _ in entries}
     ds = door_states.pop() if len(door_states) == 1 else -1
     return (trial, ds, truth_index if truth_index is not None else -1, fused.index, acc, rule)

@@ -6,13 +6,16 @@ within epsilon of K (absolute tolerance). Ambiguity is scored with the
 Jaccard index against ground truth. Multiple sensors are combined by
 intersecting their candidate sets, with a per-luminaire majority vote as
 the tie-break and as the fallback when the sets share nothing.
+
+A candidate set is a list of configuration indices (bit i set when
+luminaire i is on) sorted ascending; only perfect_sum wraps them in
+LightConfig.
 """
 from __future__ import annotations
 
 import logging
 import math
 from dataclasses import dataclass
-from operator import attrgetter
 
 import numpy as np
 
@@ -25,10 +28,8 @@ MAX_SOLVER_BITS = 24
 # bytes of meet-in-the-middle tables built at once; one 24-luminaire
 # vector's tables take 96 KB
 TABLE_BUDGET_BYTES = 16 << 20
-# sensor_votes counts on-bits one luminaire at a time in Python up to this
-# many (candidate, luminaire) pairs; beyond it one numpy pass, whose fixed
-# cost is about 10 us a call, is cheaper
-VOTE_LOOP_BITS = 128
+# a uint64 configuration index seen as its 8 little-endian bytes
+_MASK_BYTES = np.dtype((np.uint8, 8))
 
 
 @dataclass(frozen=True)
@@ -42,7 +43,9 @@ class PerfectSumQuery:
             raise ValueError(f"target {self.target} and epsilon {self.epsilon} must be finite")
         if self.epsilon < 0:
             raise ValueError("epsilon must be nonnegative")
-        if any(v < 0 for v in self.contributions):
+        if not all(map(math.isfinite, self.contributions)):
+            raise ValueError("contributions must be finite")
+        if self.contributions and min(self.contributions) < 0:
             raise ValueError("contributions must be nonnegative")
         if len(self.contributions) > MAX_SOLVER_BITS:
             raise ValueError(
@@ -61,13 +64,13 @@ class VoteVector:
     votes: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if any(v not in (-1, 0, 1) for v in self.votes):
+        if not {-1, 0, 1}.issuperset(self.votes):
             raise ValueError("votes must be -1, 0, or +1")
 
 
 @dataclass
 class InferenceResult:
-    candidates: list[LightConfig]
+    candidates: list[int]
     accuracy: float | None = None
     no_solution: bool = False
 
@@ -77,15 +80,16 @@ class HalfSums:
     """Meet-in-the-middle tables of one contribution vector of n luminaires.
 
     lo holds the subset sums of the low n // 2 luminaires, indexed by low
-    mask. hi holds the subset sums of the other luminaires, sorted
-    ascending, and hi_masks the configuration bits of each (the high mask
-    shifted past the low half). Every sum adds its luminaires in
-    increasing bit order starting from 0.0.
+    mask, and lo_masks those masks. hi holds the subset sums of the other
+    luminaires, sorted ascending, and hi_masks the configuration bits of
+    each (the high mask shifted past the low half). Every sum adds its
+    luminaires in increasing bit order starting from 0.0.
     """
 
     lo: np.ndarray
     hi: np.ndarray
     hi_masks: np.ndarray
+    lo_masks: np.ndarray
 
 
 def half_sums_batch(values: np.ndarray) -> list[HalfSums]:
@@ -97,7 +101,8 @@ def half_sums_batch(values: np.ndarray) -> list[HalfSums]:
     order = hi.argsort(axis=1, kind="stable")
     hi.sort(axis=1)
     order <<= h
-    return list(map(HalfSums, lo, hi, order))
+    lo_masks = np.arange(1 << h)
+    return [HalfSums(*row, lo_masks) for row in zip(lo, hi, order)]
 
 
 def tables_per_batch(n: int) -> int:
@@ -106,38 +111,47 @@ def tables_per_batch(n: int) -> int:
     return max(1, TABLE_BUDGET_BYTES // (8 * ((1 << h) + 2 * (1 << (n - h)))))
 
 
-def perfect_sum(query: PerfectSumQuery, halves: HalfSums | None = None) -> list[LightConfig]:
-    """Every configuration whose reading matches the target within epsilon.
+def perfect_sum_indices(query: PerfectSumQuery, halves: HalfSums | None = None) -> list[int]:
+    """Every configuration index whose reading matches the target within
+    epsilon, sorted ascending.
 
     Meet in the middle (Horowitz and Sahni, JACM 1974): each low-half sum s
     admits the sorted high-half sums in [target - epsilon - s,
     target + epsilon - s], found by binary search, so a query takes
     O(n 2^(n/2)) steps plus one per match once the tables of its
     contribution vector are built. `halves` are those tables, built by
-    half_sums_batch; without them the query builds its own. Results are
-    sorted ascending by configuration index.
+    half_sums_batch; without them the query builds its own.
     """
-    n = len(query.contributions)
     if halves is None:
         (halves,) = half_sums_batch(np.array([query.contributions], dtype=float))
     lo, hi = halves.lo, halves.hi
-    low, high = query.target - query.epsilon, query.target + query.epsilon
-    first = hi.searchsorted(low - lo, "left")
-    last = hi.searchsorted(high - lo, "right")
+    first = hi.searchsorted((query.target - query.epsilon) - lo)
+    last = hi.searchsorted((query.target + query.epsilon) - lo, "right")
     counts = last - first
     ends = counts.cumsum()
-    if not ends[-1]:
+    total = ends[-1]
+    if not total:
         return []
     # the matches of low mask m are hi_masks[first[m]:last[m]], at
     # positions ends[m] - counts[m] ... ends[m] - 1 of the result
-    pos = np.arange(ends[-1]) + np.repeat(last - ends, counts)
-    masks = np.repeat(np.arange(lo.size), counts) | halves.hi_masks[pos]
+    last -= ends
+    pos = np.repeat(last, counts)
+    pos += np.arange(total)
+    masks = halves.hi_masks[pos]
+    masks |= np.repeat(halves.lo_masks, counts)
     masks.sort()
-    return [LightConfig(m, n) for m in masks.tolist()]
+    return masks.tolist()
 
 
-def jaccard_accuracy(truth: LightConfig, candidates: list[LightConfig]) -> float:
-    """Mean Jaccard similarity between the truth's on-set and each candidate's.
+def perfect_sum(query: PerfectSumQuery, halves: HalfSums | None = None) -> list[LightConfig]:
+    """perfect_sum_indices, each index as a LightConfig."""
+    n = len(query.contributions)
+    return [LightConfig(m, n) for m in perfect_sum_indices(query, halves)]
+
+
+def jaccard_accuracy(truth: LightConfig, candidates: list[int]) -> float:
+    """Mean Jaccard similarity between the truth's on-set and each
+    candidate index's.
 
     Two all-off sets count as identical (score 1). An empty candidate list
     scores 0 by convention.
@@ -148,8 +162,8 @@ def jaccard_accuracy(truth: LightConfig, candidates: list[LightConfig]) -> float
     t = truth.index
     total = 0.0
     for cand in candidates:
-        union = (t | cand.index).bit_count()
-        total += (t & cand.index).bit_count() / union if union else 1.0
+        union = (t | cand).bit_count()
+        total += (t & cand).bit_count() / union if union else 1.0
     return total / len(candidates)
 
 
@@ -160,34 +174,32 @@ def infer_reading(
 ) -> InferenceResult:
     """Run the perfect-sum search, on the vector's tables when given, and
     score it when truth is known."""
-    candidates = perfect_sum(query, halves)
+    candidates = perfect_sum_indices(query, halves)
     accuracy = jaccard_accuracy(truth, candidates) if truth is not None else None
     return InferenceResult(candidates=candidates, accuracy=accuracy, no_solution=not candidates)
 
 
-def sensor_votes(x: ContributionVector, candidates: list[LightConfig]) -> VoteVector:
-    """One sensor's per-luminaire majority vote over its candidate set.
+def sensor_votes(x: ContributionVector, candidates: list[int]) -> VoteVector:
+    """One sensor's per-luminaire majority vote over its candidate indices.
 
     Luminaires outside the sensor's range (x_i == 0) abstain, as do exact
     ties and empty candidate lists.
     """
     k = len(candidates)
-    in_range = [v > 0 for v in x.values.tolist()]
-    if k * x.n <= VOTE_LOOP_BITS:
-        ones = [sum(c.index >> i & 1 for c in candidates) if r else 0 for i, r in enumerate(in_range)]
-    else:
-        # one pass over all candidates: column i of their unpacked
-        # little-endian masks is luminaire i
-        masks = np.fromiter(map(attrgetter("index"), candidates), "<u8", k)
-        ones = np.unpackbits(masks.view(np.uint8), bitorder="little").reshape(k, 64).sum(axis=0).tolist()
-    return VoteVector(votes=tuple((o + o > k) - (o + o < k) if r else 0 for o, r in zip(ones, in_range)))
+    # row j of the unpacked bytes holds candidate j's bits, luminaire i in
+    # column i
+    bits = np.unpackbits(np.array(candidates, "<u8").view(_MASK_BYTES), axis=1, count=x.n,
+                         bitorder="little")
+    ones = bits.sum(axis=0).tolist()
+    return VoteVector(votes=tuple((o + o > k) - (o + o < k) if v > 0 else 0
+                                  for o, v in zip(ones, x.values.tolist())))
 
 
 def fuse_candidates(
-    candidate_sets: list[list[LightConfig]],
+    candidate_sets: list[list[int]],
     voted: LightConfig,
 ) -> tuple[LightConfig, str]:
-    """Combine sensors by intersecting their candidate sets.
+    """Combine sensors by intersecting their sorted candidate index lists.
 
     Every sensor admits each member of the intersection. A lone member is
     the answer; among several, the one nearest `voted` (the fuse_votes
@@ -197,10 +209,15 @@ def fuse_candidates(
     """
     if not candidate_sets:
         raise ValueError("need at least one candidate set")
-    common = set.intersection(*({c.index for c in cands} for cands in candidate_sets))
+    common, *rest = candidate_sets
+    if rest:
+        shared = set(rest[0]).intersection(*rest[1:])
+        common = [m for m in common if m in shared]
     if not common:
         return voted, "vote"
-    nearest = min(common, key=lambda m: ((m ^ voted.index).bit_count(), m))
+    v = voted.index
+    # common is sorted, so the first minimum is the lowest index
+    nearest = min(common, key=lambda m: (m ^ v).bit_count())
     return LightConfig(nearest, voted.n), "intersection"
 
 
@@ -211,11 +228,9 @@ def fuse_votes(all_votes: list[VoteVector]) -> LightConfig:
     n = len(all_votes[0].votes)
     if any(len(v.votes) != n for v in all_votes):
         raise ValueError("vote vectors must have equal length")
-    index = 0
-    for i in range(n):
-        total = sum(v.votes[i] for v in all_votes)
-        if total == 0:
-            log.debug("fuse_votes: tie on luminaire %d resolves to off", i)
-        if total > 0:
-            index |= 1 << i
-    return LightConfig(index, n)
+    totals = list(map(sum, zip(*(v.votes for v in all_votes))))
+    if log.isEnabledFor(logging.DEBUG):
+        ties = [i for i, total in enumerate(totals) if total == 0]
+        if ties:
+            log.debug("fuse_votes: ties on luminaires %s resolve to off", ties)
+    return LightConfig(sum(1 << i for i, total in enumerate(totals) if total > 0), n)

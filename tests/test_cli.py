@@ -392,7 +392,7 @@ class TestInfer:
             fused, rule = fuse_candidates(candidate_sets, fuse_votes(votes))
             truths = {truth for _, _, _, truth in members}
             truth = truths.pop() if len(truths) == 1 else ""
-            acc = f"{inference.jaccard_accuracy(LightConfig(truth, 6), [fused]):.6g}" if truth != "" else ""
+            acc = f"{inference.jaccard_accuracy(LightConfig(truth, 6), [fused.index]):.6g}" if truth != "" else ""
             doors = {q for _, q, _, _ in members}
             door = doors.pop() if len(doors) == 1 else -1
             want.append(f"{trial},{door},{truth if truth != '' else -1},{fused.index},{acc},{rule}")

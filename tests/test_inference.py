@@ -1,4 +1,5 @@
 """Perfect-sum search, ambiguity scoring, and multi-sensor voting."""
+import logging
 import math
 from bisect import bisect_left, bisect_right
 from operator import itemgetter
@@ -20,7 +21,6 @@ from luxplan import (
     perfect_sum,
     sensor_votes,
 )
-from luxplan import inference
 from luxplan.inference import half_sums_batch
 from luxplan.transport import ContributionVector
 
@@ -197,26 +197,37 @@ def test_query_rejects_non_finite_target_and_epsilon(target, epsilon):
         PerfectSumQuery(contributions=(1.0, 2.0), target=target, epsilon=epsilon)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("at", [0, 1])
+def test_query_rejects_non_finite_contributions(bad, at):
+    # a NaN or infinite contribution used to pass the sign check, and the
+    # search then matched configurations that leave it off
+    values = [1.0, 1.0]
+    values[at] = bad
+    with pytest.raises(ValueError, match="finite"):
+        PerfectSumQuery(contributions=tuple(values), target=1.0, epsilon=0.01)
+
+
 class TestJaccard:
     def test_worked_ambiguity(self):
         truth = LightConfig.from_index(0b011, 3)
-        cands = [LightConfig.from_index(0b011, 3), LightConfig.from_index(0b101, 3)]
+        cands = [0b011, 0b101]
         assert jaccard_accuracy(truth, cands) == pytest.approx(2 / 3, abs=1e-12)
 
     def test_exact_match_scores_one(self):
         truth = LightConfig.from_index(0b10, 2)
-        assert jaccard_accuracy(truth, [truth]) == 1.0
+        assert jaccard_accuracy(truth, [truth.index]) == 1.0
 
     def test_all_off_pair_scores_one(self):
         off = LightConfig.from_index(0, 3)
-        assert jaccard_accuracy(off, [off]) == 1.0
+        assert jaccard_accuracy(off, [off.index]) == 1.0
 
     def test_empty_candidates_score_zero(self):
         assert jaccard_accuracy(LightConfig.from_index(1, 1), []) == 0.0
 
     def test_disjoint_sets_score_zero(self):
         truth = LightConfig.from_index(0b01, 2)
-        assert jaccard_accuracy(truth, [LightConfig.from_index(0b10, 2)]) == 0.0
+        assert jaccard_accuracy(truth, [0b10]) == 0.0
 
     def test_infer_reading_scores_against_truth(self):
         q = PerfectSumQuery(contributions=(2.0, 3.0, 4.0, 5.0), target=7.0, epsilon=0.0)
@@ -231,22 +242,22 @@ class TestJaccard:
 class TestVoting:
     def test_single_candidate_votes_its_bits(self):
         x = ContributionVector(values=np.array([3.0, 2.0]))
-        votes = sensor_votes(x, [LightConfig.from_index(0b01, 2)])
+        votes = sensor_votes(x, [0b01])
         assert votes.votes == (1, -1)
 
     def test_out_of_range_luminaire_abstains(self):
         x = ContributionVector(values=np.array([3.0, 2.0, 0.0]))
-        votes = sensor_votes(x, [LightConfig.from_index(0b101, 3)])
+        votes = sensor_votes(x, [0b101])
         assert votes.votes[2] == 0
 
     def test_split_candidates_abstain(self):
         x = ContributionVector(values=np.array([3.0, 2.0]))
-        cands = [LightConfig.from_index(0b01, 2), LightConfig.from_index(0b10, 2)]
+        cands = [0b01, 0b10]
         assert sensor_votes(x, cands).votes == (0, 0)
 
     def test_majority_of_candidates_wins(self):
         x = ContributionVector(values=np.array([3.0, 2.0]))
-        cands = [LightConfig.from_index(p, 2) for p in (0b11, 0b01, 0b10)]
+        cands = [0b01, 0b10, 0b11]
         assert sensor_votes(x, cands).votes == (1, 1)
 
     def test_high_luminaires_vote_like_low_ones(self):
@@ -254,9 +265,7 @@ class TestVoting:
         values = np.ones(n)
         values[5] = 0.0
         top = 1 << 23
-        votes = sensor_votes(ContributionVector(values=values), [
-            LightConfig(top, n), LightConfig(top | 1 << 5 | 1, n), LightConfig(1 << 5, n),
-        ]).votes
+        votes = sensor_votes(ContributionVector(values=values), [1 << 5, top, top | 1 << 5 | 1]).votes
         assert votes[23] == 1 and votes[0] == -1 and votes[5] == 0
         assert votes[1:5] + votes[6:23] == (-1,) * 21
 
@@ -278,17 +287,26 @@ class TestVoting:
         with pytest.raises(ValueError):
             fuse_votes([VoteVector(votes=(1,)), VoteVector(votes=(1, 1))])
 
+    def test_fusion_logs_its_ties_once_and_only_at_debug(self, caplog):
+        votes = [VoteVector(votes=(1, 0, -1, 0)), VoteVector(votes=(-1, 0, 1, 1))]
+        with caplog.at_level(logging.INFO, logger="luxplan.inference"):
+            fuse_votes(votes)
+        assert not caplog.records
+        with caplog.at_level(logging.DEBUG, logger="luxplan.inference"):
+            assert fuse_votes(votes) == LightConfig.from_index(0b1000, 4)
+        assert [r.getMessage() for r in caplog.records] == [
+            "fuse_votes: ties on luminaires [0, 1, 2] resolve to off"]
+
     def test_vote_values_validated(self):
         with pytest.raises(ValueError):
             VoteVector(votes=(2,))
 
 
-@pytest.mark.parametrize("loop_bits", [0, 1 << 30])
-def test_vote_counting_paths_match_a_per_luminaire_reference(monkeypatch, loop_bits):
-    # sensor_votes counts small sets per luminaire and large ones with
-    # numpy; force each path over the same random sets
-    monkeypatch.setattr(inference, "VOTE_LOOP_BITS", loop_bits)
-    rng = np.random.default_rng(8)
+@pytest.mark.parametrize("seed", [0, 1 << 30])
+def test_vote_counting_paths_match_a_per_luminaire_reference(seed):
+    # sensor_votes counts every set in one numpy pass; two independent
+    # streams of random sets check it against a per-luminaire count
+    rng = np.random.default_rng(seed)
     for _ in range(200):
         n = int(rng.integers(1, 25))
         values = rng.uniform(0, 2, n) * (rng.random(n) < 0.7)
@@ -298,7 +316,7 @@ def test_vote_counting_paths_match_a_per_luminaire_reference(monkeypatch, loop_b
             ones = sum(m >> i & 1 for m in masks)
             zeros = len(masks) - ones
             want.append(0 if values[i] == 0 or ones == zeros else (1 if ones > zeros else -1))
-        got = sensor_votes(ContributionVector(values=values), [LightConfig(m, n) for m in masks])
+        got = sensor_votes(ContributionVector(values=values), masks)
         assert got.votes == tuple(want)
 
 
@@ -308,7 +326,7 @@ class TestCandidateFusion:
         for v in vectors:
             lux = sum(x for i, x in enumerate(v) if truth >> i & 1)
             sets.append(solve(v, lux, 0.0))
-        return [[LightConfig.from_index(p, len(vectors[0])) for p in s] for s in sets]
+        return sets
 
     def test_exact_sensor_is_not_outvoted(self):
         # truth "lamp 3 only": the first sensor decodes it exactly, the
@@ -323,8 +341,7 @@ class TestCandidateFusion:
         assert (fused.index, rule) == (0b1000, "intersection")
 
     def test_shared_candidates_go_to_the_one_nearest_the_vote(self):
-        sets = [[LightConfig.from_index(p, 3) for p in (0b001, 0b011, 0b101, 0b110)],
-                [LightConfig.from_index(p, 3) for p in (0b110, 0b101, 0b011)]]
+        sets = [[0b001, 0b011, 0b101, 0b110], [0b011, 0b101, 0b110]]
         fused, rule = fuse_candidates(sets, LightConfig.from_index(0b100, 3))
         assert (fused.index, rule) == (0b101, "intersection")
         # 0b011 and 0b101 are one bit from the vote: the lowest index wins
@@ -332,7 +349,7 @@ class TestCandidateFusion:
         assert fused.index == 0b011
 
     def test_disjoint_sets_fall_back_to_the_vote(self):
-        sets = [[LightConfig.from_index(1, 2)], [LightConfig.from_index(2, 2)], []]
+        sets = [[1], [2], []]
         voted = LightConfig.from_index(3, 2)
         assert fuse_candidates(sets, voted) == (voted, "vote")
 
@@ -348,7 +365,8 @@ def test_scoring_voting_and_fusion_match_a_bit_tuple_reference(data):
     config = st.integers(min_value=0, max_value=(1 << n) - 1)
     # small sets over a few luminaires make ties, shared members and all-off common
     truth = data.draw(config)
-    sets = data.draw(st.lists(st.lists(config, max_size=6, unique=True), min_size=1, max_size=4))
+    sets = data.draw(st.lists(st.lists(config, max_size=6, unique=True).map(sorted),
+                              min_size=1, max_size=4))
     values = data.draw(st.lists(st.sampled_from([0.0, 1.5]), min_size=n, max_size=n))
     bits = {p: tuple(p >> i & 1 for i in range(n)) for p in range(1 << n)}
 
@@ -368,21 +386,20 @@ def test_scoring_voting_and_fusion_match_a_bit_tuple_reference(data):
             votes.append(0 if values[i] == 0 or ones == zeros else (1 if ones > zeros else -1))
         return tuple(votes)
 
-    configs = [[LightConfig.from_index(p, n) for p in s] for s in sets]
     truth_config = LightConfig.from_index(truth, n)
     x = ContributionVector(values=np.array(values))
-    for s, cands in zip(sets, configs):
-        assert jaccard_accuracy(truth_config, cands) == pytest.approx(ref_jaccard(truth, s), abs=1e-12)
-    assert jaccard_accuracy(LightConfig.from_index(0, n), [LightConfig.from_index(0, n)]) == 1.0
+    for s in sets:
+        assert jaccard_accuracy(truth_config, s) == pytest.approx(ref_jaccard(truth, s), abs=1e-12)
+    assert jaccard_accuracy(LightConfig.from_index(0, n), [0]) == 1.0
 
-    votes = [sensor_votes(x, cands) for cands in configs]
+    votes = [sensor_votes(x, cands) for cands in sets]
     assert [v.votes for v in votes] == [ref_votes(s) for s in sets]
     sums = [sum(v.votes[i] for v in votes) for i in range(n)]
     voted = fuse_votes(votes)
     assert bits[voted.index] == tuple(int(t > 0) for t in sums)
 
     common = set(sets[0]).intersection(*map(set, sets[1:]))
-    fused, rule = fuse_candidates(configs, voted)
+    fused, rule = fuse_candidates(sets, voted)
     if not common:
         assert (fused, rule) == (voted, "vote")
     else:
@@ -390,3 +407,40 @@ def test_scoring_voting_and_fusion_match_a_bit_tuple_reference(data):
         nearest = min(distance.values())
         assert rule == "intersection"
         assert fused == LightConfig.from_index(min(c for c in common if distance[c] == nearest), n)
+
+
+def lightconfig_fusion(vectors, candidate_sets):
+    """Sensor votes, their majority and the candidate fusion as they were
+    computed on lists of LightConfig: per-luminaire vote counts, then a
+    Hamming-nearest member of the set intersection keyed by (distance,
+    index), or the vote when the sets share nothing."""
+    n = len(vectors[0])
+    all_votes = []
+    for values, cands in zip(vectors, candidate_sets):
+        k = len(cands)
+        ones = [sum(c.index >> i & 1 for c in cands) for i in range(n)]
+        all_votes.append([(o + o > k) - (o + o < k) if v > 0 else 0 for o, v in zip(ones, values)])
+    voted = LightConfig(sum(1 << i for i in range(n) if sum(v[i] for v in all_votes) > 0), n)
+    common = set.intersection(*({c.index for c in cands} for cands in candidate_sets))
+    if not common:
+        return voted, "vote"
+    nearest = min(common, key=lambda m: ((m ^ voted.index).bit_count(), m))
+    return LightConfig(nearest, n), "intersection"
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_index_fusion_matches_the_lightconfig_rule(data):
+    n = data.draw(st.integers(min_value=1, max_value=10), label="n")
+    config = st.integers(min_value=0, max_value=(1 << n) - 1)
+    sensors = data.draw(st.integers(min_value=1, max_value=5), label="sensors")
+    # few luminaires and a small pool of members make shared members,
+    # Hamming ties, split votes and empty sets or intersections common
+    pool = data.draw(st.lists(config, min_size=1, max_size=12, unique=True), label="pool")
+    member = st.one_of(st.sampled_from(pool), config)
+    sets = [sorted(data.draw(st.sets(member, max_size=10), label=f"set {s}")) for s in range(sensors)]
+    vectors = [data.draw(st.lists(st.sampled_from([0.0, 0.5, 2.0]), min_size=n, max_size=n),
+                         label=f"vector {s}") for s in range(sensors)]
+    votes = [sensor_votes(ContributionVector(values=np.array(v)), s) for v, s in zip(vectors, sets)]
+    got = fuse_candidates(sets, fuse_votes(votes))
+    assert got == lightconfig_fusion(vectors, [[LightConfig(m, n) for m in s] for s in sets])

@@ -487,7 +487,7 @@ class TestFusion:
                     single[s].append(res.accuracy)
                     votes.append(sensor_votes(x, res.candidates))
                 fused = fuse_votes(votes)
-                fused_acc.append(jaccard_accuracy(truth, [fused]))
+                fused_acc.append(jaccard_accuracy(truth, [fused.index]))
             return [float(np.mean(a)) for a in single], float(np.mean(fused_acc))
 
         singles, fused = accuracies([x_a, x_b])
