@@ -91,8 +91,6 @@ def _load_scene_with_grid(config: RunConfig) -> tuple[Scene, Grid]:
     if grid is None:
         raise SceneError("scene has no grid line; candidate lattice is required")
     if config.grid_spacing is not None:
-        if config.grid_spacing <= 0:
-            raise SceneError("--grid-spacing must be positive")
         grid = build_grid(
             (grid.minx, grid.miny, grid.maxx, grid.maxy),
             config.grid_spacing,

@@ -70,39 +70,46 @@ def segments_as_array(segments: list[WallSegment] | tuple[WallSegment, ...]) -> 
     return np.array([(s.a.x, s.a.y, s.b.x, s.b.y) for s in segments], dtype=float)
 
 
-def sightlines_blocked(origin_xy: np.ndarray, targets_xy: np.ndarray, segments: np.ndarray) -> np.ndarray:
+def sightlines_blocked(origins: np.ndarray, targets: np.ndarray, segments: np.ndarray) -> np.ndarray:
     """Vectorized occlusion: which origin->target sight lines cross a segment.
 
-    origin_xy is shape (2,), targets_xy is (P, 2), segments is (S, 4).
-    Returns a boolean array of shape (P,). Uses the same strict-crossing rule
-    as segments_cross, so both paths agree point for point.
+    origins is (L, 2), targets is (P, 2), segments is (S, 4). Returns a
+    boolean array of shape (L, P). Uses the same strict-crossing rule and
+    the same float expressions as segments_cross, so both paths agree point
+    for point.
+
+    One pass per segment serves every origin. The targets' side of the
+    segment's line is computed once per segment, and the crossing test
+    along the sight line (d3, d4) runs only for pairs whose ends lie
+    strictly on opposite sides of that line and that no earlier segment has
+    blocked. Temporaries are O(L * P).
     """
-    targets_xy = np.asarray(targets_xy, dtype=float)
-    n_pts = targets_xy.shape[0]
-    if segments.shape[0] == 0 or n_pts == 0:
-        return np.zeros(n_pts, dtype=bool)
-    ox, oy = float(origin_xy[0]), float(origin_xy[1])
-    px = targets_xy[:, 0][:, None]  # (P, 1)
-    py = targets_xy[:, 1][:, None]
-    ax = segments[None, :, 0]  # (1, S)
-    ay = segments[None, :, 1]
-    bx = segments[None, :, 2]
-    by = segments[None, :, 3]
-
-    dqx, dqy = bx - ax, by - ay
-    d1 = dqx * (oy - ay) - dqy * (ox - ax)
-    d2 = dqx * (py - ay) - dqy * (px - ax)
-    s1 = np.sign(d1) * (np.abs(d1) > CROSSING_TOL)
-    s2 = np.sign(d2) * (np.abs(d2) > CROSSING_TOL)
-
-    dpx, dpy = px - ox, py - oy
-    d3 = dpx * (ay - oy) - dpy * (ax - ox)
-    d4 = dpx * (by - oy) - dpy * (bx - ox)
-    s3 = np.sign(d3) * (np.abs(d3) > CROSSING_TOL)
-    s4 = np.sign(d4) * (np.abs(d4) > CROSSING_TOL)
-
-    crossing = (s1 * s2 < 0) & (s3 * s4 < 0)
-    return crossing.any(axis=1)
+    origins = np.asarray(origins, dtype=float)
+    targets = np.asarray(targets, dtype=float)
+    shape = (origins.shape[0], targets.shape[0])
+    ox, oy = origins[:, 0], origins[:, 1]
+    px, py = targets[:, 0], targets[:, 1]
+    pxs, pys = np.broadcast_to(px, shape), np.broadcast_to(py, shape)
+    tol = CROSSING_TOL
+    open_ = np.ones(shape, dtype=bool)
+    for ax, ay, bx, by in np.asarray(segments, dtype=float).tolist():
+        dqx, dqy = bx - ax, by - ay
+        d1 = dqx * (oy - ay) - dqy * (ox - ax)
+        d2 = dqx * (py - ay) - dqy * (px - ax)
+        # pairs still open whose ends lie strictly on opposite sides
+        cand = np.zeros(shape, dtype=bool)
+        cand[d1 > tol] = d2 < -tol
+        cand[d1 < -tol] = d2 > tol
+        cand &= open_
+        # cand is row-major, so its pairs come origin by origin
+        per_origin = np.count_nonzero(cand, axis=1)
+        oxs, oys = np.repeat(ox, per_origin), np.repeat(oy, per_origin)
+        dpx, dpy = pxs[cand] - oxs, pys[cand] - oys
+        d3 = dpx * (ay - oys) - dpy * (ax - oxs)
+        d4 = dpx * (by - oys) - dpy * (bx - oxs)
+        cand[cand] = (np.minimum(d3, d4) < -tol) & (np.maximum(d3, d4) > tol)
+        open_ ^= cand
+    return ~open_
 
 
 def point_on_segment(p: Point2, seg: WallSegment, tol: float = CROSSING_TOL) -> bool:

@@ -242,8 +242,8 @@ def build_grid(
     minx, miny, maxx, maxy = bounds
     if maxx <= minx or maxy <= miny:
         raise SceneError("grid bounds are empty")
-    if spacing <= 0:
-        raise SceneError("grid spacing must be positive")
+    if not 0 < spacing < math.inf:
+        raise SceneError("grid spacing must be positive and finite")
     _check_unit_normal(normal)
     nx = math.ceil((maxx - minx) / spacing)
     ny = math.ceil((maxy - miny) / spacing)

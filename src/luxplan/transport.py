@@ -152,16 +152,22 @@ def _unoccluded_batch(
     return lum.intensity * rel * cos_inc / d2
 
 
-def _illuminance_batch(
-    lum: Luminaire,
-    pts_xy: np.ndarray,
-    height: float,
-    normal: tuple[float, float, float] | None,
-    segments: np.ndarray,
+def _plan_xy(luminaires: list[Luminaire] | tuple[Luminaire, ...]) -> np.ndarray:
+    """The luminaires' plan positions as an (L, 2) array: occlusion origins."""
+    return np.array([(lum.position.x, lum.position.y) for lum in luminaires], dtype=float)
+
+
+def _lux_at_point(
+    scene: Scene,
+    door_state: DoorState,
+    luminaires: list[Luminaire] | tuple[Luminaire, ...],
+    point: CandidatePoint,
 ) -> np.ndarray:
-    """Direct lux from one luminaire at many points (order-independent)."""
-    lux = _unoccluded_batch(lum, pts_xy, height, normal)
-    blocked = sightlines_blocked(np.array([lum.position.x, lum.position.y]), pts_xy, segments)
+    """Direct lux from each of luminaires at one point under one door state."""
+    segments = segments_as_array(active_occluders(scene, door_state))
+    xy = np.array([[point.position.x, point.position.y]], dtype=float)
+    blocked = sightlines_blocked(_plan_xy(luminaires), xy, segments)[:, 0]
+    lux = [_unoccluded_batch(lum, xy, point.height, point.normal)[0] for lum in luminaires]
     return np.where(blocked, 0.0, lux)
 
 
@@ -172,9 +178,7 @@ def contribution(
     point: CandidatePoint,
 ) -> float:
     """Lux that one luminaire alone delivers to one point."""
-    segments = segments_as_array(active_occluders(scene, door_state))
-    xy = np.array([[point.position.x, point.position.y]], dtype=float)
-    return float(_illuminance_batch(luminaire, xy, point.height, point.normal, segments)[0])
+    return float(_lux_at_point(scene, door_state, [luminaire], point)[0])
 
 
 def contribution_vector(
@@ -185,12 +189,7 @@ def contribution_vector(
     door_state_index: int = 0,
 ) -> ContributionVector:
     """Per-luminaire contributions at one point under one door state."""
-    segments = segments_as_array(active_occluders(scene, door_state))
-    xy = np.array([[point.position.x, point.position.y]], dtype=float)
-    values = np.array([
-        _illuminance_batch(lum, xy, point.height, point.normal, segments)[0]
-        for lum in scene.luminaires
-    ])
+    values = _lux_at_point(scene, door_state, scene.luminaires, point)
     return ContributionVector(values=values, point_index=point_index, door_state_index=door_state_index)
 
 
@@ -198,35 +197,43 @@ def sweep(scene: Scene) -> ContributionMatrix:
     """Contributions for every (grid point, door state, luminaire) triple,
     over the scene's grid and every state of enumerate_door_states.
 
-    Factored over door states: per luminaire, the photometry and the walls'
-    occlusion mask are computed once, and one mask per (door, angle) leaf.
-    A state's mask ORs the wall mask with its leaves' masks, which equals
-    testing its active_occluders together, bit for bit. The computation is
-    independent per point, so the result does not depend on evaluation order.
+    Factored over door states and luminaires: each luminaire's photometry
+    is computed once, and sightlines_blocked runs once for the walls and
+    once per (door, angle) leaf, each time for all luminaires together. A
+    state's mask ORs the wall mask with its leaves' masks, gathered from the
+    stacked leaf masks, which equals testing its active_occluders together,
+    bit for bit. The computation is independent per point, so the result
+    does not depend on evaluation order. values is a C-contiguous float64
+    (points, door states, luminaires) array.
     """
     grid = scene.grid
     if grid is None or len(grid.points) == 0:
         raise ValueError("sweep needs a scene grid with at least one candidate point")
     door_states = enumerate_door_states(scene)
-    leaf_segments = {
-        (d, a): segments_as_array([door_leaf_segment(door, a)])
-        for d, door in enumerate(scene.doors) for a in door.allowed_angles_deg
-    }
-    walls = segments_as_array(scene.walls)
+    leaves = [(d, a) for d, door in enumerate(scene.doors) for a in door.allowed_angles_deg]
+    leaf_index = {leaf: k for k, leaf in enumerate(leaves)}
+    # state_leaves[q, d] is the leaf that door d shows in state q
+    state_leaves = np.array(
+        [[leaf_index[leaf] for leaf in enumerate(state.angles_deg)] for state in door_states],
+        dtype=np.intp,
+    ).reshape(len(door_states), len(scene.doors))
     pts_xy = grid.points
-    values = np.zeros((len(pts_xy), len(door_states), scene.n_luminaires))
-    for i, lum in enumerate(scene.luminaires):
-        origin = np.array([lum.position.x, lum.position.y])
-        lux = _unoccluded_batch(lum, pts_xy, grid.height, grid.normal)
-        wall_blocked = sightlines_blocked(origin, pts_xy, walls)
-        leaf_blocked = {
-            leaf: sightlines_blocked(origin, pts_xy, seg) for leaf, seg in leaf_segments.items()
-        }
-        for q, state in enumerate(door_states):
-            blocked = wall_blocked.copy()
-            for leaf in enumerate(state.angles_deg):
-                blocked |= leaf_blocked[leaf]
-            values[:, q, i] = np.where(blocked, 0.0, lux)
+    origins = _plan_xy(scene.luminaires)
+    lux = np.array([_unoccluded_batch(lum, pts_xy, grid.height, grid.normal)
+                    for lum in scene.luminaires])  # (L, P)
+    leaf_blocked = np.array([
+        sightlines_blocked(origins, pts_xy, segments_as_array([door_leaf_segment(scene.doors[d], a)]))
+        for d, a in leaves
+    ], dtype=bool).reshape((len(leaves),) + lux.shape)
+    # blocked[q, i, p]: some occluder of state q cuts luminaire i's sight line to point p
+    blocked = np.repeat(sightlines_blocked(origins, pts_xy, segments_as_array(scene.walls))[None],
+                        len(door_states), axis=0)
+    for d in range(len(scene.doors)):
+        blocked |= leaf_blocked[state_leaves[:, d]]
+    values = np.empty((len(pts_xy), len(door_states), scene.n_luminaires))
+    by_state = values.transpose(1, 2, 0)
+    np.copyto(by_state, lux)
+    np.copyto(by_state, 0.0, where=blocked)
     return ContributionMatrix(values=values)
 
 

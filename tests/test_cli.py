@@ -73,6 +73,16 @@ class TestExitCodes:
         ])
         assert code == EXIT_INVALID
 
+    @pytest.mark.parametrize("spacing", ["nan", "inf", "-inf"])
+    def test_non_finite_grid_spacing_rejected(self, toy_scene_file, tmp_path, capsys, spacing):
+        code = run([
+            "simulate", "--scene", str(toy_scene_file),
+            f"--grid-spacing={spacing}", "--out", str(tmp_path),
+        ])
+        assert code == EXIT_INVALID
+        assert "grid spacing must be positive and finite" in capsys.readouterr().err
+        assert not (tmp_path / "contributions.csv").exists()
+
     def test_missing_command_log_is_usage_error(self, tmp_path, capsys):
         samples = tmp_path / "samples.csv"
         samples.write_text("t,location,lux\n0.0,s0,1.0\n", encoding="utf-8")

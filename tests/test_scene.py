@@ -241,6 +241,11 @@ class TestGrid:
         with pytest.raises(SceneError, match="spacing"):
             build_grid((0.0, 0.0, 1.0, 1.0), 0.0, 1.0, None)
 
+    @pytest.mark.parametrize("spacing", [math.nan, math.inf, -math.inf])
+    def test_non_finite_spacing_rejected(self, spacing):
+        with pytest.raises(SceneError, match="grid spacing must be positive and finite"):
+            build_grid((0.0, 0.0, 1.0, 1.0), spacing, 1.0, None)
+
     def test_empty_bounds_rejected(self):
         with pytest.raises(SceneError, match="bounds"):
             build_grid((1.0, 0.0, 1.0, 1.0), 0.5, 1.0, None)

@@ -30,9 +30,10 @@ from luxplan.scene import Luminaire, Scene, SceneError, active_occluders, enumer
 from luxplan.transport import (
     ContributionMatrix,
     ContributionVector,
-    _illuminance_batch,
+    _unoccluded_batch,
     matrix_to_csv,
 )
+from test_geometry import broadcast_sightlines_blocked
 
 
 def single_lamp_scene(walls=(), intensity=100.0, mount=3.0, profile="iso", grid=None):
@@ -294,15 +295,25 @@ class TestSweep:
 
 
 def per_state_sweep(scene, states):
-    """The sweep without door factoring: every state tests its
-    active_occluders together, over the whole grid."""
+    """The sweep without door or luminaire factoring: every (state,
+    luminaire) pair tests the state's active_occluders together over the
+    whole grid, with the broadcast single-origin reference kernel."""
     grid = scene.grid
     out = np.zeros((len(grid.points), len(states), scene.n_luminaires))
     for q, state in enumerate(states):
         segments = segments_as_array(active_occluders(scene, state))
         for i, lum in enumerate(scene.luminaires):
-            out[:, q, i] = _illuminance_batch(lum, grid.points, grid.height, grid.normal, segments)
+            lux = _unoccluded_batch(lum, grid.points, grid.height, grid.normal)
+            origin = (lum.position.x, lum.position.y)
+            out[:, q, i] = np.where(broadcast_sightlines_blocked(origin, grid.points, segments), 0.0, lux)
     return out
+
+
+def test_apartment_sweep_equals_per_state_sweep_bit_for_bit(apartment, apartment_matrix):
+    values = apartment_matrix.values
+    assert values.flags.c_contiguous and values.dtype == np.float64
+    expected = per_state_sweep(apartment, enumerate_door_states(apartment))
+    assert np.array_equal(values.view(np.int64), expected.view(np.int64))
 
 
 # half-metre lattice coordinates put sight lines through wall and leaf
@@ -342,7 +353,7 @@ def test_door_factored_sweep_equals_per_state_sweep(scene):
         return
     states = enumerate_door_states(scene)
     got = sweep(scene)
-    assert np.array_equal(got.values, per_state_sweep(scene, states))
+    assert np.array_equal(got.values.view(np.int64), per_state_sweep(scene, states).view(np.int64))
 
 
 class TestCsv:
