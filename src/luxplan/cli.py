@@ -1,11 +1,17 @@
 """Command-line front end.
 
-Subcommands:
+Subcommands and the options each one takes:
     simulate     sweep a scene and write the contribution matrix CSV
+                 --scene, --grid-spacing, --out
     heatmap      write per-door-state and total distinctness rasters
+                 the simulate options, --tau
     solve-cover  choose a sensor set covering the application states
+                 the heatmap options, --universe, --exact, --exact-limit
     infer        run perfect-sum inference over a readings file
+                 --scene, --grid-spacing, --out, --readings, --epsilon,
+                 --sigma, --seed
     ingest       process recorded sample/command logs into accuracy stats
+                 --samples, --commands, --settle, --window, --epsilon, --out
 
 Exit codes: 0 success, 2 usage or I/O problem, 3 invalid input data.
 Identical inputs and flags produce byte-identical outputs.
@@ -17,7 +23,7 @@ import csv
 import io
 import math
 import sys
-from dataclasses import dataclass, replace
+from collections.abc import Iterable, Sequence
 from pathlib import Path
 
 import numpy as np
@@ -47,13 +53,12 @@ from .scene import (
     Grid,
     Scene,
     SceneError,
-    build_grid,
+    build_grid,  # not called here; luxbench/spans.py wraps cli.build_grid by name
     enumerate_door_states,
     load_scene,
     open_door_state_index,
 )
 from .transport import (
-    ContributionMatrix,
     ContributionVector,
     LightConfig,
     NoiseModel,
@@ -67,49 +72,29 @@ EXIT_USAGE = 2
 EXIT_INVALID = 3
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything that determines a run; equal configs give identical bytes."""
-
-    scene_path: Path | None = None
-    tau: float = DEFAULT_TAU
-    epsilon: float = 0.01
-    sigma: float = 0.0
-    seed: int = 0
-    grid_spacing: float | None = None
-    out_dir: Path = Path(".")
-    universe: str = "full"
-    exact: bool = False
-    exact_limit: int = 24
-
-
-def _load_scene_with_grid(config: RunConfig) -> tuple[Scene, Grid]:
-    if config.scene_path is None:
-        raise SceneError("a --scene file is required")
-    scene = load_scene(config.scene_path)
-    grid = scene.grid
-    if grid is None:
+def _load_scene_with_grid(args: argparse.Namespace) -> tuple[Scene, Grid]:
+    scene = load_scene(args.scene, grid_spacing=args.grid_spacing)
+    if scene.grid is None:
         raise SceneError("scene has no grid line; candidate lattice is required")
-    if config.grid_spacing is not None:
-        grid = build_grid(
-            (grid.minx, grid.miny, grid.maxx, grid.maxy),
-            config.grid_spacing,
-            grid.height,
-            grid.normal,
-            scene.walls,
-        )
-        scene = replace(scene, grid=grid)
-    return scene, grid
+    return scene, scene.grid
 
 
-def cmd_simulate(config: RunConfig) -> int:
-    scene, grid = _load_scene_with_grid(config)
+def _write_csv(path: Path, header: list[str], rows: Iterable[Sequence]) -> None:
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(header)
+    w.writerows(rows)
+    path.write_text(buf.getvalue(), encoding="utf-8")
+
+
+def cmd_simulate(args: argparse.Namespace) -> int:
+    scene, grid = _load_scene_with_grid(args)
     matrix = sweep(scene)
-    config.out_dir.mkdir(parents=True, exist_ok=True)
-    out_path = config.out_dir / "contributions.csv"
+    args.out.mkdir(parents=True, exist_ok=True)
+    out_path = args.out / "contributions.csv"
     write_matrix_csv(matrix, out_path)
     vals = matrix.values
-    print(f"scene: {config.scene_path}")
+    print(f"scene: {args.scene}")
     print(f"points: {matrix.n_points}  door states: {matrix.n_door_states}  luminaires: {matrix.n_luminaires}")
     print(f"rows written: {matrix.n_points * matrix.n_door_states}")
     print(f"lux range: min {vals.min():.6g}  mean {vals.mean():.6g}  max {vals.max():.6g}")
@@ -117,37 +102,37 @@ def cmd_simulate(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_heatmap(config: RunConfig) -> int:
-    scene, grid = _load_scene_with_grid(config)
+def cmd_heatmap(args: argparse.Namespace) -> int:
+    scene, grid = _load_scene_with_grid(args)
     matrix = sweep(scene)
-    scores = heatmap_scores(matrix, config.tau)
-    paths = write_heatmap_set(grid, scores, 1 << scene.n_luminaires, config.out_dir)
+    scores = heatmap_scores(matrix, args.tau)
+    paths = write_heatmap_set(grid, scores, 1 << scene.n_luminaires, args.out)
     per_state_max = scores.max(axis=0)
     for q, m in enumerate(per_state_max):
         print(f"door state {q}: best score {int(m)} / {1 << scene.n_luminaires}")
     totals = scores.sum(axis=1)
     print(f"total: best score {int(totals.max())} / {(1 << scene.n_luminaires) * scores.shape[1]}")
-    print(f"wrote {len(paths)} files to {config.out_dir}")
+    print(f"wrote {len(paths)} files to {args.out}")
     return EXIT_OK
 
 
-def cmd_solve_cover(config: RunConfig) -> int:
-    scene, grid = _load_scene_with_grid(config)
+def cmd_solve_cover(args: argparse.Namespace) -> int:
+    scene, grid = _load_scene_with_grid(args)
     matrix = sweep(scene)
-    instance = build_cover_instance(matrix, config.tau)
+    instance = build_cover_instance(matrix, args.tau)
     space = StateSpace(n_luminaires=scene.n_luminaires, door_states=tuple(enumerate_door_states(scene)))
-    if config.universe == "open-door":
+    if args.universe == "open-door":
         q_open = open_door_state_index(scene)
         instance = restrict_cover_instance(
             instance, range(q_open * space.n_configs, (q_open + 1) * space.n_configs))
     solution = (
-        exact_min_cover(instance, limit=config.exact_limit)
-        if config.exact
+        exact_min_cover(instance, limit=args.exact_limit)
+        if args.exact
         else greedy_set_cover(instance)
     )
-    solver = "exact" if config.exact else "greedy"
+    solver = "exact" if args.exact else "greedy"
     n_states = instance.ids.size
-    print(f"universe: {config.universe} ({n_states} states), solver: {solver}")
+    print(f"universe: {args.universe} ({n_states} states), solver: {solver}")
     rows = []
     covered_total = 0
     for step, (point_index, gain) in enumerate(zip(solution.chosen, solution.gains), start=1):
@@ -162,13 +147,9 @@ def cmd_solve_cover(config: RunConfig) -> int:
         f"incomplete: {n_states - len(solution.covered)} states cannot be covered"
     )
     print(f"chose {len(solution.chosen)} points; cover {status}")
-    config.out_dir.mkdir(parents=True, exist_ok=True)
-    out_path = config.out_dir / "cover_report.csv"
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["step", "point_index", "x", "y", "gain", "covered_total"])
-    w.writerows(rows)
-    out_path.write_text(buf.getvalue(), encoding="utf-8")
+    args.out.mkdir(parents=True, exist_ok=True)
+    out_path = args.out / "cover_report.csv"
+    _write_csv(out_path, ["step", "point_index", "x", "y", "gain", "covered_total"], rows)
     print(f"wrote {out_path}")
     return EXIT_OK
 
@@ -198,12 +179,11 @@ def _read_readings_csv(path: Path) -> list[dict]:
         return rows
 
 
-def cmd_infer(config: RunConfig, readings_path: Path) -> int:
-    scene, grid = _load_scene_with_grid(config)
+def cmd_infer(args: argparse.Namespace) -> int:
+    scene, grid = _load_scene_with_grid(args)
     matrix = sweep(scene)
-    rows = _read_readings_csv(readings_path)
-    noise = NoiseModel(kind="gaussian" if config.sigma > 0 else "none",
-                       sigma=config.sigma, seed=config.seed)
+    rows = _read_readings_csv(args.readings)
+    noise = NoiseModel(sigma=args.sigma, seed=args.seed)
     n = scene.n_luminaires
 
     # Every row is checked, in file order, before any is answered; a row
@@ -253,7 +233,7 @@ def cmd_infer(config: RunConfig, readings_path: Path) -> int:
             row, trial, v = rows[i], rows[i]["trial"], vector_of[i]
             truth = LightConfig.from_index(row["truth"], n) if row["truth"] is not None else None
             query = PerfectSumQuery(contributions=contributions[v], target=luxes[i],
-                                    epsilon=config.epsilon)
+                                    epsilon=args.epsilon)
             result = infer_reading(query, truth=truth, halves=tables[v - b * step])
             acc = f"{result.accuracy:.6g}" if result.accuracy is not None else ""
             truth_p = row["truth"] if row["truth"] is not None else -1
@@ -266,20 +246,13 @@ def cmd_infer(config: RunConfig, readings_path: Path) -> int:
                                                        for j in trials[trial]], n)
         del tables  # the next batch's tables replace these rather than join them
 
-    report_buf = io.StringIO()
-    report = csv.writer(report_buf, lineterminator="\n")
-    report.writerow(["point_index", "door_state", "config_p", "n_candidates", "accuracy", "no_solution"])
-    report.writerows(report_rows)
-    fused_buf = io.StringIO()
-    fused_csv = csv.writer(fused_buf, lineterminator="\n")
-    fused_csv.writerow(["trial", "door_state", "truth", "fused_p", "accuracy", "rule"])
-    fused_csv.writerows(fused_rows.values())
-
-    config.out_dir.mkdir(parents=True, exist_ok=True)
-    report_path = config.out_dir / "inference_report.csv"
-    fused_path = config.out_dir / "fused.csv"
-    report_path.write_text(report_buf.getvalue(), encoding="utf-8")
-    fused_path.write_text(fused_buf.getvalue(), encoding="utf-8")
+    args.out.mkdir(parents=True, exist_ok=True)
+    report_path = args.out / "inference_report.csv"
+    fused_path = args.out / "fused.csv"
+    _write_csv(report_path, ["point_index", "door_state", "config_p", "n_candidates", "accuracy",
+                             "no_solution"], report_rows)
+    _write_csv(fused_path, ["trial", "door_state", "truth", "fused_p", "accuracy", "rule"],
+               fused_rows.values())
     print(f"{len(rows)} readings in {len(trials)} trials")
     print(f"wrote {report_path}")
     print(f"wrote {fused_path}")
@@ -301,17 +274,16 @@ def _fused_row(trial: str, entries: list[tuple[dict, ContributionVector, list[in
     return (trial, ds, truth_index if truth_index is not None else -1, fused.index, acc, rule)
 
 
-def cmd_ingest(config: RunConfig, samples_path: Path, commands_path: Path,
-               settle: float, window: float) -> int:
-    samples = ingest_mod.read_samples_csv(samples_path)
-    commands = ingest_mod.read_commands_csv(commands_path)
-    table = ingest_mod.extract_baselines(samples, commands, settle=settle, window=window)
+def cmd_ingest(args: argparse.Namespace) -> int:
+    samples = ingest_mod.read_samples_csv(args.samples)
+    commands = ingest_mod.read_commands_csv(args.commands)
+    table = ingest_mod.extract_baselines(samples, commands, settle=args.settle, window=args.window)
     calibrations = {
         loc: ingest_mod.calibrate_contributions(table, loc) for loc in table.locations
     }
-    summaries = ingest_mod.evaluate_locations(table, calibrations, config.epsilon)
-    config.out_dir.mkdir(parents=True, exist_ok=True)
-    out_path = config.out_dir / "accuracy_by_location.csv"
+    summaries = ingest_mod.evaluate_locations(table, calibrations, args.epsilon)
+    args.out.mkdir(parents=True, exist_ok=True)
+    out_path = args.out / "accuracy_by_location.csv"
     ingest_mod.write_accuracy_csv(summaries, out_path)
     for s in summaries:
         print(f"{s.location}: median {s.median:.3f} mean {s.mean:.3f} over {s.n} configs")
@@ -325,88 +297,60 @@ def build_parser() -> argparse.ArgumentParser:
         description="Plan and evaluate light-sensor placements from a scene description.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    simulate = sub.add_parser("simulate", help="sweep the scene and write contributions.csv")
+    heatmap = sub.add_parser("heatmap", help="write distinctness heatmaps (CSV and PGM)")
+    cover = sub.add_parser("solve-cover", help="choose sensor points covering the state universe")
+    infer = sub.add_parser("infer", help="run perfect-sum inference over a readings CSV")
+    ingest = sub.add_parser("ingest", help="process recorded sample and command logs")
+    for p, func in ((simulate, cmd_simulate), (heatmap, cmd_heatmap), (cover, cmd_solve_cover),
+                    (infer, cmd_infer), (ingest, cmd_ingest)):
+        p.set_defaults(func=func)
 
-    def add_common(p: argparse.ArgumentParser, scene_required: bool = True) -> None:
-        if scene_required:
-            p.add_argument("--scene", type=Path, required=True, help="scene description file")
-        p.add_argument("--tau", type=float, default=DEFAULT_TAU,
-                       help="distinctness tolerance in lux (default %(default)s)")
-        p.add_argument("--epsilon", type=float, default=0.01,
-                       help="perfect-sum tolerance in lux (default %(default)s)")
-        p.add_argument("--sigma", type=float, default=0.0, help="gaussian noise std in lux")
-        p.add_argument("--seed", type=int, default=0, help="noise seed")
+    for p in (simulate, heatmap, cover, infer):
+        p.add_argument("--scene", type=Path, required=True, help="scene description file")
         p.add_argument("--grid-spacing", type=float, default=None,
                        help="override the scene grid spacing in meters")
+    for p in (heatmap, cover):
+        p.add_argument("--tau", type=float, default=DEFAULT_TAU,
+                       help="distinctness tolerance in lux (default %(default)s)")
+    for p in (infer, ingest):
+        p.add_argument("--epsilon", type=float, default=0.01,
+                       help="perfect-sum tolerance in lux (default %(default)s)")
+    for p in (simulate, heatmap, cover, infer, ingest):
         p.add_argument("--out", type=Path, default=Path("."), help="output directory")
 
-    p = sub.add_parser("simulate", help="sweep the scene and write contributions.csv")
-    add_common(p)
+    cover.add_argument("--universe", choices=["open-door", "full"], default="full",
+                       help="cover all states or only the widest-open door state")
+    cover.add_argument("--exact", action="store_true",
+                       help="use the exact branch-and-bound solver; --exact-limit bounds the universe")
+    cover.add_argument("--exact-limit", type=int, default=24,
+                       help="largest universe, in states, the exact solver accepts (default %(default)s)")
 
-    p = sub.add_parser("heatmap", help="write distinctness heatmaps (CSV and PGM)")
-    add_common(p)
+    infer.add_argument("--readings", type=Path, required=True,
+                       help="CSV with trial,point_index,door_state[,lux][,truth]")
+    infer.add_argument("--sigma", type=float, default=0.0,
+                       help="gaussian noise std in lux for simulated readings")
+    infer.add_argument("--seed", type=int, default=0, help="noise seed")
 
-    p = sub.add_parser("solve-cover", help="choose sensor points covering the state universe")
-    add_common(p)
-    p.add_argument("--universe", choices=["open-door", "full"], default="full",
-                   help="cover all states or only the widest-open door state")
-    p.add_argument("--exact", action="store_true",
-                   help="use the exact branch-and-bound solver; --exact-limit bounds the universe")
-    p.add_argument("--exact-limit", type=int, default=24,
-                   help="largest universe, in states, the exact solver accepts (default %(default)s)")
-
-    p = sub.add_parser("infer", help="run perfect-sum inference over a readings CSV")
-    add_common(p)
-    p.add_argument("--readings", type=Path, required=True,
-                   help="CSV with trial,point_index,door_state[,lux][,truth]")
-
-    p = sub.add_parser("ingest", help="process recorded sample and command logs")
-    add_common(p, scene_required=False)
-    p.add_argument("--samples", type=Path, required=True, help="CSV with t,location,lux")
-    p.add_argument("--commands", type=Path, required=True, help="CSV with t,bitmask")
-    p.add_argument("--settle", type=float, default=ingest_mod.DEFAULT_SETTLE,
-                   help="seconds discarded after each command (default %(default)s)")
-    p.add_argument("--window", type=float, default=ingest_mod.DEFAULT_WINDOW,
-                   help="seconds averaged after the settle period (default %(default)s)")
+    ingest.add_argument("--samples", type=Path, required=True, help="CSV with t,location,lux")
+    ingest.add_argument("--commands", type=Path, required=True, help="CSV with t,bitmask")
+    ingest.add_argument("--settle", type=float, default=ingest_mod.DEFAULT_SETTLE,
+                        help="seconds discarded after each command (default %(default)s)")
+    ingest.add_argument("--window", type=float, default=ingest_mod.DEFAULT_WINDOW,
+                        help="seconds averaged after the settle period (default %(default)s)")
     return parser
 
 
 def run(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    config = RunConfig(
-        scene_path=getattr(args, "scene", None),
-        tau=args.tau,
-        epsilon=args.epsilon,
-        sigma=args.sigma,
-        seed=args.seed,
-        grid_spacing=args.grid_spacing,
-        out_dir=args.out,
-        universe=getattr(args, "universe", "full"),
-        exact=getattr(args, "exact", False),
-        exact_limit=getattr(args, "exact_limit", 24),
-    )
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "simulate":
-            return cmd_simulate(config)
-        if args.command == "heatmap":
-            return cmd_heatmap(config)
-        if args.command == "solve-cover":
-            return cmd_solve_cover(config)
-        if args.command == "infer":
-            return cmd_infer(config, args.readings)
-        if args.command == "ingest":
-            return cmd_ingest(config, args.samples, args.commands, args.settle, args.window)
-        parser.error(f"unknown command {args.command!r}")
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return args.func(args)
     except (SceneError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    return EXIT_OK
 
 
 def main() -> None:

@@ -300,8 +300,13 @@ def _load_profile(spec: str, base_dir: Path | None, line_no: int) -> Photometric
     raise SceneParseError(line_no, f"unknown profile {spec!r} (expected iso, cos, or ies:<path>)")
 
 
-def parse_scene(text: str, base_dir: str | Path | None = None) -> Scene:
-    """Parse the scene grammar; raises SceneParseError with a line number."""
+def parse_scene(text: str, base_dir: str | Path | None = None,
+                grid_spacing: float | None = None) -> Scene:
+    """Parse the scene grammar; raises SceneParseError with a line number.
+
+    A grid_spacing builds the grid at that spacing in place of the grid
+    line's own, which must still be positive.
+    """
     base = Path(base_dir) if base_dir is not None else None
     ceiling = 3.0
     walls: list[WallSegment] = []
@@ -357,6 +362,8 @@ def parse_scene(text: str, base_dir: str | Path | None = None) -> Scene:
     if grid_line is not None:
         line_no, args = grid_line
         minx, miny, maxx, maxy, spacing, height = _parse_floats(args[:6], 6, line_no, "grid")
+        if spacing <= 0:
+            raise SceneParseError(line_no, "grid spacing must be positive and finite")
         if len(args) == 7:
             if args[6] != "omni":
                 raise SceneParseError(line_no, f"grid: expected 'omni' or 3 normal components, got {args[6]!r}")
@@ -367,6 +374,8 @@ def parse_scene(text: str, base_dir: str | Path | None = None) -> Scene:
             if mag == 0:
                 raise SceneParseError(line_no, "grid normal must be nonzero")
             normal = (ncomp[0] / mag, ncomp[1] / mag, ncomp[2] / mag)
+        if grid_spacing is not None:
+            spacing = grid_spacing
         grid = build_grid((minx, miny, maxx, maxy), spacing, height, normal, walls)
 
     return Scene(
@@ -378,9 +387,10 @@ def parse_scene(text: str, base_dir: str | Path | None = None) -> Scene:
     )
 
 
-def load_scene(path: str | Path) -> Scene:
+def load_scene(path: str | Path, grid_spacing: float | None = None) -> Scene:
     path = Path(path)
-    return parse_scene(path.read_text(encoding="utf-8"), base_dir=path.parent)
+    return parse_scene(path.read_text(encoding="utf-8"), base_dir=path.parent,
+                       grid_spacing=grid_spacing)
 
 
 def _fmt(x: float) -> str:

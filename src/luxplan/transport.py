@@ -51,17 +51,16 @@ class LightConfig:
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """Sensor noise: 'none' or additive 'gaussian' with std sigma (lux)."""
+    """Additive gaussian sensor noise with std sigma (lux); sigma 0 is none."""
 
-    kind: str = "none"
     sigma: float = 0.0
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.kind not in ("none", "gaussian"):
-            raise ValueError(f"unknown noise kind {self.kind!r}")
-        if self.sigma < 0:
-            raise ValueError("sigma must be nonnegative")
+        if not 0 <= self.sigma < math.inf:
+            raise ValueError(f"sigma {self.sigma} must be nonnegative and finite")
+        if self.seed < 0:
+            raise ValueError(f"seed {self.seed} must be nonnegative")
 
 
 @dataclass
@@ -252,7 +251,7 @@ def reading(
     if config.n != x.n:
         raise ValueError(f"config has {config.n} bits, vector has {x.n}")
     base = math.fsum(x.values[i] for i in config.on_indices)
-    if noise.kind == "gaussian" and noise.sigma > 0:
+    if noise.sigma > 0:
         key = (noise.seed, x.point_index, x.door_state_index, config.index)
         rng = np.random.default_rng(np.random.SeedSequence(key))
         base += noise.sigma * rng.standard_normal()

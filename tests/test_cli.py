@@ -83,6 +83,18 @@ class TestExitCodes:
         assert "grid spacing must be positive and finite" in capsys.readouterr().err
         assert not (tmp_path / "contributions.csv").exists()
 
+    def test_zero_file_spacing_rejected_despite_override(self, toy_scene_file, tmp_path, capsys):
+        text = toy_scene_file.read_text(encoding="utf-8")
+        toy_scene_file.write_text(text.replace("5.75 3.75 0.5 1.0", "5.75 3.75 0 1.0"),
+                                  encoding="utf-8")
+        code = run([
+            "simulate", "--scene", str(toy_scene_file),
+            "--grid-spacing", "0.1", "--out", str(tmp_path),
+        ])
+        assert code == EXIT_INVALID
+        assert "line 11: grid spacing must be positive" in capsys.readouterr().err
+        assert not (tmp_path / "contributions.csv").exists()
+
     def test_missing_command_log_is_usage_error(self, tmp_path, capsys):
         samples = tmp_path / "samples.csv"
         samples.write_text("t,location,lux\n0.0,s0,1.0\n", encoding="utf-8")
@@ -309,6 +321,25 @@ class TestInfer:
         ]) == EXIT_INVALID
         assert "finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("noise, named", [
+        (["--sigma", "nan"], "sigma nan"),
+        (["--sigma", "inf"], "sigma inf"),
+        (["--sigma", "-1"], "sigma -1.0"),
+        (["--sigma", "0.05", "--seed", "-1"], "seed -1"),
+    ])
+    def test_bad_noise_rejected(self, toy_scene_file, tmp_path, capsys, noise, named):
+        # a nan sigma used to decode noiselessly with exit 0, and a negative
+        # seed failed inside numpy without naming the option
+        readings = tmp_path / "r.csv"
+        write_readings(readings, [("t0", 38, 1, "", 3)])
+        out = tmp_path / "out"
+        assert run([
+            "infer", "--scene", str(toy_scene_file), "--readings", str(readings),
+            *noise, "--out", str(out),
+        ]) == EXIT_INVALID
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("budget", [1, 600, inference.TABLE_BUDGET_BYTES])
     def test_batched_tables_answer_like_one_row_at_a_time(
         self, apartment_path, tmp_path, monkeypatch, budget,
@@ -338,7 +369,7 @@ class TestInfer:
         assert builds == [min(per_batch, distinct - k) for k in range(0, distinct, per_batch)]
 
         matrix = sweep(load_scene(apartment_path))
-        noise = cli.NoiseModel(kind="gaussian", sigma=0.05, seed=0)
+        noise = cli.NoiseModel(sigma=0.05, seed=0)
         want = ["point_index,door_state,config_p,n_candidates,accuracy,no_solution"]
         for _, p, q, lux, truth in rows:
             x = matrix.vector_at(p, q)
@@ -385,7 +416,7 @@ class TestInfer:
         assert len(builds) > 1
 
         matrix = sweep(load_scene(apartment_path))
-        noise = cli.NoiseModel(kind="gaussian", sigma=0.05, seed=0)
+        noise = cli.NoiseModel(sigma=0.05, seed=0)
         by_trial = {}
         for trial, p, q, lux, truth in rows:
             by_trial.setdefault(trial, []).append((p, q, lux, truth))
@@ -448,6 +479,34 @@ class TestIngest:
         ])
         assert code == EXIT_OK
         assert (out / "accuracy_by_location.csv").exists()
+
+
+DROPPED_OPTIONS = (
+    [("simulate", opt) for opt in ("--tau", "--epsilon", "--sigma", "--seed")]
+    + [(cmd, opt) for cmd in ("heatmap", "solve-cover") for opt in ("--epsilon", "--sigma", "--seed")]
+    + [("infer", "--tau")]
+    + [("ingest", opt) for opt in ("--tau", "--sigma", "--seed", "--grid-spacing")]
+)
+
+
+@pytest.mark.parametrize("command, option", DROPPED_OPTIONS)
+def test_option_a_subcommand_does_not_read_is_usage_error(toy_scene_file, tmp_path, capsys,
+                                                           command, option):
+    # each subcommand declares only the options it reads, so one it would
+    # ignore stops the run as a usage error before anything is written
+    required = {
+        "simulate": ["--scene", str(toy_scene_file)],
+        "heatmap": ["--scene", str(toy_scene_file)],
+        "solve-cover": ["--scene", str(toy_scene_file)],
+        "infer": ["--scene", str(toy_scene_file), "--readings", str(tmp_path / "r.csv")],
+        "ingest": ["--samples", str(tmp_path / "s.csv"), "--commands", str(tmp_path / "c.csv")],
+    }[command]
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        run([command, *required, option, "1", "--out", str(out)])
+    assert exc.value.code == EXIT_USAGE
+    assert f"unrecognized arguments: {option} 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_parser_rejects_unknown_subcommand(capsys):

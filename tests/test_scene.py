@@ -258,6 +258,20 @@ class TestGrid:
         with pytest.raises(SceneParseError, match="omni"):
             parse_scene(MINIMAL + "grid 0 0 1 1 0.5 1 sideways\n")
 
+    def test_load_scene_builds_one_grid_at_the_requested_spacing(self, apartment_path, monkeypatch):
+        from luxplan import scene as scene_mod
+
+        built = []
+        monkeypatch.setattr(scene_mod, "build_grid",
+                            lambda *a, **k: built.append(a[1]) or build_grid(*a, **k))
+        scene = load_scene(apartment_path, grid_spacing=0.1)
+        assert built == [0.1]
+        g = scene.grid
+        want = build_grid((g.minx, g.miny, g.maxx, g.maxy), 0.1, g.height, g.normal, scene.walls)
+        assert g.spacing == 0.1
+        assert np.array_equal(g.points, want.points)
+        assert np.array_equal(g.cells, want.cells)
+
 
 class TestApartment:
     def test_counts(self, apartment):

@@ -206,16 +206,16 @@ class TestNoise:
     def test_noiseless_kinds_agree(self):
         x = ContributionVector(values=np.array([5.0, 2.0]))
         cfg = LightConfig.from_index(3, 2)
-        assert reading(x, cfg, NoiseModel()) == reading(x, cfg, NoiseModel("gaussian", 0.0, 1))
+        assert reading(x, cfg, NoiseModel()) == reading(x, cfg, NoiseModel(0.0, 1))
 
     def test_same_seed_same_reading(self):
         x = ContributionVector(values=np.array([5.0, 2.0]), point_index=4, door_state_index=1)
         cfg = LightConfig.from_index(1, 2)
-        noise = NoiseModel("gaussian", 0.5, seed=11)
+        noise = NoiseModel(0.5, seed=11)
         assert reading(x, cfg, noise) == reading(x, cfg, noise)
 
     def test_noise_keyed_by_point_state_and_config(self):
-        noise = NoiseModel("gaussian", 0.5, seed=11)
+        noise = NoiseModel(0.5, seed=11)
         base = ContributionVector(values=np.array([5.0, 2.0]), point_index=0, door_state_index=0)
         moved = ContributionVector(values=np.array([5.0, 2.0]), point_index=1, door_state_index=0)
         cfg = LightConfig.from_index(1, 2)
@@ -223,7 +223,7 @@ class TestNoise:
 
     def test_noisy_reading_clamped_at_zero(self):
         x = ContributionVector(values=np.array([0.001]))
-        noise = NoiseModel("gaussian", 50.0, seed=0)
+        noise = NoiseModel(50.0, seed=0)
         vals = [
             reading(ContributionVector(values=x.values, point_index=k), LightConfig.from_index(1, 1), noise)
             for k in range(50)
@@ -231,10 +231,11 @@ class TestNoise:
         assert min(vals) == 0.0  # sigma 50 on a 1 mlux signal must clip sometimes
 
     def test_invalid_noise_model(self):
-        with pytest.raises(ValueError):
-            NoiseModel(kind="salt-and-pepper")
-        with pytest.raises(ValueError):
-            NoiseModel(kind="gaussian", sigma=-1.0)
+        for sigma in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match=f"sigma {sigma}"):
+                NoiseModel(sigma=sigma)
+        with pytest.raises(ValueError, match="seed -1"):
+            NoiseModel(sigma=0.05, seed=-1)
 
 
 class TestSweep:
