@@ -147,39 +147,67 @@ def config_sums_batch(values: np.ndarray) -> np.ndarray:
     return sums
 
 
+def _live_patterns(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct live rows of values (..., n) and each row's pattern.
+
+    A row is live when none of its entries is 0 (or -0.0); only live rows
+    can isolate anything (see distinctness_flags_batch). Returns the
+    distinct live rows, shape (D, n), and an index of shape (R,) over the
+    R rows of values in C order: the row's position among the D patterns,
+    or -1 for a dead row. Live rows hold no zero, so their bytes are equal
+    exactly when their values are, and dedup runs on the bytes.
+    """
+    n = values.shape[-1]
+    rows = np.ascontiguousarray(values).reshape(-1, n)
+    live = np.flatnonzero((rows != 0).all(axis=1))
+    keys = rows[live].view(np.dtype((np.void, rows.itemsize * n))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    index = np.full(rows.shape[0], -1, dtype=np.intp)
+    index[live] = inverse
+    return rows[live[first]], index
+
+
+def _scatter(per_pattern: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """Give each row its pattern's entry of per_pattern, in one gather: a
+    zero entry is appended, and a dead row's index of -1 picks it."""
+    zero = np.zeros((1,) + per_pattern.shape[1:], dtype=per_pattern.dtype)
+    return np.concatenate([per_pattern, zero])[index]
+
+
 def distinctness_flags_batch(values: np.ndarray, tau: float) -> np.ndarray:
     """Isolation flags for every configuration, batched.
 
     values has shape (..., n); the result is boolean with shape (..., 2^n).
     Entry p is distinctness_vector(config_sums_batch(x), tau).flags[p] for
-    each contribution vector x along the last axis. The flags are a pure
-    function of x, and door states leave most cells' vectors unchanged, so
-    each distinct byte pattern of x is flagged once and the result is
-    scattered back to every row that repeats it.
+    each contribution vector x along the last axis.
 
     A vector with an entry equal to 0 (or -0.0) isolates nothing, so its
     2^n sums are never built. Adding zero is exact, so configurations p
     and p with that luminaire toggled get the same float through every
     later doubling step: each sum has an equal twin, a gap of 0, which is
-    not more than any tau >= 0.
+    not more than any tau >= 0. Such dead rows are set aside before the
+    dedup. The flags are a pure function of x, and door states leave most
+    cells' vectors unchanged, so each distinct live vector is flagged once
+    and the result is scattered back to every row that repeats it.
     """
     _check_tau(tau)
     values = np.asarray(values, dtype=float)
-    n = values.shape[-1]
-    rows = np.ascontiguousarray(values).reshape(-1, n)
-    keys = rows.view(np.dtype((np.void, rows.itemsize * n))).ravel()
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    distinct = rows[first]
-    live = (distinct != 0).all(axis=1)
-    flags = np.zeros((distinct.shape[0], 1 << n), dtype=bool)
-    flags[live] = _isolated(config_sums_batch(distinct[live]), tau)
-    return flags[inverse].reshape(values.shape[:-1] + (1 << n,))
+    distinct, index = _live_patterns(values)
+    flags = _scatter(_isolated(config_sums_batch(distinct), tau), index)
+    return flags.reshape(values.shape[:-1] + flags.shape[-1:])
 
 
 def heatmap_scores(matrix: ContributionMatrix, tau: float = DEFAULT_TAU) -> np.ndarray:
-    """Distinctness score per (point, door state); shape (P, Q)."""
-    flags = distinctness_flags_batch(matrix.values, tau)
-    return flags.sum(axis=-1)
+    """Distinctness score per (point, door state); int64, shape (P, Q).
+
+    The score is the number of flags distinctness_flags_batch sets for the
+    (point, door state) row. Only the D distinct live rows are flagged, and
+    their counts are scattered back to the rows that repeat them: this
+    never holds the (P, Q, 2^n) flags, and a dead row scores 0.
+    """
+    distinct, index = _live_patterns(matrix.values)
+    counts = np.count_nonzero(distinctness_flags_batch(distinct, tau), axis=-1).astype(np.int64)
+    return _scatter(counts, index).reshape(matrix.values.shape[:-1])
 
 
 def build_cover_instance(matrix: ContributionMatrix, tau: float = DEFAULT_TAU) -> CoverInstance:
@@ -197,9 +225,15 @@ def restrict_cover_instance(instance: CoverInstance, keep: Iterable[int]) -> Cov
     """Project an instance onto a sub-universe (e.g. a single door state).
 
     keep is any iterable of state ids, such as a range or a frozenset; ids
-    outside the instance's universe are ignored.
+    outside the instance's universe are ignored. When the kept columns
+    form one contiguous run, the result's matrix is a view of the
+    instance's.
     """
-    columns = np.isin(instance.ids, np.fromiter(keep, dtype=np.int64))
+    keep = (np.arange(keep.start, keep.stop, keep.step, dtype=np.int64) if isinstance(keep, range)
+            else np.fromiter(keep, dtype=np.int64))
+    columns = np.flatnonzero(np.isin(instance.ids, keep))
+    if columns.size and columns[-1] - columns[0] + 1 == columns.size:
+        columns = slice(columns[0], columns[-1] + 1)
     return CoverInstance._of_matrix(instance.matrix[:, columns], instance.ids[columns])
 
 

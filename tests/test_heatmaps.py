@@ -153,3 +153,57 @@ def test_heatmap_set_equals_the_references(tmp_path, apartment, apartment_scores
         pgm_text = (tmp_path / f"heatmap_{name}.pgm").read_text(encoding="utf-8")
         assert csv_text == reference_csv(apartment.grid, values), name
         assert pgm_text == reference_pgm(apartment.grid, values, maxval), name
+
+
+def edge_grid():
+    # 4 x 3 lattice; a wall stub drops the cell at (1, 0) from the bottom row
+    wall = WallSegment(Point2(1.0, -1.0), Point2(1.0, 0.25))
+    grid = build_grid((0.0, 0.0, 1.75, 1.25), 0.5, 1.0, None, walls=[wall])
+    assert (grid.nx, grid.ny) == (4, 3) and len(grid.points) < 12
+    return grid
+
+
+def edge_values(grid, case):
+    values = np.zeros(len(grid.points), dtype=np.int64)
+    bottom, top = grid.cells[:, 1] == 0, grid.cells[:, 1] == grid.ny - 1
+    if case == "all nonzero":
+        values[:] = np.arange(1, len(values) + 1)
+    elif case == "first raster row":  # the top row renders first
+        values[np.flatnonzero(top)[-1]] = 5
+    elif case == "last raster row":
+        values[np.flatnonzero(bottom)[0]] = 5
+    elif case == "at maxval":
+        values[::2] = 12
+    return values
+
+
+@pytest.mark.parametrize("case", ["all zero", "all nonzero", "first raster row",
+                                  "last raster row", "at maxval"])
+def test_writer_edge_cases_equal_the_references(case):
+    grid = edge_grid()
+    values = edge_values(grid, case)
+    assert heatmap_csv(grid, values) == reference_csv(grid, values)
+    assert heatmap_pgm(grid, values, 12) == reference_pgm(grid, values, 12)
+
+
+def test_heatmap_set_edge_cases_equal_the_references(tmp_path):
+    grid = edge_grid()
+    # door states: all zero, a lone cell in each outer raster row, all
+    # nonzero; the total reaches its maxval of 4 * 12 where all four do
+    per_state = np.stack([edge_values(grid, "all zero"),
+                          edge_values(grid, "first raster row") + edge_values(grid, "last raster row"),
+                          np.full(len(grid.points), 12), np.full(len(grid.points), 12)], axis=1)
+    per_state[0, :] = 12
+    write_heatmap_set(grid, per_state, 12, tmp_path)
+    expected = {f"q{q}": (per_state[:, q], 12) for q in range(4)}
+    expected["total"] = (per_state.sum(axis=1), 48)
+    assert per_state.sum(axis=1).max() == 48
+    for name, (values, maxval) in expected.items():
+        assert (tmp_path / f"heatmap_{name}.csv").read_text(encoding="utf-8") == reference_csv(grid, values)
+        assert (tmp_path / f"heatmap_{name}.pgm").read_text(encoding="utf-8") == reference_pgm(grid, values, maxval)
+
+
+def test_csv_of_dense_float_values_equals_the_reference():
+    grid = edge_grid()
+    values = np.linspace(0.5, 300.25, len(grid.points))  # no zero; %d truncates
+    assert heatmap_csv(grid, values) == reference_csv(grid, values)

@@ -247,6 +247,42 @@ def test_pruned_flags_equal_the_unpruned_kernel(data):
     assert np.array_equal(flags, unpruned_flags(values, tau))
 
 
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_heatmap_scores_equal_the_unpruned_flag_counts(data):
+    n = data.draw(st.integers(min_value=1, max_value=8))
+    n_points = data.draw(st.integers(min_value=1, max_value=5))
+    n_states = data.draw(st.integers(min_value=1, max_value=4))
+    kind = data.draw(st.sampled_from(["mixed", "mixed", "all dead", "all live"]))
+    entry = st.floats(0.5, 50.0) if kind == "all live" else any_entry
+    values = np.array(data.draw(st.lists(st.lists(st.lists(entry, min_size=n, max_size=n),
+                                                   min_size=n_states, max_size=n_states),
+                                          min_size=n_points, max_size=n_points)))
+    if kind == "all dead":
+        values[..., data.draw(st.integers(min_value=0, max_value=n - 1))] = data.draw(
+            st.sampled_from([0.0, -0.0]))
+    elif kind == "mixed":
+        # plant 0.0 and -0.0, and repeat a cell's vector across door states
+        for p, q in data.draw(st.lists(st.tuples(st.integers(0, n_points - 1),
+                                                 st.integers(0, n_states - 1)), max_size=4)):
+            values[p, q, data.draw(st.integers(0, n - 1))] = data.draw(st.sampled_from([0.0, -0.0]))
+        for p, q, r in data.draw(st.lists(st.tuples(st.integers(0, n_points - 1),
+                                                    st.integers(0, n_states - 1),
+                                                    st.integers(0, n_states - 1)), max_size=4)):
+            values[p, r] = values[p, q]
+    tau = data.draw(st.sampled_from([0.0, 0.01, 0.25, 1.0]))
+    scores = heatmap_scores(ContributionMatrix(values=values), tau)
+    assert scores.dtype == np.int64
+    assert scores.shape == (n_points, n_states)
+    assert np.array_equal(scores, unpruned_flags(values, tau).sum(-1))
+
+
+@pytest.mark.parametrize("tau", [-1.0, math.nan, math.inf])
+def test_heatmap_scores_check_tau_without_live_rows(tau):
+    with pytest.raises(ValueError, match="tau must be nonnegative"):
+        heatmap_scores(ContributionMatrix(values=np.zeros((3, 2, 4))), tau)
+
+
 class TestStateSpace:
     def test_totals(self):
         space = StateSpace(n_luminaires=6, door_states=tuple(DoorState((a,)) for a in (0, 45, 90)))
@@ -315,6 +351,22 @@ class TestCoverInstance:
         sub = restrict_cover_instance(instance, frozenset({1, 2, 42}))
         assert sub.ids.tolist() == [1, 2]
         assert sub.matrix.tolist() == [[True, False], [False, True]]
+
+    @pytest.mark.parametrize("keep", [
+        range(8, 16), range(0, 24), range(20, 40), range(3, 4),  # contiguous
+        [1, 5, 9, 23], range(0, 24, 3), [2, 3, 7, 8],  # scattered
+        range(30, 40), [-5, 99], range(0),  # outside the universe, or nothing
+    ])
+    def test_restrict_equals_a_column_mask(self, keep):
+        rng = np.random.default_rng(31)
+        universe = [u for u in range(26) if u not in (4, 17)]  # ids with gaps
+        sets = [frozenset(rng.choice(universe, size=9).tolist()) for _ in range(5)]
+        instance = CoverInstance(universe=universe, sets=sets)
+        columns = np.isin(instance.ids, np.array(list(keep), dtype=np.int64))
+        sub = restrict_cover_instance(instance, keep)
+        assert np.array_equal(sub.ids, instance.ids[columns])
+        assert np.array_equal(sub.matrix, instance.matrix[:, columns])
+        assert sub.matrix.shape == (5, int(columns.sum()))
 
 
 def solution_fields(sol):
