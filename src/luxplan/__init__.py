@@ -38,9 +38,9 @@ from .transport import (
     write_matrix_csv,
 )
 from .inference import (
+    DecodeBatch,
     InferenceResult,
     PerfectSumQuery,
-    VoteVector,
     fuse_candidates,
     fuse_votes,
     infer_reading,
@@ -90,7 +90,7 @@ __all__ = [
     "ContributionMatrix", "ContributionVector", "LightConfig", "NoiseModel",
     "contribution", "contribution_vector",
     "read_matrix_csv", "reading", "sweep", "write_matrix_csv",
-    "InferenceResult", "PerfectSumQuery", "VoteVector", "fuse_candidates", "fuse_votes",
+    "DecodeBatch", "InferenceResult", "PerfectSumQuery", "fuse_candidates", "fuse_votes",
     "infer_reading", "jaccard_accuracy", "perfect_sum", "perfect_sum_indices", "sensor_votes",
     "CoverInstance", "CoverSolution", "DEFAULT_TAU", "DistinctnessVector",
     "StateSpace", "build_cover_instance", "config_sums_batch",

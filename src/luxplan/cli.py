@@ -31,12 +31,13 @@ import numpy as np
 from . import ingest as ingest_mod
 from .heatmaps import write_heatmap_set
 from .inference import (
-    PerfectSumQuery,
+    DecodeBatch,
+    check_epsilon,
     fuse_candidates,
     fuse_votes,
     half_sums_batch,
     infer_reading,
-    jaccard_accuracy,
+    jaccard_rows,
     sensor_votes,
     tables_per_batch,
 )
@@ -180,26 +181,27 @@ def _read_readings_csv(path: Path) -> list[dict]:
 
 
 def cmd_infer(args: argparse.Namespace) -> int:
+    check_epsilon(args.epsilon)
     scene, grid = _load_scene_with_grid(args)
     matrix = sweep(scene)
     rows = _read_readings_csv(args.readings)
     noise = NoiseModel(sigma=args.sigma, seed=args.seed)
     n = scene.n_luminaires
 
-    # Every row is checked, in file order, before any is answered; a row
-    # keeps only its lux and its vector's number until then. Rows that
+    # Every row is checked, in file order, before any is answered. Rows that
     # revisit a (point, door state) share its vector; vectors are numbered
-    # as they first appear, and each run of `step` of them shares one table
-    # build. Each batch's rows are answered in file order.
+    # as they first appear, and each run of `step` of them is one batch: one
+    # table build and one decode of all the batch's rows. A trial is fused
+    # in the batch of its last-numbered vector.
     step = tables_per_batch(n)
     numbers: dict[tuple[int, int], int] = {}
     vectors: list[ContributionVector] = []
     contributions: list[tuple[float, ...]] = []
     luxes: list[float] = []
     vector_of: list[int] = []
-    batches: list[list[int]] = []
-    trials: dict[str, list[int]] = {}  # each trial's rows, trials in first-appearance order
-    for i, row in enumerate(rows):
+    trial_of: list[int] = []
+    trials: dict[str, int] = {}  # trial numbers in first-appearance order
+    for row in rows:
         if not 0 <= row["point_index"] < matrix.n_points:
             raise ValueError(f"point_index {row['point_index']} outside the candidate grid")
         if not 0 <= row["door_state"] < matrix.n_door_states:
@@ -208,8 +210,6 @@ def cmd_infer(args: argparse.Namespace) -> int:
         if v == len(vectors):
             vectors.append(matrix.vector_at(row["point_index"], row["door_state"]))
             contributions.append(tuple(vectors[v].values.tolist()))
-            if v % step == 0:
-                batches.append([])
         truth = LightConfig.from_index(row["truth"], n) if row["truth"] is not None else None
         lux = row["lux"]
         if lux is None:
@@ -218,33 +218,59 @@ def cmd_infer(args: argparse.Namespace) -> int:
             lux = reading(vectors[v], truth, noise)
         luxes.append(lux)
         vector_of.append(v)
-        batches[v // step].append(i)
-        trials.setdefault(row["trial"], []).append(i)
+        trial_of.append(trials.setdefault(row["trial"], len(trials)))
 
-    # A trial is fused as soon as its last row is answered, so candidate
-    # lists are held only for the rows of trials still open.
-    left = {trial: len(members) for trial, members in trials.items()}
-    report_rows: list[tuple | None] = [None] * len(rows)
-    fused_rows: dict[str, tuple | None] = dict.fromkeys(trials)
-    held: dict[int, list[int]] = {}
-    for b, batch_rows in enumerate(batches):
-        tables = half_sums_batch(np.array(contributions[b * step:(b + 1) * step], dtype=float))
-        for i in batch_rows:
-            row, trial, v = rows[i], rows[i]["trial"], vector_of[i]
-            truth = LightConfig.from_index(row["truth"], n) if row["truth"] is not None else None
-            query = PerfectSumQuery(contributions=contributions[v], target=luxes[i],
-                                    epsilon=args.epsilon)
-            result = infer_reading(query, truth=truth, halves=tables[v - b * step])
-            acc = f"{result.accuracy:.6g}" if result.accuracy is not None else ""
-            truth_p = row["truth"] if row["truth"] is not None else -1
-            report_rows[i] = (row["point_index"], row["door_state"], truth_p,
-                              len(result.candidates), acc, int(result.no_solution))
-            held[i] = result.candidates
-            left[trial] -= 1
-            if not left[trial]:
-                fused_rows[trial] = _fused_row(trial, [(rows[j], vectors[vector_of[j]], held.pop(j))
-                                                       for j in trials[trial]], n)
+    vector_arr, trial_arr = np.array(vector_of, dtype=np.intp), np.array(trial_of, dtype=np.intp)
+    lux_arr = np.array(luxes, dtype=float)
+    truth_arr = np.array([-1 if r["truth"] is None else r["truth"] for r in rows], dtype=np.int64)
+    trial_truth = _trial_value(truth_arr, trial_arr, len(trials))
+    trial_door = _trial_value(np.array([r["door_state"] for r in rows], dtype=np.int64), trial_arr,
+                              len(trials))
+    batch_of = vector_arr // step
+    closes = np.zeros(len(trials), np.intp)
+    np.maximum.at(closes, trial_arr, batch_of)
+    n_candidates = np.zeros(len(rows), np.int64)
+    accuracy = np.zeros(len(rows))
+    fused = np.zeros(len(trials), np.int64)
+    decided = np.zeros(len(trials), bool)
+    # rows of trials that a later batch fuses: batch -> (rows, votes,
+    # candidate counts, candidates) parts
+    pending: dict[int, list[tuple]] = {}
+    order = np.argsort(batch_of, kind="stable")
+    cuts = np.flatnonzero(np.diff(batch_of[order])) + 1
+    for b, members in enumerate(np.split(order, cuts) if len(order) else []):
+        batch = DecodeBatch(tuple(contributions[b * step:(b + 1) * step]),
+                            vector_arr[members] - b * step, lux_arr[members], args.epsilon)
+        tables = half_sums_batch(batch.values)
+        result = infer_reading(batch, truth_arr[members], tables)
         del tables  # the next batch's tables replace these rather than join them
+        counts = result.counts
+        n_candidates[members] = counts
+        accuracy[members] = result.accuracy
+        votes = sensor_votes(batch, result)
+        close = closes[trial_arr[members]]
+        for c in np.flatnonzero(np.bincount(close)).tolist():
+            keep = close == c
+            pending.setdefault(c, []).append((members[keep], votes[keep], counts[keep],
+                                              result.candidates[np.repeat(keep, counts)]))
+        if b in pending:
+            at, votes, counts, candidates = map(np.concatenate, zip(*pending.pop(b)))
+            closing, trial = np.unique(trial_arr[at], return_inverse=True)
+            offsets = np.zeros(len(counts) + 1, np.int64)
+            counts.cumsum(out=offsets[1:])
+            fused[closing], decided[closing] = fuse_candidates(candidates, offsets, trial,
+                                                               fuse_votes(votes, trial))
+
+    report_rows = [(r["point_index"], r["door_state"], t, k, f"{acc:.6g}" if t >= 0 else "",
+                    int(not k))
+                   for r, t, k, acc in zip(rows, truth_arr.tolist(), n_candidates.tolist(),
+                                           accuracy.tolist())]
+    fused_acc = jaccard_rows(trial_truth, fused, np.arange(len(trials) + 1))
+    fused_rows = [(name, door, t, p, f"{acc:.6g}" if t >= 0 else "",
+                   "intersection" if hit else "vote")
+                  for name, door, t, p, acc, hit in zip(
+                      trials, trial_door.tolist(), trial_truth.tolist(), fused.tolist(),
+                      fused_acc.tolist(), decided.tolist())]
 
     args.out.mkdir(parents=True, exist_ok=True)
     report_path = args.out / "inference_report.csv"
@@ -252,26 +278,21 @@ def cmd_infer(args: argparse.Namespace) -> int:
     _write_csv(report_path, ["point_index", "door_state", "config_p", "n_candidates", "accuracy",
                              "no_solution"], report_rows)
     _write_csv(fused_path, ["trial", "door_state", "truth", "fused_p", "accuracy", "rule"],
-               fused_rows.values())
+               fused_rows)
     print(f"{len(rows)} readings in {len(trials)} trials")
     print(f"wrote {report_path}")
     print(f"wrote {fused_path}")
     return EXIT_OK
 
 
-def _fused_row(trial: str, entries: list[tuple[dict, ContributionVector, list[int]]],
-               n: int) -> tuple:
-    """The fused.csv row of a trial from its (row, vector, candidate indices) entries."""
-    votes = [sensor_votes(x, candidates) for _, x, candidates in entries]
-    fused, rule = fuse_candidates([candidates for _, _, candidates in entries], fuse_votes(votes))
-    truths = {r["truth"] for r, _, _ in entries}
-    truth_index = truths.pop() if len(truths) == 1 else None
-    acc = ""
-    if truth_index is not None:
-        acc = f"{jaccard_accuracy(LightConfig.from_index(truth_index, n), [fused.index]):.6g}"
-    door_states = {r["door_state"] for r, _, _ in entries}
-    ds = door_states.pop() if len(door_states) == 1 else -1
-    return (trial, ds, truth_index if truth_index is not None else -1, fused.index, acc, rule)
+def _trial_value(values: np.ndarray, trial: np.ndarray, n_trials: int) -> np.ndarray:
+    """The value all of a trial's rows share, or -1 where they differ;
+    values are nonnegative, or -1 for none."""
+    lo = np.full(n_trials, np.iinfo(np.int64).max)
+    hi = np.full(n_trials, -1)
+    np.minimum.at(lo, trial, values)
+    np.maximum.at(hi, trial, values)
+    return np.where(lo == hi, hi, -1)
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:

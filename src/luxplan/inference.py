@@ -7,15 +7,19 @@ Jaccard index against ground truth. Multiple sensors are combined by
 intersecting their candidate sets, with a per-luminaire majority vote as
 the tie-break and as the fallback when the sets share nothing.
 
-A candidate set is a list of configuration indices (bit i set when
-luminaire i is on) sorted ascending; only perfect_sum wraps them in
-LightConfig.
+Readings are decoded a batch at a time (DecodeBatch). A batch's candidate
+sets are one flat int64 array of configuration indices (bit i set when
+luminaire i is on) plus R + 1 row offsets: row r's set is
+candidates[offsets[r]:offsets[r + 1]], ascending. Scoring, voting and
+fusion are array passes over those two arrays; only perfect_sum wraps
+indices in LightConfig.
 """
 from __future__ import annotations
 
 import logging
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -25,65 +29,108 @@ from .transport import ContributionVector, LightConfig
 log = logging.getLogger(__name__)
 
 MAX_SOLVER_BITS = 24
-# bytes of meet-in-the-middle tables built at once; one 24-luminaire
-# vector's tables take 96 KB
+# bytes of meet-in-the-middle tables built at once, and of search arrays
+# held at once; one 24-luminaire vector's tables take 96 KB
 TABLE_BUDGET_BYTES = 16 << 20
-# a uint64 configuration index seen as its 8 little-endian bytes
-_MASK_BYTES = np.dtype((np.uint8, 8))
+_ALL_BITS = (1 << MAX_SOLVER_BITS) - 1
+
+
+def check_epsilon(epsilon: float) -> None:
+    """Reject a tolerance that is not a finite nonnegative number."""
+    if not math.isfinite(epsilon):
+        raise ValueError(f"epsilon {epsilon} must be finite")
+    if epsilon < 0:
+        raise ValueError("epsilon must be nonnegative")
+
+
+def _validate(values: np.ndarray, targets: np.ndarray, epsilon: float) -> None:
+    """Reject what the search cannot answer: a bad epsilon, a non-finite
+    target, a non-finite or negative contribution and more than
+    MAX_SOLVER_BITS luminaires."""
+    check_epsilon(epsilon)
+    bad = ~np.isfinite(targets)
+    if bad.any():
+        raise ValueError(f"target {targets[bad][0]} must be finite")
+    if not np.isfinite(values).all():
+        raise ValueError("contributions must be finite")
+    if (values < 0).any():
+        raise ValueError("contributions must be nonnegative")
+    if values.shape[-1] > MAX_SOLVER_BITS:
+        raise ValueError(
+            f"{values.shape[-1]} luminaires exceed the solver limit of {MAX_SOLVER_BITS}"
+        )
 
 
 @dataclass(frozen=True)
 class PerfectSumQuery:
+    """One reading against one contribution vector."""
+
     contributions: tuple[float, ...]
     target: float
     epsilon: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.target) and math.isfinite(self.epsilon)):
-            raise ValueError(f"target {self.target} and epsilon {self.epsilon} must be finite")
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be nonnegative")
-        if not all(map(math.isfinite, self.contributions)):
-            raise ValueError("contributions must be finite")
-        if self.contributions and min(self.contributions) < 0:
-            raise ValueError("contributions must be nonnegative")
-        if len(self.contributions) > MAX_SOLVER_BITS:
-            raise ValueError(
-                f"{len(self.contributions)} luminaires exceed the solver limit of {MAX_SOLVER_BITS}"
-            )
+        _validate(np.array(self.contributions, dtype=float), np.array([self.target], dtype=float),
+                  self.epsilon)
 
     @classmethod
     def from_vector(cls, x: ContributionVector, target: float, epsilon: float) -> "PerfectSumQuery":
         return cls(contributions=tuple(float(v) for v in x.values), target=target, epsilon=epsilon)
 
 
-@dataclass(frozen=True)
-class VoteVector:
-    """Per-luminaire vote from one sensor: +1 on, -1 off, 0 abstain."""
+@dataclass(frozen=True, eq=False)
+class DecodeBatch:
+    """Readings decoded together: row r reads targets[r] against the vector
+    contributions[vector[r]], every row within the one epsilon. All vectors
+    have the same number of luminaires."""
 
-    votes: tuple[int, ...]
+    contributions: tuple[tuple[float, ...], ...]
+    vector: np.ndarray
+    targets: np.ndarray
+    epsilon: float
 
     def __post_init__(self) -> None:
-        if not {-1, 0, 1}.issuperset(self.votes):
-            raise ValueError("votes must be -1, 0, or +1")
+        object.__setattr__(self, "vector", np.asarray(self.vector, dtype=np.intp))
+        object.__setattr__(self, "targets", np.asarray(self.targets, dtype=float))
+        if self.vector.shape != self.targets.shape or self.vector.ndim != 1:
+            raise ValueError("a batch needs one vector number per target")
+        _validate(self.values, self.targets, self.epsilon)
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        """The contributions as a (V, n) array."""
+        n = len(self.contributions[0]) if self.contributions else 0
+        return np.array(self.contributions, dtype=float).reshape(len(self.contributions), n)
 
 
-@dataclass
+@dataclass(eq=False)
 class InferenceResult:
-    candidates: list[int]
-    accuracy: float | None = None
-    no_solution: bool = False
+    """The candidate sets of a batch's rows (see the module docstring) and,
+    when truth was given, each row's Jaccard accuracy."""
+
+    candidates: np.ndarray
+    offsets: np.ndarray
+    accuracy: np.ndarray | None = None
+
+    @property
+    def counts(self) -> np.ndarray:
+        return np.diff(self.offsets)
+
+    @property
+    def no_solution(self) -> int:
+        """How many rows have no candidate."""
+        return int(np.count_nonzero(self.counts == 0))
 
 
 @dataclass(eq=False)
 class HalfSums:
-    """Meet-in-the-middle tables of one contribution vector of n luminaires.
+    """Meet-in-the-middle tables of V contribution vectors of n luminaires.
 
-    lo holds the subset sums of the low n // 2 luminaires, indexed by low
-    mask, and lo_masks those masks. hi holds the subset sums of the other
-    luminaires, sorted ascending, and hi_masks the configuration bits of
-    each (the high mask shifted past the low half). Every sum adds its
-    luminaires in increasing bit order starting from 0.0.
+    lo[v] holds the subset sums of vector v's low n // 2 luminaires,
+    indexed by low mask, and lo_masks those masks. hi[v] holds the subset
+    sums of its other luminaires, sorted ascending, and hi_masks[v] the
+    configuration bits of each (the high mask shifted past the low half).
+    Every sum adds its luminaires in increasing bit order starting from 0.0.
     """
 
     lo: np.ndarray
@@ -92,17 +139,16 @@ class HalfSums:
     lo_masks: np.ndarray
 
 
-def half_sums_batch(values: np.ndarray) -> list[HalfSums]:
+def half_sums_batch(values: np.ndarray) -> HalfSums:
     """The tables of each row of a (V, n) stack of contribution vectors."""
     values = np.asarray(values, dtype=float)
     h = values.shape[-1] // 2
     lo = config_sums_batch(values[:, :h])
     hi = config_sums_batch(values[:, h:])
-    order = hi.argsort(axis=1, kind="stable")
+    hi_masks = hi.argsort(axis=1, kind="stable")
     hi.sort(axis=1)
-    order <<= h
-    lo_masks = np.arange(1 << h)
-    return [HalfSums(*row, lo_masks) for row in zip(lo, hi, order)]
+    hi_masks <<= h
+    return HalfSums(lo, hi, hi_masks, np.arange(1 << h))
 
 
 def tables_per_batch(n: int) -> int:
@@ -111,36 +157,79 @@ def tables_per_batch(n: int) -> int:
     return max(1, TABLE_BUDGET_BYTES // (8 * ((1 << h) + 2 * (1 << (n - h)))))
 
 
-def perfect_sum_indices(query: PerfectSumQuery, halves: HalfSums | None = None) -> list[int]:
-    """Every configuration index whose reading matches the target within
-    epsilon, sorted ascending.
+def rows_per_chunk(n: int) -> int:
+    """How many n-luminaire readings search_batch matches at once: each
+    holds about eight 8-byte arrays as long as its vector's low table."""
+    return max(1, TABLE_BUDGET_BYTES // (64 << n // 2))
+
+
+def search_batch(batch: DecodeBatch,
+                 halves: HalfSums | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Every configuration index whose reading matches its row's target
+    within epsilon: the flat candidates, each row's ascending, and the row
+    offsets.
 
     Meet in the middle (Horowitz and Sahni, JACM 1974): each low-half sum s
-    admits the sorted high-half sums in [target - epsilon - s,
-    target + epsilon - s], found by binary search, so a query takes
-    O(n 2^(n/2)) steps plus one per match once the tables of its
-    contribution vector are built. `halves` are those tables, built by
-    half_sums_batch; without them the query builds its own.
+    admits the sorted high-half sums in [(target - epsilon) - s,
+    (target + epsilon) - s], found by binary search, so a reading takes
+    O(n 2^(n/2)) steps plus one per match once the tables of its vector are
+    built. `halves` are the tables of batch.contributions, built by
+    half_sums_batch; without them the call builds its own. Rows are matched
+    rows_per_chunk at a time, and within a chunk the rows of each vector
+    share one pair of searchsorted calls.
     """
+    values = batch.values
     if halves is None:
-        (halves,) = half_sums_batch(np.array([query.contributions], dtype=float))
+        halves = half_sums_batch(values)
+    n = values.shape[1]
     lo, hi = halves.lo, halves.hi
-    first = hi.searchsorted((query.target - query.epsilon) - lo)
-    last = hi.searchsorted((query.target + query.epsilon) - lo, "right")
-    counts = last - first
-    ends = counts.cumsum()
-    total = ends[-1]
-    if not total:
-        return []
-    # the matches of low mask m are hi_masks[first[m]:last[m]], at
-    # positions ends[m] - counts[m] ... ends[m] - 1 of the result
-    last -= ends
-    pos = np.repeat(last, counts)
-    pos += np.arange(total)
-    masks = halves.hi_masks[pos]
-    masks |= np.repeat(halves.lo_masks, counts)
-    masks.sort()
-    return masks.tolist()
+    low = batch.targets - batch.epsilon
+    high = batch.targets + batch.epsilon
+    counts = np.zeros(len(low), np.int64)
+    parts = [np.zeros(0, np.int64)]
+    step = rows_per_chunk(n)
+    for a in range(0, len(low), step):
+        vec = batch.vector[a:a + step]
+        order = vec.argsort(kind="stable")
+        vec = vec[order]
+        starts = np.flatnonzero(np.diff(vec, prepend=-1)).tolist()
+        below = low[a:a + step][order, None] - lo[vec]
+        above = high[a:a + step][order, None] - lo[vec]
+        first = np.empty(below.shape, np.int64)
+        last = np.empty(below.shape, np.int64)
+        for s, e in zip(starts, starts[1:] + [len(vec)]):
+            table = hi[vec[s]]
+            first[s:e] = table.searchsorted(below[s:e])
+            last[s:e] = table.searchsorted(above[s:e], "right")
+        per_low = last - first
+        per_row = per_low.sum(axis=1)
+        counts[a + order] = per_row
+        per_low = per_low.ravel()
+        ends = per_low.cumsum()
+        # the matches of (row j, low mask m) are hi_masks[vec[j], first:last],
+        # at positions ends - per_low ... ends - 1 of the chunk's matches
+        last += (vec * hi.shape[1])[:, None]
+        pos = np.repeat(last.ravel() - ends, per_low)
+        pos += np.arange(len(pos))
+        masks = halves.hi_masks.ravel()[pos]
+        del pos
+        masks |= np.repeat(np.tile(halves.lo_masks, len(vec)), per_low)
+        # one sort puts the chunk's rows back in order, each row ascending
+        masks |= np.repeat(order << n, per_row)
+        masks.sort()
+        masks &= (1 << n) - 1
+        parts.append(masks)
+    offsets = np.zeros(len(low) + 1, np.int64)
+    counts.cumsum(out=offsets[1:])
+    return np.concatenate(parts), offsets
+
+
+def perfect_sum_indices(query: PerfectSumQuery, halves: HalfSums | None = None) -> list[int]:
+    """Every configuration index whose reading matches the query, sorted
+    ascending: search_batch on the one-row batch. `halves` are the tables
+    of the query's vector alone."""
+    batch = DecodeBatch((query.contributions,), [0], [query.target], query.epsilon)
+    return search_batch(batch, halves)[0].tolist()
 
 
 def perfect_sum(query: PerfectSumQuery, halves: HalfSums | None = None) -> list[LightConfig]:
@@ -149,88 +238,152 @@ def perfect_sum(query: PerfectSumQuery, halves: HalfSums | None = None) -> list[
     return [LightConfig(m, n) for m in perfect_sum_indices(query, halves)]
 
 
-def jaccard_accuracy(truth: LightConfig, candidates: list[int]) -> float:
-    """Mean Jaccard similarity between the truth's on-set and each
-    candidate index's.
+def popcount(x: np.ndarray) -> np.ndarray:
+    """The number of set bits of each nonnegative int64 entry, as uint8
+    (np.bitwise_count needs numpy 2). Sums bits in pairs, nibbles and
+    bytes, holding one temporary as large as x."""
+    x = np.asarray(x, dtype=np.int64).astype(np.uint64)
+    t = x >> np.uint64(1)
+    t &= np.uint64(0x5555555555555555)
+    x -= t
+    np.right_shift(x, np.uint64(2), out=t)
+    t &= np.uint64(0x3333333333333333)
+    x &= np.uint64(0x3333333333333333)
+    x += t
+    np.right_shift(x, np.uint64(4), out=t)
+    x += t
+    x &= np.uint64(0x0F0F0F0F0F0F0F0F)
+    x *= np.uint64(0x0101010101010101)
+    x >>= np.uint64(56)
+    return x.astype(np.uint8)
 
-    Two all-off sets count as identical (score 1). An empty candidate list
-    scores 0 by convention.
+
+def _row_sums(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Each row's values added left to right starting from 0.0, as a Python
+    loop adds them. np.sum and np.add.reduceat add pairwise, which rounds
+    differently; a cumsum along an axis does not, so rows of equal length
+    are summed as the columns of one 2-D block."""
+    counts = np.diff(offsets)
+    sums = np.zeros(len(counts))
+    # the distinct nonzero lengths; np.unique without options imports numpy.ma
+    lengths = np.sort(counts[counts > 0])
+    for k in lengths[np.diff(lengths, prepend=0) > 0].tolist():
+        rows = np.flatnonzero(counts == k)
+        sums[rows] = values[offsets[rows, None] + np.arange(k)].cumsum(axis=1)[:, -1]
+    return sums
+
+
+def jaccard_rows(truth: np.ndarray, candidates: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Each row's mean Jaccard similarity between its truth's on-set and
+    each of its candidates'.
+
+    Two all-off sets count as identical (score 1), and a row without
+    candidates scores 0. The result equals, bit for bit, the mean a Python
+    loop over the row's candidates computes.
     """
-    if not candidates:
-        log.debug("jaccard_accuracy: no candidates, scoring 0")
-        return 0.0
-    t = truth.index
-    total = 0.0
-    for cand in candidates:
-        union = (t | cand).bit_count()
-        total += (t & cand).bit_count() / union if union else 1.0
-    return total / len(candidates)
+    counts = np.diff(offsets)
+    t = np.repeat(np.asarray(truth, dtype=np.int64), counts)
+    union = popcount(t | candidates)
+    ratio = np.ones(len(t))
+    np.divide(popcount(t & candidates), union, out=ratio, where=union > 0)
+    acc = _row_sums(ratio, offsets)
+    np.divide(acc, counts, out=acc, where=counts > 0)
+    return acc
+
+
+def jaccard_accuracy(truth: LightConfig, candidates: list[int]) -> float:
+    """jaccard_rows for one truth and its candidate index list."""
+    cands = np.array(candidates, dtype=np.int64)
+    return float(jaccard_rows(np.array([truth.index]), cands, np.array([0, len(cands)]))[0])
 
 
 def infer_reading(
-    query: PerfectSumQuery,
-    truth: LightConfig | None = None,
+    batch: DecodeBatch,
+    truth: np.ndarray | None = None,
     halves: HalfSums | None = None,
 ) -> InferenceResult:
-    """Run the perfect-sum search, on the vector's tables when given, and
-    score it when truth is known."""
-    candidates = perfect_sum_indices(query, halves)
-    accuracy = jaccard_accuracy(truth, candidates) if truth is not None else None
-    return InferenceResult(candidates=candidates, accuracy=accuracy, no_solution=not candidates)
+    """Search every row of the batch, on its vectors' tables when given,
+    and score each row against truth[r] when truth is known."""
+    candidates, offsets = search_batch(batch, halves)
+    accuracy = jaccard_rows(truth, candidates, offsets) if truth is not None else None
+    return InferenceResult(candidates=candidates, offsets=offsets, accuracy=accuracy)
 
 
-def sensor_votes(x: ContributionVector, candidates: list[int]) -> VoteVector:
-    """One sensor's per-luminaire majority vote over its candidate indices.
+def sensor_votes(batch: DecodeBatch, result: InferenceResult) -> np.ndarray:
+    """Each row's per-luminaire majority vote over its candidates, as an
+    (R, n) int8 array: +1 on, -1 off, 0 abstain.
 
-    Luminaires outside the sensor's range (x_i == 0) abstain, as do exact
-    ties and empty candidate lists.
+    Luminaires outside the row's sensor range (x_i == 0) abstain, as do
+    exact ties and rows without candidates.
     """
-    k = len(candidates)
-    # row j of the unpacked bytes holds candidate j's bits, luminaire i in
-    # column i
-    bits = np.unpackbits(np.array(candidates, "<u8").view(_MASK_BYTES), axis=1, count=x.n,
-                         bitorder="little")
-    ones = bits.sum(axis=0).tolist()
-    return VoteVector(votes=tuple((o + o > k) - (o + o < k) if v > 0 else 0
-                                  for o, v in zip(ones, x.values.tolist())))
+    n = batch.values.shape[1]
+    counts = result.counts
+    ones = np.zeros((len(counts), n), np.int64)
+    full = counts > 0
+    if full.any():
+        # a row's candidates are one run of the flat array; runs of empty
+        # rows are empty, so the nonempty rows' starts delimit every run
+        starts = result.offsets[:-1][full]
+        for i in range(n):
+            ones[full, i] = np.add.reduceat(result.candidates >> i & 1, starts)
+    votes = np.sign(2 * ones - counts[:, None]).astype(np.int8)
+    votes[batch.values[batch.vector] <= 0] = 0
+    return votes
+
+
+def fuse_votes(votes: np.ndarray, trial: np.ndarray) -> np.ndarray:
+    """Combine each trial's sensor votes: a positive sum means on, and a
+    tie resolves to off. trial[r] numbers row r's trial from 0; the result
+    is each trial's voted configuration index."""
+    trial = np.asarray(trial, dtype=np.intp)
+    if not len(trial) or votes.shape[0] != len(trial):
+        raise ValueError("need at least one vote row, and one trial number per row")
+    n = votes.shape[1]
+    totals = np.zeros((trial.max() + 1, n), np.int64)
+    np.add.at(totals, trial, votes)
+    if log.isEnabledFor(logging.DEBUG):
+        for row in totals:
+            ties = np.flatnonzero(row == 0).tolist()
+            if ties:
+                log.debug("fuse_votes: ties on luminaires %s resolve to off", ties)
+    return (totals > 0) @ (1 << np.arange(n, dtype=np.int64))
 
 
 def fuse_candidates(
-    candidate_sets: list[list[int]],
-    voted: LightConfig,
-) -> tuple[LightConfig, str]:
-    """Combine sensors by intersecting their sorted candidate index lists.
+    candidates: np.ndarray,
+    offsets: np.ndarray,
+    trial: np.ndarray,
+    voted: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Combine each trial's sensors by intersecting their candidate sets.
 
-    Every sensor admits each member of the intersection. A lone member is
-    the answer; among several, the one nearest `voted` (the fuse_votes
-    result) in Hamming distance wins, ties to the lowest configuration
-    index. Only an empty intersection falls back to `voted`. The second
-    return value names the rule that decided: "intersection" or "vote".
+    Rows are sensors, trial[r] numbers row r's trial from 0, and voted[t]
+    is trial t's fuse_votes result; a row's candidates must be distinct.
+    Every sensor of a trial admits each member of its intersection. A lone
+    member is the answer; among several, the one nearest the vote in
+    Hamming distance wins, ties to the lowest configuration index. Only an
+    empty intersection falls back to the vote. Returns each trial's answer
+    and whether its intersection decided it (the "intersection" rule, else
+    "vote").
     """
-    if not candidate_sets:
-        raise ValueError("need at least one candidate set")
-    common, *rest = candidate_sets
-    if rest:
-        shared = set(rest[0]).intersection(*rest[1:])
-        common = [m for m in common if m in shared]
-    if not common:
-        return voted, "vote"
-    v = voted.index
-    # common is sorted, so the first minimum is the lowest index
-    nearest = min(common, key=lambda m: (m ^ v).bit_count())
-    return LightConfig(nearest, voted.n), "intersection"
-
-
-def fuse_votes(all_votes: list[VoteVector]) -> LightConfig:
-    """Combine sensors: positive vote sum means on; ties resolve to off."""
-    if not all_votes:
-        raise ValueError("need at least one vote vector")
-    n = len(all_votes[0].votes)
-    if any(len(v.votes) != n for v in all_votes):
-        raise ValueError("vote vectors must have equal length")
-    totals = list(map(sum, zip(*(v.votes for v in all_votes))))
-    if log.isEnabledFor(logging.DEBUG):
-        ties = [i for i, total in enumerate(totals) if total == 0]
-        if ties:
-            log.debug("fuse_votes: ties on luminaires %s resolve to off", ties)
-    return LightConfig(sum(1 << i for i, total in enumerate(totals) if total > 0), n)
+    trial = np.asarray(trial, dtype=np.int64)
+    if not len(trial) or len(offsets) != len(trial) + 1:
+        raise ValueError("need at least one candidate set, and one trial number per set")
+    voted = np.asarray(voted, dtype=np.int64)
+    # a mask is common to a trial when each of its rows holds it once
+    keys, seen = np.unique(np.repeat(trial << MAX_SOLVER_BITS, np.diff(offsets)) | candidates,
+                           return_counts=True)
+    owner = keys >> MAX_SOLVER_BITS
+    common = seen == np.bincount(trial, minlength=len(voted))[owner]
+    keys, owner = keys[common] & _ALL_BITS, owner[common]
+    # one sort by (trial, distance to the vote, index); a distance is at
+    # most 24, so it takes 5 bits
+    ranked = ((owner << 5 | popcount(keys ^ voted[owner])) << MAX_SOLVER_BITS) | keys
+    ranked.sort()
+    owner = ranked >> (MAX_SOLVER_BITS + 5)
+    first = np.flatnonzero(np.diff(owner, prepend=-1))
+    fused = voted.copy()
+    fused[owner[first]] = ranked[first] & _ALL_BITS
+    decided = np.zeros(len(voted), bool)
+    decided[owner[first]] = True
+    return fused, decided

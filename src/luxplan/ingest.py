@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .inference import PerfectSumQuery, half_sums_batch, infer_reading
+from .inference import DecodeBatch, infer_reading
 from .transport import LightConfig
 
 LUX_MIN = 0.0
@@ -289,22 +289,21 @@ def evaluate_locations(
         off = table.cell(location, 0)
         if off is None or off.flag:
             raise ValueError(f"{location!r}: missing or flagged all-off baseline")
-        contributions = tuple(calib.values.tolist())
-        (halves,) = half_sums_batch(calib.values[None, :])
-        accs: list[float] = []
+        truths, targets = [], []
         for p in table.configs(location):
             cell = table.cell(location, p)
             if cell is None or cell.flag:
                 continue
-            query = PerfectSumQuery(
-                contributions=contributions, target=cell.mean - off.mean, epsilon=epsilon,
-            )
-            truth = LightConfig.from_index(p, calib.n)
-            result = infer_reading(query, truth=truth, halves=halves)
-            accs.append(result.accuracy if result.accuracy is not None else 0.0)
-        if not accs:
+            truths.append(p)
+            targets.append(cell.mean - off.mean)
+        if not truths:
             raise ValueError(f"{location!r}: no usable baselines to evaluate")
-        arr = np.asarray(accs)
+        if truths[-1] >> calib.n:
+            raise ValueError(f"config index {truths[-1]} out of range for {calib.n} luminaires")
+        batch = DecodeBatch((tuple(calib.values.tolist()),), np.zeros(len(targets), np.intp),
+                            np.array(targets), epsilon)
+        arr = infer_reading(batch, truth=np.array(truths, dtype=np.int64)).accuracy
+        accs = arr.tolist()
         q1, med, q3 = np.percentile(arr, [25, 50, 75])
         out.append(LocationAccuracy(
             location=location,

@@ -7,19 +7,37 @@ import pytest
 from luxplan import (
     LightConfig,
     PerfectSumQuery,
-    fuse_candidates,
-    fuse_votes,
-    infer_reading,
     inference,
+    jaccard_accuracy,
     load_scene,
+    perfect_sum_indices,
     reading,
-    sensor_votes,
     sweep,
     synthesize_logs,
 )
 from luxplan import cli
 from luxplan.cli import EXIT_INVALID, EXIT_OK, EXIT_USAGE, build_parser, run
 from luxplan.ingest import write_commands_csv, write_samples_csv
+
+
+def trial_rule(vectors, candidate_sets):
+    """One trial's fusion in Python: each sensor's majority vote over its
+    candidates (abstaining where x_i == 0, a tie counting as neither), the
+    votes summed per luminaire (on when positive), then the member of the
+    candidate sets' intersection nearest the vote, ties to the lowest
+    index, or the vote when they share nothing."""
+    n = len(vectors[0])
+    totals = [0] * n
+    for x, cands in zip(vectors, candidate_sets):
+        for i in range(n):
+            ones = sum(c >> i & 1 for c in cands)
+            if x[i] > 0:
+                totals[i] += (2 * ones > len(cands)) - (2 * ones < len(cands))
+    voted = sum(1 << i for i in range(n) if totals[i] > 0)
+    common = set(candidate_sets[0]).intersection(*candidate_sets[1:])
+    if not common:
+        return voted, "vote"
+    return min(common, key=lambda m: ((m ^ voted).bit_count(), m)), "intersection"
 
 
 def write_readings(path, rows):
@@ -321,6 +339,23 @@ class TestInfer:
         ]) == EXIT_INVALID
         assert "finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("epsilon, named", [
+        ("-1", "epsilon must be nonnegative"), ("nan", "epsilon nan must be finite"),
+        ("inf", "epsilon inf must be finite"),
+    ])
+    def test_bad_epsilon_rejected_before_any_row(self, toy_scene_file, tmp_path, capsys,
+                                                 epsilon, named):
+        # with no rows to answer, a bad tolerance used to exit 0
+        readings = tmp_path / "r.csv"
+        write_readings(readings, [])
+        out = tmp_path / "out"
+        assert run([
+            "infer", "--scene", str(toy_scene_file), "--readings", str(readings),
+            "--epsilon", epsilon, "--out", str(out),
+        ]) == EXIT_INVALID
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("noise, named", [
         (["--sigma", "nan"], "sigma nan"),
         (["--sigma", "inf"], "sigma inf"),
@@ -375,8 +410,9 @@ class TestInfer:
             x = matrix.vector_at(p, q)
             truth_config = LightConfig(truth, 6)
             target = float(lux) if lux else reading(x, truth_config, noise)
-            res = infer_reading(PerfectSumQuery.from_vector(x, target, 0.01), truth=truth_config)
-            want.append(f"{p},{q},{truth},{len(res.candidates)},{res.accuracy:.6g},{int(res.no_solution)}")
+            cands = perfect_sum_indices(PerfectSumQuery.from_vector(x, target, 0.01))
+            acc = jaccard_accuracy(truth_config, cands)
+            want.append(f"{p},{q},{truth},{len(cands)},{acc:.6g},{int(not cands)}")
         assert (out / "inference_report.csv").read_text(encoding="utf-8").splitlines() == want
 
         monkeypatch.setattr(inference, "TABLE_BUDGET_BYTES", 1 << 30)  # one batch
@@ -422,21 +458,25 @@ class TestInfer:
             by_trial.setdefault(trial, []).append((p, q, lux, truth))
         want = ["trial,door_state,truth,fused_p,accuracy,rule"]
         for trial, members in by_trial.items():
-            votes, candidate_sets = [], []
+            # the trial alone: its rows searched one at a time, then fused
+            # by the rule in Python
+            vectors, candidate_sets = [], []
             for p, q, lux, truth in members:
                 x = matrix.vector_at(p, q)
                 truth_config = LightConfig(truth, 6) if truth != "" else None
                 target = float(lux) if lux else reading(x, truth_config, noise)
-                res = infer_reading(PerfectSumQuery.from_vector(x, target, 0.01), truth=truth_config)
-                votes.append(sensor_votes(x, res.candidates))
-                candidate_sets.append(res.candidates)
-            fused, rule = fuse_candidates(candidate_sets, fuse_votes(votes))
+                vectors.append(tuple(x.values.tolist()))
+                query = PerfectSumQuery.from_vector(x, target, 0.01)
+                candidate_sets.append(perfect_sum_indices(query))
+            fused, rule = trial_rule(vectors, candidate_sets)
             truths = {truth for _, _, _, truth in members}
             truth = truths.pop() if len(truths) == 1 else ""
-            acc = f"{inference.jaccard_accuracy(LightConfig(truth, 6), [fused.index]):.6g}" if truth != "" else ""
+            acc = ""
+            if truth != "":
+                acc = f"{jaccard_accuracy(LightConfig(truth, 6), [fused]):.6g}"
             doors = {q for _, q, _, _ in members}
             door = doors.pop() if len(doors) == 1 else -1
-            want.append(f"{trial},{door},{truth if truth != '' else -1},{fused.index},{acc},{rule}")
+            want.append(f"{trial},{door},{truth if truth != '' else -1},{fused},{acc},{rule}")
         assert (out / "fused.csv").read_text(encoding="utf-8").splitlines() == want
 
     def test_out_of_range_point_rejected(self, toy_scene_file, tmp_path):

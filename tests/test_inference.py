@@ -10,10 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from luxplan import (
+    DecodeBatch,
     InferenceResult,
     LightConfig,
     PerfectSumQuery,
-    VoteVector,
     fuse_candidates,
     fuse_votes,
     infer_reading,
@@ -21,7 +21,9 @@ from luxplan import (
     perfect_sum,
     sensor_votes,
 )
-from luxplan.inference import half_sums_batch
+from luxplan import inference
+from luxplan.inference import half_sums_batch, jaccard_rows, popcount, search_batch
+from luxplan.planning import config_sums_batch
 from luxplan.transport import ContributionVector
 
 
@@ -39,6 +41,26 @@ def brute_force(values, target, epsilon):
 def solve(values, target, epsilon):
     q = PerfectSumQuery(contributions=tuple(values), target=target, epsilon=epsilon)
     return [c.index for c in perfect_sum(q)]
+
+
+def flat(sets):
+    """Candidate sets as the flat candidates and row offsets of a batch."""
+    candidates = np.array([m for s in sets for m in s], dtype=np.int64)
+    return candidates, np.cumsum([0] + [len(s) for s in sets])
+
+
+def votes_of(vectors, sets):
+    """sensor_votes of rows reading the given vectors with the given
+    candidate sets, as tuples."""
+    batch = DecodeBatch(tuple(tuple(v) for v in vectors), np.arange(len(vectors)),
+                        np.zeros(len(vectors)), 0.0)
+    return [tuple(v) for v in sensor_votes(batch, InferenceResult(*flat(sets))).tolist()]
+
+
+def fuse_one(sets, voted):
+    """fuse_candidates of one trial: (answer, rule)."""
+    fused, decided = fuse_candidates(*flat(sets), np.zeros(len(sets), np.intp), np.array([voted]))
+    return int(fused[0]), "intersection" if decided[0] else "vote"
 
 
 class TestPerfectSum:
@@ -165,12 +187,124 @@ def test_perfect_sum_with_and_without_tables_equals_the_bisect_reference(data):
             at += values[i]
     target = at + data.draw(st.sampled_from([-epsilon, 0.0, epsilon]), label="offset")
     query = PerfectSumQuery(contributions=tuple(values), target=target, epsilon=epsilon)
-    (halves,) = half_sums_batch(np.array([values]))
+    halves = half_sums_batch(np.array([values]))
     want = bisect_reference(values, target, epsilon)
     assert [c.index for c in perfect_sum(query)] == want
     assert [c.index for c in perfect_sum(query, halves)] == want
     if lattice:
         assert want == brute_force(values, target, epsilon)
+
+
+def one_query_reference(values, target, epsilon):
+    """The one-query searchsorted kernel that the batch search replaced:
+    the vector's own tables, then one pair of searchsorted calls."""
+    values = np.array([values], dtype=float).reshape(1, -1)
+    h = values.shape[1] // 2
+    lo = config_sums_batch(values[:, :h])[0]
+    hi = config_sums_batch(values[:, h:])[0]
+    hi_masks = hi.argsort(kind="stable") << h
+    hi.sort()
+    first = hi.searchsorted((target - epsilon) - lo)
+    last = hi.searchsorted((target + epsilon) - lo, "right")
+    counts = last - first
+    ends = counts.cumsum()
+    last -= ends
+    pos = np.repeat(last, counts) + np.arange(ends[-1])
+    masks = hi_masks[pos] | np.repeat(np.arange(1 << h), counts)
+    masks.sort()
+    return masks.tolist()
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_batch_search_equals_the_one_query_kernel(data):
+    # one to three vectors (often one), rows that share them, targets on a
+    # subset sum (at epsilon 0 too), at -0.0 and out of reach; on the 1/64
+    # lattice every sum is exact, so brute force agrees too
+    n = data.draw(st.integers(min_value=0, max_value=12), label="n")
+    lattice = data.draw(st.booleans(), label="lattice")
+    fresh = (st.integers(min_value=0, max_value=640).map(lambda k: k / 64.0) if lattice
+             else st.floats(min_value=0.0, max_value=100.0, allow_subnormal=False))
+    vectors = data.draw(st.lists(st.lists(st.one_of(st.just(0.0), fresh), min_size=n, max_size=n),
+                                 min_size=1, max_size=3), label="vectors")
+    epsilon = data.draw(st.one_of(st.just(0.0), st.integers(min_value=0, max_value=64).map(
+        lambda k: k / 64.0)), label="eps")
+    vector, targets = [], []
+    for _ in range(data.draw(st.integers(min_value=0, max_value=8), label="rows")):
+        v = data.draw(st.integers(min_value=0, max_value=len(vectors) - 1), label="v")
+        p = data.draw(st.integers(min_value=0, max_value=(1 << n) - 1), label="p")
+        at = 0.0
+        for i in range(n):  # the subset sum in the order the tables add it
+            if p >> i & 1:
+                at += vectors[v][i]
+        offset = data.draw(st.sampled_from([-epsilon, 0.0, epsilon]), label="offset")
+        vector.append(v)
+        targets.append(data.draw(st.sampled_from([at + offset, -0.0, 1e6]) | fresh, label="t"))
+    batch = DecodeBatch(tuple(map(tuple, vectors)), vector, targets, epsilon)
+    candidates, offsets = search_batch(batch)
+    assert offsets[0] == 0 and offsets[-1] == len(candidates)
+    exact = [[math.fsum(x[i] for i in range(n) if p >> i & 1) for p in range(1 << n)]
+             for x in vectors] if lattice else []
+    for r, (v, t) in enumerate(zip(vector, targets)):
+        got = candidates[offsets[r]:offsets[r + 1]].tolist()
+        assert got == one_query_reference(vectors[v], t, epsilon)
+        if lattice:
+            assert got == [p for p, s in enumerate(exact[v]) if abs(s - t) <= epsilon]
+
+
+def test_one_byte_budget_searches_one_row_at_a_time(monkeypatch):
+    rng = np.random.default_rng(3)
+    values = rng.integers(0, 40, (3, 9)) / 8.0
+    vector = rng.integers(0, 3, 50)
+    targets = rng.integers(0, 80, 50) / 8.0
+    batch = DecodeBatch(tuple(map(tuple, values.tolist())), vector, targets, 0.0)
+    want = search_batch(batch)
+    assert inference.rows_per_chunk(9) >= 50
+    assert inference.rows_per_chunk(24) * 64 << 12 <= inference.TABLE_BUDGET_BYTES
+    monkeypatch.setattr(inference, "TABLE_BUDGET_BYTES", 1)
+    assert inference.rows_per_chunk(9) == 1
+    got = search_batch(batch)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    assert len(want[0]) > 50
+
+
+def loop_jaccard(truth, candidates):
+    """The per-reading score that jaccard_rows replaced: a Python loop
+    that adds the candidates' scores left to right."""
+    if not candidates:
+        return 0.0
+    total = 0.0
+    for cand in candidates:
+        union = (truth | cand).bit_count()
+        total += (truth & cand).bit_count() / union if union else 1.0
+    return total / len(candidates)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_row_accuracy_equals_a_left_to_right_sum_bit_for_bit(seed):
+    # rows of 9 to 120 candidates, several of each length, where a pairwise
+    # sum (np.sum, np.add.reduceat) rounds differently from a Python loop
+    rng = np.random.default_rng(seed)
+    lengths = rng.integers(9, 121, 60).tolist() * 2 + [0, 1, 3, 8]
+    sets = [sorted(set(rng.integers(0, 1 << 24, k).tolist())) for k in lengths]
+    sets[-1] = [0, 5]
+    truths = rng.integers(0, 1 << 24, len(sets))
+    truths[-1] = 0  # two all-off sets score 1
+    candidates, offsets = flat(sets)
+    got = jaccard_rows(truths, candidates, offsets).tolist()
+    want = [loop_jaccard(int(t), s) for t, s in zip(truths, sets)]
+    assert got == want
+    ratios = [[(int(t) & c).bit_count() / (int(t) | c).bit_count() for c in s]
+              for t, s in zip(truths, sets) if len(s) > 8]
+    pairwise = [float(np.sum(r)) / len(r) for r in ratios]
+    assert pairwise != [w for w, s in zip(want, sets) if len(s) > 8]
+
+
+def test_popcount_matches_int_bit_count():
+    rng = np.random.default_rng(7)
+    x = np.concatenate([rng.integers(0, 2**63 - 1, 2000, dtype=np.int64),
+                        rng.integers(0, 1 << 24, 2000), [0, 1, 2**24 - 1, 2**62, 2**63 - 1]])
+    assert popcount(x).tolist() == [v.bit_count() for v in x.tolist()]
 
 
 @pytest.mark.parametrize("n", [0, 1, 5, 6, 13])
@@ -179,14 +313,16 @@ def test_batched_tables_equal_tables_built_one_at_a_time(n):
     values = rng.uniform(0, 5, size=(7, n))
     values[rng.random(values.shape) < 0.3] = 0.0
     values[3] = values[1]
-    for row, batched in zip(values, half_sums_batch(values)):
-        (alone,) = half_sums_batch(row[None, :])
+    batched = half_sums_batch(values)
+    assert batched.lo.shape == (7, 1 << n // 2)
+    for v, row in enumerate(values):
+        alone = half_sums_batch(row[None, :])
         for field in ("lo", "hi", "hi_masks"):
-            got, want = getattr(batched, field), getattr(alone, field)
+            got, want = getattr(batched, field)[v], getattr(alone, field)[0]
             assert got.dtype == want.dtype and np.array_equal(got, want)
-        assert batched.lo.shape == (1 << n // 2,)
-        assert np.all(np.diff(batched.hi) >= 0)
-        assert sorted(batched.hi_masks.tolist()) == [m << n // 2 for m in range(1 << (n - n // 2))]
+        assert np.all(np.diff(batched.hi[v]) >= 0)
+        highs = range(1 << (n - n // 2))
+        assert sorted(batched.hi_masks[v].tolist()) == [m << n // 2 for m in highs]
 
 
 @pytest.mark.parametrize("target, epsilon", [
@@ -230,76 +366,63 @@ class TestJaccard:
         assert jaccard_accuracy(truth, [0b10]) == 0.0
 
     def test_infer_reading_scores_against_truth(self):
-        q = PerfectSumQuery(contributions=(2.0, 3.0, 4.0, 5.0), target=7.0, epsilon=0.0)
-        truth = LightConfig.from_index(0b1001, 4)
-        result = infer_reading(q, truth=truth)
+        batch = DecodeBatch(((2.0, 3.0, 4.0, 5.0),), [0, 0], [7.0, 1.0], 0.0)
+        result = infer_reading(batch, truth=np.array([0b1001, 0b0001]))
         assert isinstance(result, InferenceResult)
-        assert not result.no_solution
-        # candidates {1,2} and {0,3}: disjoint from truth scores 0, exact hit 1
-        assert result.accuracy == pytest.approx(0.5, abs=1e-12)
+        assert result.candidates.tolist() == [0b0110, 0b1001]
+        assert result.offsets.tolist() == [0, 2, 2]
+        assert result.no_solution == 1
+        # candidates {1,2} and {0,3}: disjoint from truth scores 0, exact hit
+        # 1; the unsolved row scores 0
+        assert result.accuracy.tolist() == [pytest.approx(0.5, abs=1e-12), 0.0]
 
 
 class TestVoting:
     def test_single_candidate_votes_its_bits(self):
-        x = ContributionVector(values=np.array([3.0, 2.0]))
-        votes = sensor_votes(x, [0b01])
-        assert votes.votes == (1, -1)
+        assert votes_of([(3.0, 2.0)], [[0b01]]) == [(1, -1)]
 
     def test_out_of_range_luminaire_abstains(self):
-        x = ContributionVector(values=np.array([3.0, 2.0, 0.0]))
-        votes = sensor_votes(x, [0b101])
-        assert votes.votes[2] == 0
+        assert votes_of([(3.0, 2.0, 0.0)], [[0b101]])[0][2] == 0
 
     def test_split_candidates_abstain(self):
-        x = ContributionVector(values=np.array([3.0, 2.0]))
-        cands = [0b01, 0b10]
-        assert sensor_votes(x, cands).votes == (0, 0)
+        assert votes_of([(3.0, 2.0)], [[0b01, 0b10]]) == [(0, 0)]
 
     def test_majority_of_candidates_wins(self):
-        x = ContributionVector(values=np.array([3.0, 2.0]))
-        cands = [0b01, 0b10, 0b11]
-        assert sensor_votes(x, cands).votes == (1, 1)
+        assert votes_of([(3.0, 2.0)], [[0b01, 0b10, 0b11]]) == [(1, 1)]
 
     def test_high_luminaires_vote_like_low_ones(self):
         n = 24
-        values = np.ones(n)
+        values = [1.0] * n
         values[5] = 0.0
         top = 1 << 23
-        votes = sensor_votes(ContributionVector(values=values), [1 << 5, top, top | 1 << 5 | 1]).votes
+        (votes,) = votes_of([values], [[1 << 5, top, top | 1 << 5 | 1]])
         assert votes[23] == 1 and votes[0] == -1 and votes[5] == 0
         assert votes[1:5] + votes[6:23] == (-1,) * 21
 
     def test_fusion_majority_on(self):
-        votes = [VoteVector(votes=(1,)), VoteVector(votes=(1,)), VoteVector(votes=(-1,))]
-        assert fuse_votes(votes) == LightConfig.from_index(1, 1)
+        assert fuse_votes(np.array([[1], [1], [-1]]), [0, 0, 0]).tolist() == [1]
 
     def test_fusion_tie_resolves_off(self):
-        votes = [VoteVector(votes=(1,)), VoteVector(votes=(-1,))]
-        assert fuse_votes(votes) == LightConfig.from_index(0, 1)
+        assert fuse_votes(np.array([[1], [-1]]), [0, 0]).tolist() == [0]
 
     def test_fusion_abstain_plus_off_is_off(self):
-        votes = [VoteVector(votes=(-1,)), VoteVector(votes=(0,))]
-        assert fuse_votes(votes) == LightConfig.from_index(0, 1)
+        assert fuse_votes(np.array([[-1], [0]]), [0, 0]).tolist() == [0]
 
     def test_fusion_needs_votes(self):
         with pytest.raises(ValueError):
-            fuse_votes([])
+            fuse_votes(np.zeros((0, 1), np.int8), [])
         with pytest.raises(ValueError):
-            fuse_votes([VoteVector(votes=(1,)), VoteVector(votes=(1, 1))])
+            fuse_votes(np.ones((2, 1), np.int8), [0])
 
     def test_fusion_logs_its_ties_once_and_only_at_debug(self, caplog):
-        votes = [VoteVector(votes=(1, 0, -1, 0)), VoteVector(votes=(-1, 0, 1, 1))]
+        votes = np.array([(1, 0, -1, 0), (-1, 0, 1, 1)])
         with caplog.at_level(logging.INFO, logger="luxplan.inference"):
-            fuse_votes(votes)
+            fuse_votes(votes, [0, 0])
         assert not caplog.records
         with caplog.at_level(logging.DEBUG, logger="luxplan.inference"):
-            assert fuse_votes(votes) == LightConfig.from_index(0b1000, 4)
+            assert fuse_votes(votes, [0, 0]).tolist() == [0b1000]
         assert [r.getMessage() for r in caplog.records] == [
             "fuse_votes: ties on luminaires [0, 1, 2] resolve to off"]
-
-    def test_vote_values_validated(self):
-        with pytest.raises(ValueError):
-            VoteVector(votes=(2,))
 
 
 @pytest.mark.parametrize("seed", [0, 1 << 30])
@@ -316,8 +439,7 @@ def test_vote_counting_paths_match_a_per_luminaire_reference(seed):
             ones = sum(m >> i & 1 for m in masks)
             zeros = len(masks) - ones
             want.append(0 if values[i] == 0 or ones == zeros else (1 if ones > zeros else -1))
-        got = sensor_votes(ContributionVector(values=values), masks)
-        assert got.votes == tuple(want)
+        assert votes_of([values], [masks]) == [tuple(want)]
 
 
 class TestCandidateFusion:
@@ -333,29 +455,22 @@ class TestCandidateFusion:
         # other two admit 3 candidates each and vote lamp 3 off
         vectors = [(1.0, 2.0, 4.0, 8.0), (1.0, 2.0, 3.0, 3.0), (2.0, 4.0, 6.0, 6.0)]
         sets = self.candidate_sets(vectors, 0b1000)
-        votes = [sensor_votes(ContributionVector(values=np.array(v)), c)
-                 for v, c in zip(vectors, sets)]
-        voted = fuse_votes(votes)
-        assert voted.index == 0
-        fused, rule = fuse_candidates(sets, voted)
-        assert (fused.index, rule) == (0b1000, "intersection")
+        (voted,) = fuse_votes(np.array(votes_of(vectors, sets)), [0, 0, 0]).tolist()
+        assert voted == 0
+        assert fuse_one(sets, voted) == (0b1000, "intersection")
 
     def test_shared_candidates_go_to_the_one_nearest_the_vote(self):
         sets = [[0b001, 0b011, 0b101, 0b110], [0b011, 0b101, 0b110]]
-        fused, rule = fuse_candidates(sets, LightConfig.from_index(0b100, 3))
-        assert (fused.index, rule) == (0b101, "intersection")
+        assert fuse_one(sets, 0b100) == (0b101, "intersection")
         # 0b011 and 0b101 are one bit from the vote: the lowest index wins
-        fused, _ = fuse_candidates(sets, LightConfig.from_index(0b001, 3))
-        assert fused.index == 0b011
+        assert fuse_one(sets, 0b001)[0] == 0b011
 
     def test_disjoint_sets_fall_back_to_the_vote(self):
-        sets = [[1], [2], []]
-        voted = LightConfig.from_index(3, 2)
-        assert fuse_candidates(sets, voted) == (voted, "vote")
+        assert fuse_one([[1], [2], []], 3) == (3, "vote")
 
     def test_needs_a_candidate_set(self):
         with pytest.raises(ValueError):
-            fuse_candidates([], LightConfig.from_index(0, 1))
+            fuse_candidates(np.zeros(0, np.int64), np.zeros(1, np.int64), [], np.array([0]))
 
 
 @given(st.data())
@@ -387,26 +502,25 @@ def test_scoring_voting_and_fusion_match_a_bit_tuple_reference(data):
         return tuple(votes)
 
     truth_config = LightConfig.from_index(truth, n)
-    x = ContributionVector(values=np.array(values))
     for s in sets:
         assert jaccard_accuracy(truth_config, s) == pytest.approx(ref_jaccard(truth, s), abs=1e-12)
     assert jaccard_accuracy(LightConfig.from_index(0, n), [0]) == 1.0
 
-    votes = [sensor_votes(x, cands) for cands in sets]
-    assert [v.votes for v in votes] == [ref_votes(s) for s in sets]
-    sums = [sum(v.votes[i] for v in votes) for i in range(n)]
-    voted = fuse_votes(votes)
-    assert bits[voted.index] == tuple(int(t > 0) for t in sums)
+    votes = votes_of([values] * len(sets), sets)
+    assert votes == [ref_votes(s) for s in sets]
+    sums = [sum(v[i] for v in votes) for i in range(n)]
+    (voted,) = fuse_votes(np.array(votes), np.zeros(len(sets), np.intp)).tolist()
+    assert bits[voted] == tuple(int(t > 0) for t in sums)
 
     common = set(sets[0]).intersection(*map(set, sets[1:]))
-    fused, rule = fuse_candidates(sets, voted)
+    fused, rule = fuse_one(sets, voted)
     if not common:
         assert (fused, rule) == (voted, "vote")
     else:
-        distance = {c: sum(a != b for a, b in zip(bits[c], bits[voted.index])) for c in common}
+        distance = {c: sum(a != b for a, b in zip(bits[c], bits[voted])) for c in common}
         nearest = min(distance.values())
         assert rule == "intersection"
-        assert fused == LightConfig.from_index(min(c for c in common if distance[c] == nearest), n)
+        assert fused == min(c for c in common if distance[c] == nearest)
 
 
 def lightconfig_fusion(vectors, candidate_sets):
@@ -431,16 +545,27 @@ def lightconfig_fusion(vectors, candidate_sets):
 @given(st.data())
 @settings(max_examples=300, deadline=None)
 def test_index_fusion_matches_the_lightconfig_rule(data):
+    # several trials of one batch, their rows interleaved: votes, vote
+    # totals and fusion run once over all rows and must answer each trial
+    # as the per-trial rule does
     n = data.draw(st.integers(min_value=1, max_value=10), label="n")
     config = st.integers(min_value=0, max_value=(1 << n) - 1)
-    sensors = data.draw(st.integers(min_value=1, max_value=5), label="sensors")
+    rows = data.draw(st.integers(min_value=1, max_value=12), label="rows")
+    trial = data.draw(st.lists(st.integers(min_value=0, max_value=3), min_size=rows,
+                               max_size=rows), label="trials")
+    trial = np.unique(trial, return_inverse=True)[1].ravel()  # numbered from 0
     # few luminaires and a small pool of members make shared members,
     # Hamming ties, split votes and empty sets or intersections common
     pool = data.draw(st.lists(config, min_size=1, max_size=12, unique=True), label="pool")
     member = st.one_of(st.sampled_from(pool), config)
-    sets = [sorted(data.draw(st.sets(member, max_size=10), label=f"set {s}")) for s in range(sensors)]
+    sets = [sorted(data.draw(st.sets(member, max_size=10), label=f"set {s}")) for s in range(rows)]
     vectors = [data.draw(st.lists(st.sampled_from([0.0, 0.5, 2.0]), min_size=n, max_size=n),
-                         label=f"vector {s}") for s in range(sensors)]
-    votes = [sensor_votes(ContributionVector(values=np.array(v)), s) for v, s in zip(vectors, sets)]
-    got = fuse_candidates(sets, fuse_votes(votes))
-    assert got == lightconfig_fusion(vectors, [[LightConfig(m, n) for m in s] for s in sets])
+                         label=f"vector {s}") for s in range(rows)]
+    candidates, offsets = flat(sets)
+    voted = fuse_votes(np.array(votes_of(vectors, sets)), trial)
+    fused, decided = fuse_candidates(candidates, offsets, trial, voted)
+    for t in range(trial.max() + 1):
+        mine = np.flatnonzero(trial == t).tolist()
+        want = lightconfig_fusion([vectors[r] for r in mine],
+                                  [[LightConfig(m, n) for m in sets[r]] for r in mine])
+        assert (LightConfig(int(fused[t]), n), "intersection" if decided[t] else "vote") == want

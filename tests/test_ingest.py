@@ -8,8 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from luxplan import (
+    DecodeBatch,
     LightConfig,
-    PerfectSumQuery,
     calibrate_contributions,
     evaluate_locations,
     extract_baselines,
@@ -473,22 +473,21 @@ class TestFusion:
         n = x_a.n
 
         def accuracies(vectors):
-            single = [[] for _ in vectors]
-            fused_acc = []
-            for p in range(1 << n):
-                truth = LightConfig.from_index(p, n)
-                votes = []
-                for s, x in enumerate(vectors):
-                    k = math.fsum(x.values[i] for i in truth.on_indices)
-                    res = infer_reading(
-                        PerfectSumQuery.from_vector(x, target=k, epsilon=0.001),
-                        truth=truth,
-                    )
-                    single[s].append(res.accuracy)
-                    votes.append(sensor_votes(x, res.candidates))
-                fused = fuse_votes(votes)
-                fused_acc.append(jaccard_accuracy(truth, [fused.index]))
-            return [float(np.mean(a)) for a in single], float(np.mean(fused_acc))
+            # every configuration is one trial, read by each sensor
+            truths = np.arange(1 << n)
+            single, votes = [], []
+            for x in vectors:
+                targets = [math.fsum(x.values[i] for i in LightConfig.from_index(p, n).on_indices)
+                           for p in range(1 << n)]
+                batch = DecodeBatch((tuple(x.values.tolist()),), np.zeros(1 << n, np.intp),
+                                    targets, 0.001)
+                res = infer_reading(batch, truth=truths)
+                single.append(float(np.mean(res.accuracy)))
+                votes.append(sensor_votes(batch, res))
+            fused = fuse_votes(np.concatenate(votes), np.tile(truths, len(vectors)))
+            fused_acc = [jaccard_accuracy(LightConfig.from_index(p, n), [int(f)])
+                         for p, f in enumerate(fused)]
+            return single, float(np.mean(fused_acc))
 
         singles, fused = accuracies([x_a, x_b])
         assert max(singles) < 1.0
