@@ -24,6 +24,8 @@ import io
 import math
 import sys
 from collections.abc import Iterable, Sequence
+from dataclasses import dataclass
+from itertools import compress
 from pathlib import Path
 
 import numpy as np
@@ -155,94 +157,214 @@ def cmd_solve_cover(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _read_readings_csv(path: Path) -> list[dict]:
+READINGS_COLUMNS = ("trial", "point_index", "door_state", "lux", "truth")
+
+
+@dataclass(frozen=True, eq=False)
+class Readings:
+    """A readings file as columns, one entry per nonblank row in file order.
+
+    Row i belongs to the trial names[trial[i]] (names in first-appearance
+    order) and reads grid point point[i] under door state door[i]. lux[i]
+    is its reading, NaN where the row gives none; truth[i] is its true
+    configuration where has_truth[i], else -1. line[i] is the row's 1-based
+    line in the file. point, door and truth are int64 arrays, or object
+    arrays where a value does not fit in int64.
+    """
+
+    names: tuple[str, ...]
+    trial: np.ndarray
+    point: np.ndarray
+    door: np.ndarray
+    lux: np.ndarray
+    truth: np.ndarray
+    has_truth: np.ndarray
+    line: np.ndarray
+
+
+def _ints(values: list[int]) -> np.ndarray:
+    """values as int64, or as Python ints where one does not fit."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
+
+
+def _readings(trial: list[str], point: list[int], door: list[int], lux: list[float],
+              truth: list[int], has_truth: list[bool], line: list[int]) -> Readings:
+    names: dict[str, int] = {}
+    codes = [names.setdefault(name, len(names)) for name in trial]
+    return Readings(tuple(names), np.array(codes, dtype=np.intp),
+                    _ints(point), _ints(door), np.array(lux, dtype=float), _ints(truth),
+                    np.array(has_truth, dtype=bool), np.array(line, dtype=np.intp))
+
+
+def _readings_columns(path: Path, header: list[str] | None) -> dict[str, int]:
+    """Each READINGS_COLUMNS name the header gives, with its position."""
+    if header is None or not {"trial", "point_index", "door_state"}.issubset(header):
+        raise ValueError(
+            f"{path}: readings need columns trial,point_index,door_state[,lux][,truth]"
+        )
+    for name in READINGS_COLUMNS:
+        if header.count(name) > 1:
+            raise ValueError(f"{path}: the header names column {name!r} twice")
+    return {name: header.index(name) for name in READINGS_COLUMNS if name in header}
+
+
+def _read_readings_csv(path: Path) -> Readings:
+    """The readings of a trial,point_index,door_state[,lux][,truth] CSV, its
+    columns in any order. An empty lux or truth is none. A row whose width
+    differs from the header's, or with an unparsable field or a non-finite
+    lux, raises ValueError naming the file and its 1-based line."""
+    return _read_readings_text(path) or _read_readings_rows(path)
+
+
+def _read_readings_rows(path: Path) -> Readings:
+    """_read_readings_csv through the csv module, one row at a time."""
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        required = {"trial", "point_index", "door_state"}
-        if reader.fieldnames is None or not required.issubset(set(reader.fieldnames)):
-            raise ValueError(
-                f"{path}: readings need columns trial,point_index,door_state[,lux][,truth]"
-            )
-        rows = []
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        columns = _readings_columns(path, header)
+        k_lux, k_truth = columns.get("lux"), columns.get("truth")
+        trial, point, door, lux, truth, has_truth, line = [], [], [], [], [], [], []
         for row in reader:
+            if not row:
+                continue
             try:
-                rows.append({
-                    "trial": row["trial"],
-                    "point_index": int(row["point_index"]),
-                    "door_state": int(row["door_state"]),
-                    "lux": float(row["lux"]) if row.get("lux") not in (None, "") else None,
-                    "truth": int(row["truth"]) if row.get("truth") not in (None, "") else None,
-                })
-            except (TypeError, ValueError):
-                raise ValueError(f"{path}: line {reader.line_num}: malformed reading row") from None
-            if rows[-1]["lux"] is not None and not math.isfinite(rows[-1]["lux"]):
-                raise ValueError(f"{path}: line {reader.line_num}: lux {row['lux']!r} is not finite")
-        return rows
+                if len(row) != len(header):
+                    raise ValueError(f"expected {len(header)} fields, got {len(row)}")
+                lux_text = "" if k_lux is None else row[k_lux]
+                truth_text = "" if k_truth is None else row[k_truth]
+                try:
+                    p, q = int(row[columns["point_index"]]), int(row[columns["door_state"]])
+                    x = float(lux_text) if lux_text else math.nan
+                    t = int(truth_text) if truth_text else None
+                except ValueError:
+                    raise ValueError("malformed reading row") from None
+                if lux_text and not math.isfinite(x):
+                    raise ValueError(f"lux {lux_text!r} is not finite")
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+            trial.append(row[columns["trial"]])
+            point.append(p)
+            door.append(q)
+            lux.append(x)
+            truth.append(-1 if t is None else t)
+            has_truth.append(t is not None)
+            line.append(reader.line_num)
+    return _readings(trial, point, door, lux, truth, has_truth, line)
+
+
+def _read_readings_text(path: Path) -> Readings | None:
+    """_read_readings_csv through ingest.split_csv_text, or None where the
+    csv module is needed: for quoting, or for the error a malformed row
+    raises."""
+    split = ingest_mod.split_csv_text(path)
+    if split is None:
+        return None
+    header, fields, lines = split
+    columns = _readings_columns(path, header)
+    n_rows = len(fields) // len(header)
+    text_of = {name: fields[k::len(header)] for name, k in columns.items()}
+    lux_text = text_of.get("lux", [""] * n_rows)
+    truth_text = text_of.get("truth", [""] * n_rows)
+    try:
+        point = list(map(int, text_of["point_index"]))
+        door = list(map(int, text_of["door_state"]))
+        lux = [float(v) if v else math.nan for v in lux_text]
+        truth = [int(v) if v else -1 for v in truth_text]
+    except ValueError:
+        return None
+    if not all(map(math.isfinite, compress(lux, lux_text))):
+        return None
+    line = [k for k, row in enumerate(lines[1:], start=2) if row]
+    return _readings(text_of["trial"], point, door, lux, truth, list(map(bool, truth_text)), line)
+
+
+def _check_readings(path: Path, readings: Readings, n_points: int, n_states: int,
+                    n: int) -> None:
+    """Raise the first bad row's error, in file order: a point off the grid,
+    a door state or truth out of range, or neither lux nor truth."""
+    point, door, truth = readings.point, readings.door, readings.truth
+    bad_point = (point < 0) | (point >= n_points)
+    bad_door = (door < 0) | (door >= n_states)
+    bad_truth = readings.has_truth & ((truth < 0) | (truth >= 1 << n))
+    neither = np.isnan(readings.lux) & ~readings.has_truth
+    bad = bad_point | bad_door | bad_truth | neither
+    if not bad.any():
+        return
+    i = int(bad.argmax())
+    if bad_point[i]:
+        problem = f"point_index {point[i]} outside the candidate grid"
+    elif bad_door[i]:
+        problem = f"door_state {door[i]} out of range"
+    elif bad_truth[i]:
+        problem = f"config index {truth[i]} out of range for {n} luminaires"
+    else:
+        problem = "a reading row needs lux, or truth to simulate it"
+    raise ValueError(f"{path}: line {readings.line[i]}: {problem}")
 
 
 def cmd_infer(args: argparse.Namespace) -> int:
     check_epsilon(args.epsilon)
     scene, grid = _load_scene_with_grid(args)
-    matrix = sweep(scene)
-    rows = _read_readings_csv(args.readings)
+    readings = _read_readings_csv(args.readings)
     noise = NoiseModel(sigma=args.sigma, seed=args.seed)
     n = scene.n_luminaires
 
-    # Every row is checked, in file order, before any is answered. Rows that
+    # The rows come as columns. Only the grid points they name are swept,
+    # and every row is checked, as arrays, before any is answered. Rows that
     # revisit a (point, door state) share its vector; vectors are numbered
     # as they first appear, and each run of `step` of them is one batch: one
     # table build and one decode of all the batch's rows. A trial is fused
     # in the batch of its last-numbered vector.
-    step = tables_per_batch(n)
-    numbers: dict[tuple[int, int], int] = {}
-    vectors: list[ContributionVector] = []
-    contributions: list[tuple[float, ...]] = []
-    luxes: list[float] = []
-    vector_of: list[int] = []
-    trial_of: list[int] = []
-    trials: dict[str, int] = {}  # trial numbers in first-appearance order
-    for row in rows:
-        if not 0 <= row["point_index"] < matrix.n_points:
-            raise ValueError(f"point_index {row['point_index']} outside the candidate grid")
-        if not 0 <= row["door_state"] < matrix.n_door_states:
-            raise ValueError(f"door_state {row['door_state']} out of range")
-        v = numbers.setdefault((row["point_index"], row["door_state"]), len(vectors))
-        if v == len(vectors):
-            vectors.append(matrix.vector_at(row["point_index"], row["door_state"]))
-            contributions.append(tuple(vectors[v].values.tolist()))
-        truth = LightConfig.from_index(row["truth"], n) if row["truth"] is not None else None
-        lux = row["lux"]
-        if lux is None:
-            if truth is None:
-                raise ValueError("a reading row needs lux, or truth to simulate it")
-            lux = reading(vectors[v], truth, noise)
-        luxes.append(lux)
-        vector_of.append(v)
-        trial_of.append(trials.setdefault(row["trial"], len(trials)))
+    point, door, truth = readings.point, readings.door, readings.truth
+    on_grid = (point >= 0) & (point < len(grid.points))
+    cells = np.unique(point[on_grid]).astype(np.intp)
+    matrix = sweep(scene, cells=cells)
+    _check_readings(args.readings, readings, len(grid.points), matrix.n_door_states, n)
+    _, first, inverse = np.unique(point * matrix.n_door_states + door, return_index=True,
+                                  return_inverse=True)
+    rank = np.empty(len(first), np.intp)
+    rank[first.argsort()] = np.arange(len(first))
+    vector_arr = rank[inverse]
+    first.sort()  # each vector's first row, in vector order
+    values = matrix.values[cells.searchsorted(point[first]), door[first]]
+    contributions = tuple(map(tuple, values.tolist()))
 
-    vector_arr, trial_arr = np.array(vector_of, dtype=np.intp), np.array(trial_of, dtype=np.intp)
-    lux_arr = np.array(luxes, dtype=float)
-    truth_arr = np.array([-1 if r["truth"] is None else r["truth"] for r in rows], dtype=np.int64)
-    trial_truth = _trial_value(truth_arr, trial_arr, len(trials))
-    trial_door = _trial_value(np.array([r["door_state"] for r in rows], dtype=np.int64), trial_arr,
-                              len(trials))
+    # a row without lux is simulated from its truth, by the vector's lattice
+    # point (the noise key), not its place in cells
+    lux_arr = readings.lux.copy()
+    simulated = np.flatnonzero(np.isnan(lux_arr))
+    vector_point, vector_door = point[first].tolist(), door[first].tolist()
+    vectors = {v: ContributionVector(values[v], vector_point[v], vector_door[v])
+               for v in np.unique(vector_arr[simulated]).tolist()}
+    configs = {t: LightConfig(t, n) for t in np.unique(truth[simulated]).tolist()}
+    lux_arr[simulated] = [reading(vectors[v], configs[t], noise)
+                          for v, t in zip(vector_arr[simulated].tolist(),
+                                          truth[simulated].tolist())]
+
+    step = tables_per_batch(n)
+    trial_arr, n_trials = readings.trial, len(readings.names)
+    trial_truth = _trial_value(truth, trial_arr, n_trials)
+    trial_door = _trial_value(door, trial_arr, n_trials)
     batch_of = vector_arr // step
-    closes = np.zeros(len(trials), np.intp)
+    closes = np.zeros(n_trials, np.intp)
     np.maximum.at(closes, trial_arr, batch_of)
-    n_candidates = np.zeros(len(rows), np.int64)
-    accuracy = np.zeros(len(rows))
-    fused = np.zeros(len(trials), np.int64)
-    decided = np.zeros(len(trials), bool)
+    n_candidates = np.zeros(len(point), np.int64)
+    accuracy = np.zeros(len(point))
+    fused = np.zeros(n_trials, np.int64)
+    decided = np.zeros(n_trials, bool)
     # rows of trials that a later batch fuses: batch -> (rows, votes,
     # candidate counts, candidates) parts
     pending: dict[int, list[tuple]] = {}
     order = np.argsort(batch_of, kind="stable")
     cuts = np.flatnonzero(np.diff(batch_of[order])) + 1
     for b, members in enumerate(np.split(order, cuts) if len(order) else []):
-        batch = DecodeBatch(tuple(contributions[b * step:(b + 1) * step]),
+        batch = DecodeBatch(contributions[b * step:(b + 1) * step],
                             vector_arr[members] - b * step, lux_arr[members], args.epsilon)
         tables = half_sums_batch(batch.values)
-        result = infer_reading(batch, truth_arr[members], tables)
+        result = infer_reading(batch, truth[members], tables)
         del tables  # the next batch's tables replace these rather than join them
         counts = result.counts
         n_candidates[members] = counts
@@ -261,28 +383,37 @@ def cmd_infer(args: argparse.Namespace) -> int:
             fused[closing], decided[closing] = fuse_candidates(candidates, offsets, trial,
                                                                fuse_votes(votes, trial))
 
-    report_rows = [(r["point_index"], r["door_state"], t, k, f"{acc:.6g}" if t >= 0 else "",
-                    int(not k))
-                   for r, t, k, acc in zip(rows, truth_arr.tolist(), n_candidates.tolist(),
-                                           accuracy.tolist())]
-    fused_acc = jaccard_rows(trial_truth, fused, np.arange(len(trials) + 1))
-    fused_rows = [(name, door, t, p, f"{acc:.6g}" if t >= 0 else "",
-                   "intersection" if hit else "vote")
-                  for name, door, t, p, acc, hit in zip(
-                      trials, trial_door.tolist(), trial_truth.tolist(), fused.tolist(),
-                      fused_acc.tolist(), decided.tolist())]
-
+    report = np.column_stack([point, door, truth, n_candidates,
+                              _accuracy_text(accuracy, readings.has_truth),
+                              (n_candidates == 0).astype(np.int64)])
+    fused_acc = jaccard_rows(trial_truth, fused, np.arange(n_trials + 1))
     args.out.mkdir(parents=True, exist_ok=True)
     report_path = args.out / "inference_report.csv"
     fused_path = args.out / "fused.csv"
-    _write_csv(report_path, ["point_index", "door_state", "config_p", "n_candidates", "accuracy",
-                             "no_solution"], report_rows)
+    # the report is all numbers, formatted with one % per block of 256 rows
+    # so that the argument tuple and the text stay small; trial names may
+    # need the csv module's quoting
+    with open(report_path, "w", encoding="utf-8") as fh:
+        fh.write("point_index,door_state,config_p,n_candidates,accuracy,no_solution\n")
+        for block in np.split(report, range(256, len(report), 256)):
+            fh.write("%d,%d,%d,%d,%s,%d\n" * len(block) % tuple(block.ravel().tolist()))
     _write_csv(fused_path, ["trial", "door_state", "truth", "fused_p", "accuracy", "rule"],
-               fused_rows)
-    print(f"{len(rows)} readings in {len(trials)} trials")
+               zip(readings.names, trial_door.tolist(), trial_truth.tolist(), fused.tolist(),
+                   _accuracy_text(fused_acc, trial_truth >= 0).tolist(),
+                   np.where(decided, "intersection", "vote").tolist()))
+    print(f"{len(point)} readings in {n_trials} trials")
     print(f"wrote {report_path}")
     print(f"wrote {fused_path}")
     return EXIT_OK
+
+
+def _accuracy_text(accuracy: np.ndarray, scored: np.ndarray) -> np.ndarray:
+    """Each accuracy printed with %.6g, empty where unscored (no truth), as
+    an object array of str."""
+    text = np.array(("%.6g," * len(accuracy) % tuple(accuracy.tolist())).split(",")[:-1],
+                    dtype=object)
+    text[~scored] = ""
+    return text
 
 
 def _trial_value(values: np.ndarray, trial: np.ndarray, n_trials: int) -> np.ndarray:
@@ -348,7 +479,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="largest universe, in states, the exact solver accepts (default %(default)s)")
 
     infer.add_argument("--readings", type=Path, required=True,
-                       help="CSV with trial,point_index,door_state[,lux][,truth]")
+                       help="CSV with columns trial,point_index,door_state[,lux][,truth], "
+                            "in any order")
     infer.add_argument("--sigma", type=float, default=0.0,
                        help="gaussian noise std in lux for simulated readings")
     infer.add_argument("--seed", type=int, default=0, help="noise seed")

@@ -350,9 +350,28 @@ def read_samples_csv(path: str | Path) -> SampleLog:
 
 
 def _read_samples_text(path: str | Path) -> SampleLog | None:
-    """The log split at line ends and commas, or None where csv's quoting,
-    limits or error messages are needed. Lines end at CR LF, CR or LF, as
-    for csv.reader; str.splitlines would also split at VT, FF, NEL and more."""
+    """The log through split_csv_text, or None where the csv module is
+    needed."""
+    split = split_csv_text(path)
+    if split is None or [c.strip() for c in split[0]] != SAMPLES_HEADER:
+        return None
+    fields = split[1]
+    try:
+        t = list(map(float, fields[0::3]))
+        lux = list(map(float, fields[2::3]))
+    except ValueError:
+        return None
+    return _coded_log(t, fields[1::3], lux)
+
+
+def split_csv_text(path: str | Path) -> tuple[list[str], list[str], list[str]] | None:
+    """A headed CSV split at line ends and commas: the header's fields, the
+    nonblank rows' fields in one flat list, and the file's lines (line k is
+    lines[k - 1]). None where csv's quoting, limits or error messages are
+    needed: the text is not UTF-8, has a quote or a NUL, has a line over
+    the field size limit, or has a row whose width differs from the
+    header's. Lines end at CR LF, CR or LF, as for csv.reader;
+    str.splitlines would also split at VT, FF, NEL and more."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             text = fh.read()
@@ -364,18 +383,11 @@ def _read_samples_text(path: str | Path) -> SampleLog | None:
     limit = csv.field_size_limit()
     if len(text) > limit and max(map(len, lines)) > limit:
         return None
-    if [c.strip() for c in lines[0].split(",")] != SAMPLES_HEADER:
-        return None
+    header = lines[0].split(",")
     rows = list(filter(None, lines[1:]))
-    if list(map(str.count, rows, repeat(","))).count(2) != len(rows):
+    if list(map(str.count, rows, repeat(","))).count(len(header) - 1) != len(rows):
         return None
-    fields = ",".join(rows).split(",") if rows else []
-    try:
-        t = list(map(float, fields[0::3]))
-        lux = list(map(float, fields[2::3]))
-    except ValueError:
-        return None
-    return _coded_log(t, fields[1::3], lux)
+    return header, ",".join(rows).split(",") if rows else [], lines
 
 
 def read_commands_csv(path: str | Path) -> CommandLog:

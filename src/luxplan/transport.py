@@ -192,9 +192,10 @@ def contribution_vector(
     return ContributionVector(values=values, point_index=point_index, door_state_index=door_state_index)
 
 
-def sweep(scene: Scene) -> ContributionMatrix:
+def sweep(scene: Scene, cells: np.ndarray | None = None) -> ContributionMatrix:
     """Contributions for every (grid point, door state, luminaire) triple,
-    over the scene's grid and every state of enumerate_door_states.
+    over the scene's grid and every state of enumerate_door_states; with
+    cells, over the grid points of those indices only, in their order.
 
     Factored over door states and luminaires: each luminaire's photometry
     is computed once, and sightlines_blocked runs once for the walls and
@@ -202,12 +203,19 @@ def sweep(scene: Scene) -> ContributionMatrix:
     state's mask ORs the wall mask with its leaves' masks, gathered from the
     stacked leaf masks, which equals testing its active_occluders together,
     bit for bit. The computation is independent per point, so the result
-    does not depend on evaluation order. values is a C-contiguous float64
-    (points, door states, luminaires) array.
+    does not depend on evaluation order: a row of sweep(scene, cells) is
+    bit-identical to the same point's row of sweep(scene). values is a
+    C-contiguous float64 (points, door states, luminaires) array.
     """
     grid = scene.grid
     if grid is None or len(grid.points) == 0:
         raise ValueError("sweep needs a scene grid with at least one candidate point")
+    pts_xy = grid.points
+    if cells is not None:
+        cells = np.asarray(cells, dtype=np.intp)
+        if cells.ndim != 1 or not ((cells >= 0) & (cells < len(pts_xy))).all():
+            raise ValueError("sweep cells must be a 1-D array of grid point indices")
+        pts_xy = pts_xy[cells]
     door_states = enumerate_door_states(scene)
     leaves = [(d, a) for d, door in enumerate(scene.doors) for a in door.allowed_angles_deg]
     leaf_index = {leaf: k for k, leaf in enumerate(leaves)}
@@ -216,7 +224,6 @@ def sweep(scene: Scene) -> ContributionMatrix:
         [[leaf_index[leaf] for leaf in enumerate(state.angles_deg)] for state in door_states],
         dtype=np.intp,
     ).reshape(len(door_states), len(scene.doors))
-    pts_xy = grid.points
     origins = _plan_xy(scene.luminaires)
     lux = np.array([_unoccluded_batch(lum, pts_xy, grid.height, grid.normal)
                     for lum in scene.luminaires])  # (L, P)
@@ -250,7 +257,7 @@ def reading(
     """
     if config.n != x.n:
         raise ValueError(f"config has {config.n} bits, vector has {x.n}")
-    base = math.fsum(x.values[i] for i in config.on_indices)
+    base = math.fsum(v for i, v in enumerate(x.values.tolist()) if config.index >> i & 1)
     if noise.sigma > 0:
         key = (noise.seed, x.point_index, x.door_state_index, config.index)
         rng = np.random.default_rng(np.random.SeedSequence(key))

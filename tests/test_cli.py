@@ -3,6 +3,8 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from luxplan import (
     LightConfig,
@@ -140,6 +142,43 @@ class TestExitCodes:
         ])
         assert code == EXIT_INVALID
         assert "r.csv: line 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, named", [
+        # an extra field used to be dropped, and a short row read as having
+        # no truth; a repeated column used to let its last copy win
+        ("trial,point_index,door_state,truth\nt0,5,0,1\nt0,5,0,2,9\n",
+         "r.csv: line 3: expected 4 fields, got 5"),
+        ("trial,point_index,door_state,truth\nt0,5,0\n", "r.csv: line 2: expected 4 fields, got 3"),
+        ('trial,point_index,door_state,truth\n"t,0",5,0,1\n"t,0",5,0,2,9\n',
+         "r.csv: line 3: expected 4 fields, got 5"),
+        ("trial,point_index,door_state,truth,truth\nt0,5,0,1,2\n",
+         "r.csv: the header names column 'truth' twice"),
+        # row checks name the line; a blank line still counts
+        ("trial,point_index,door_state,lux,truth\nt0,5,0,,1\n\nt0,77,0,,1\n",
+         "r.csv: line 4: point_index 77 outside the candidate grid"),
+        ("trial,point_index,door_state,lux,truth\r\nt0,5,0,,1\r\nt0,5,2,,1\r\n",
+         "r.csv: line 3: door_state 2 out of range"),
+        ("truth,trial,door_state,point_index\n-1,t0,0,5\n",
+         "r.csv: line 2: config index -1 out of range"),
+        ("trial,point_index,door_state,lux,truth\nt0,5,0,,4\n",
+         "r.csv: line 2: config index 4 out of range"),
+        ('trial,point_index,door_state,lux,truth\n"t0",5,0,1.5,1\n"t0",5,0,,\n',
+         "r.csv: line 3: a reading row needs lux, or truth"),
+        # a row that fails several checks reports the first, in file order
+        ("trial,point_index,door_state,lux,truth\nt0,77,9,,9\nt0,5,9,,\n",
+         "r.csv: line 2: point_index 77 outside"),
+    ])
+    def test_bad_readings_rows_name_their_line(self, toy_scene_file, tmp_path, capsys, text,
+                                               named):
+        readings = tmp_path / "r.csv"
+        readings.write_bytes(text.encode("utf-8"))
+        out = tmp_path / "out"
+        assert run([
+            "infer", "--scene", str(toy_scene_file),
+            "--readings", str(readings), "--out", str(out),
+        ]) == EXIT_INVALID
+        assert named in capsys.readouterr().err
+        assert not out.exists()
 
     def test_non_finite_command_timestamp_rejected(self, tmp_path, capsys):
         samples, commands = synthesize_logs({"s0": np.array([5.0, 9.0])}, [0, 1, 2])
@@ -479,6 +518,38 @@ class TestInfer:
             want.append(f"{trial},{door},{truth if truth != '' else -1},{fused},{acc},{rule}")
         assert (out / "fused.csv").read_text(encoding="utf-8").splitlines() == want
 
+    def test_noisy_targets_equal_row_by_row_readings(self, apartment_path, apartment_matrix,
+                                                      tmp_path, monkeypatch):
+        # rows scattered over the lattice, some revisiting a (point, door
+        # state), in columns out of the usual order: each decoded target is
+        # the row's lux, or reading() of the lattice vector at its point
+        rng = np.random.default_rng(8)
+        keys = [(int(p), int(q)) for p, q in zip(rng.integers(0, 2880, 20), rng.integers(0, 9, 20))]
+        rows = []
+        for k in range(60):
+            p, q = keys[int(rng.integers(len(keys)))]
+            lux = f"{rng.uniform(0, 300):.4f}" if k % 4 == 0 else ""
+            rows.append((int(rng.integers(64)), lux, q, p, f"t{k % 7}"))
+        readings = tmp_path / "r.csv"
+        readings.write_text("truth,lux,door_state,point_index,trial\n"
+                            + "".join("%s,%s,%s,%s,%s\n" % row for row in rows), encoding="utf-8")
+        seen = []
+        monkeypatch.setattr(cli, "infer_reading", lambda batch, truth, tables: seen.append(
+            (batch.contributions, batch.vector, batch.targets, truth))
+            or inference.infer_reading(batch, truth, tables))
+        assert run([
+            "infer", "--scene", str(apartment_path), "--readings", str(readings),
+            "--sigma", "0.05", "--seed", "3", "--out", str(tmp_path / "out"),
+        ]) == EXIT_OK
+        [(contributions, vector, targets, truths)] = seen  # one table batch, rows in file order
+        noise = cli.NoiseModel(sigma=0.05, seed=3)
+        for (truth, lux, q, p, _), v, target, t in zip(rows, vector, targets, truths, strict=True):
+            x = apartment_matrix.vector_at(p, q)
+            assert contributions[v] == tuple(x.values.tolist())
+            want = float(lux) if lux else reading(x, LightConfig(truth, 6), noise)
+            assert target.tobytes() == np.float64(want).tobytes()
+            assert t == truth
+
     def test_out_of_range_point_rejected(self, toy_scene_file, tmp_path):
         readings = tmp_path / "r.csv"
         write_readings(readings, [("t0", 999, 0, "", 0)])
@@ -565,3 +636,67 @@ def test_main_raises_system_exit(toy_scene_file, tmp_path, monkeypatch):
     with pytest.raises(SystemExit) as exc:
         cli.main()
     assert exc.value.code == EXIT_OK
+
+
+# fields the reader generator draws from: text that int() or float() reads,
+# with spaces, signs or past int64 ...
+FIELD_TEXT = {
+    "trial": st.sampled_from(["t0", "t1", "", "hall east", "hall, east", 'say "hi"', " t2"]),
+    "point_index": st.one_of(st.integers(-3, 3000).map(str),
+                             st.sampled_from([" 7", "+2", "1_0", "9" * 25])),
+    "door_state": st.one_of(st.integers(-1, 9).map(str), st.just(" 3 ")),
+    "lux": st.one_of(st.just(""), st.floats(-1, 500, allow_nan=False).map(repr),
+                     st.sampled_from([" 2.5", "1e3"])),
+    "truth": st.one_of(st.just(""), st.integers(-1, 70).map(str), st.just("+3")),
+    "note": st.sampled_from(["", "n"]),
+}
+# ... and text it must reject
+BAD_TEXT = {"trial": st.just("t0"), "point_index": st.sampled_from(["x", "", "1e3", "1.0"]),
+            "door_state": st.just(""), "lux": st.sampled_from(["nan", "inf", "-inf", "x"]),
+            "truth": st.sampled_from(["x", "1.5"]), "note": st.just("n")}
+
+
+def csv_field(text):
+    return '"' + text.replace('"', '""') + '"' if any(c in text for c in ',"') else text
+
+
+@st.composite
+def readings_files(draw):
+    optional = draw(st.lists(st.sampled_from(["lux", "truth", "note"]), unique=True))
+    header = draw(st.permutations(["trial", "point_index", "door_state"] + optional))
+    if draw(st.integers(0, 14)) == 0:
+        header.append(draw(st.sampled_from(header)))  # a repeated column
+    lines = [",".join(header)]
+    for _ in range(draw(st.integers(0, 8))):
+        if draw(st.integers(0, 5)) == 0:
+            lines.append("")
+            continue
+        fields = [draw(FIELD_TEXT[name]) for name in header]
+        if draw(st.integers(0, 15)) == 0:
+            k = draw(st.integers(0, len(header) - 1))
+            fields[k] = draw(BAD_TEXT[header[k]])
+        if draw(st.integers(0, 15)) == 0:
+            fields = fields[:-1] if draw(st.booleans()) else fields + ["9"]
+        lines.append(",".join(map(csv_field, fields)))
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return end.join(lines) + draw(st.sampled_from(["", end]))
+
+
+def read_outcome(read, path):
+    try:
+        r = read(path)
+    except ValueError as exc:
+        return str(exc)
+    return (r.names, r.trial.tolist(), r.point.dtype, r.point.tolist(), r.door.tolist(),
+            r.lux.tobytes(), r.truth.tolist(), r.has_truth.tolist(), r.line.tolist())
+
+
+@given(readings_files())
+@settings(max_examples=300, deadline=None)
+def test_fast_readings_reader_equals_csv_module_reader(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "readings.csv"
+    path.write_bytes(text.encode("utf-8"))
+    want = read_outcome(cli._read_readings_rows, path)
+    assert read_outcome(cli._read_readings_csv, path) == want
+    if '"' not in text and not isinstance(want, str):
+        assert cli._read_readings_text(path) is not None  # well formed: no fallback

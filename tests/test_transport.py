@@ -347,14 +347,31 @@ def door_scenes(draw):
         return None
 
 
-@given(door_scenes())
+@given(door_scenes(), st.data())
 @settings(max_examples=120, deadline=None)
-def test_door_factored_sweep_equals_per_state_sweep(scene):
+def test_door_factored_sweep_equals_per_state_sweep(scene, data):
     if scene is None or len(scene.grid.points) == 0:
         return
     states = enumerate_door_states(scene)
     got = sweep(scene)
     assert np.array_equal(got.values.view(np.int64), per_state_sweep(scene, states).view(np.int64))
+    # a sweep of some cells, in any order and with repeats, gives those
+    # cells' rows bit for bit
+    cells = np.array(data.draw(st.lists(st.integers(0, len(scene.grid.points) - 1), max_size=12)),
+                     dtype=np.intp)
+    assert np.array_equal(sweep(scene, cells).values.view(np.int64),
+                          got.values[cells].view(np.int64))
+
+
+def test_sweep_of_cells_equals_whole_sweep_rows(apartment, apartment_matrix):
+    cells = np.random.default_rng(2).integers(0, len(apartment.grid.points), 300)
+    got = sweep(apartment, cells)
+    assert got.values.shape == (300, 9, 6) and got.values.flags.c_contiguous
+    assert np.array_equal(got.values.view(np.int64), apartment_matrix.values[cells].view(np.int64))
+    assert sweep(apartment, np.array([], dtype=np.intp)).values.shape == (0, 9, 6)
+    for bad in ([-1], [len(apartment.grid.points)], [[0]]):
+        with pytest.raises(ValueError, match="grid point indices"):
+            sweep(apartment, np.array(bad))
 
 
 class TestCsv:
