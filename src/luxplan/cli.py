@@ -121,20 +121,27 @@ def cmd_heatmap(args: argparse.Namespace) -> int:
 
 def cmd_solve_cover(args: argparse.Namespace) -> int:
     scene, grid = _load_scene_with_grid(args)
-    matrix = sweep(scene)
-    instance = build_cover_instance(matrix, args.tau)
     space = StateSpace(n_luminaires=scene.n_luminaires, door_states=tuple(enumerate_door_states(scene)))
+    # only the universe's door states are swept and flagged, and the exact
+    # solver's limit is checked before any of that work
     if args.universe == "open-door":
         q_open = open_door_state_index(scene)
-        instance = restrict_cover_instance(
-            instance, range(q_open * space.n_configs, (q_open + 1) * space.n_configs))
+        states, universe = [q_open], range(q_open * space.n_configs, (q_open + 1) * space.n_configs)
+    else:
+        states, universe = None, range(space.total)
+    n_states = len(universe)
+    if args.exact and n_states > args.exact_limit:
+        raise ValueError(f"universe of {n_states} exceeds exact-solver limit {args.exact_limit}")
+    instance = build_cover_instance(sweep(scene, states=states), args.tau)
+    if states is not None:
+        # only the open state was swept: this is a view of all the columns
+        instance = restrict_cover_instance(instance, universe)
     solution = (
         exact_min_cover(instance, limit=args.exact_limit)
         if args.exact
         else greedy_set_cover(instance)
     )
     solver = "exact" if args.exact else "greedy"
-    n_states = instance.ids.size
     print(f"universe: {args.universe} ({n_states} states), solver: {solver}")
     rows = []
     covered_total = 0

@@ -211,14 +211,19 @@ def heatmap_scores(matrix: ContributionMatrix, tau: float = DEFAULT_TAU) -> np.n
 
 
 def build_cover_instance(matrix: ContributionMatrix, tau: float = DEFAULT_TAU) -> CoverInstance:
-    """Cover instance over all (configuration, door state) pairs.
+    """Cover instance over the (configuration, door state) pairs of the
+    matrix's door states.
 
-    State id layout follows StateSpace: door_state_index * 2^n + config_index.
-    Candidate point k covers the states whose reading it isolates.
+    State id layout follows StateSpace: door_state_index * 2^n + config_index,
+    where door_state_index is the matrix.door_states entry, so a matrix of
+    some door states gives those states' true ids. Candidate point k covers
+    the states whose reading it isolates.
     """
     flags = distinctness_flags_batch(matrix.values, tau)  # (P, Q, 2^n)
     rows = flags.reshape(flags.shape[0], -1)  # row-major: q major, p minor
-    return CoverInstance._of_matrix(rows, np.arange(rows.shape[1], dtype=np.int64))
+    n_configs = flags.shape[-1]
+    ids = matrix.door_states.astype(np.int64)[:, None] * n_configs + np.arange(n_configs)
+    return CoverInstance._of_matrix(rows, ids.ravel())
 
 
 def restrict_cover_instance(instance: CoverInstance, keep: Iterable[int]) -> CoverInstance:
@@ -268,6 +273,16 @@ def greedy_set_cover(instance: CoverInstance) -> CoverSolution:
     )
 
 
+def _distinct_rows(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a bool matrix with at least one column, in
+    first-appearance order: each one's first row index and its count."""
+    packed = np.ascontiguousarray(np.packbits(m, axis=1))
+    keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+    _, first, counts = np.unique(keys, return_index=True, return_counts=True)
+    order = np.argsort(first)
+    return first[order], counts[order]
+
+
 def exact_min_cover(instance: CoverInstance, limit: int = 24) -> CoverSolution:
     """Provably minimum cover by branch and bound over element bitmasks.
 
@@ -275,25 +290,52 @@ def exact_min_cover(instance: CoverInstance, limit: int = 24) -> CoverSolution:
     prunes with a counting bound. Elements no set covers are excluded up
     front (complete=False); the cover is then minimum for the rest.
     Refuses universes larger than `limit`.
+
+    The search runs on merged rows and columns. Identical rows become one
+    row, named by its lowest cell, with a multiplicity; identical coverable
+    columns become one bit, in first-appearance order, with a weight. Set
+    sizes, gains and the bound add up weights, and the fail-first key adds
+    up multiplicities, so the search takes the same branches in the same
+    order as on the whole matrix, less the ones on a later copy of a row:
+    such a branch follows its lowest copy's over the same subproblem, so it
+    can never find a smaller cover.
     """
     n_ids = instance.ids.size
     if n_ids > limit:
         raise ValueError(f"universe of {n_ids} exceeds exact-solver limit {limit}")
     coverable_columns = instance.matrix.any(axis=0)
-    m = instance.matrix[:, coverable_columns]
-    width = m.shape[1]
-    # bit j of a row mask is coverable column j
+    covered = frozenset(instance.ids[coverable_columns].tolist())
+    complete = bool(coverable_columns.all())
+    if not coverable_columns.any():
+        return CoverSolution(chosen=[], gains=[], covered=covered, complete=complete)
+    cells = np.flatnonzero(instance.matrix.any(axis=1))
+    rows = instance.matrix[cells][:, coverable_columns]
+    first, multiplicity = _distinct_rows(rows)
+    cells, rows = cells[first].tolist(), rows[first]
+    columns, weights = _distinct_rows(rows.T)
+    merged = rows[:, columns]
+    # bit g of a row mask is merged column g
     set_masks = [int.from_bytes(row.tobytes(), "little")
-                 for row in np.packbits(m, axis=1, bitorder="little")]
-    coverable = (1 << width) - 1
-    covering = [np.flatnonzero(column).tolist() for column in m.T]
+                 for row in np.packbits(merged, axis=1, bitorder="little")]
+    # the bits of the merged columns of each weight
+    weight_bits = [(int(w), int.from_bytes(np.packbits(weights == w, bitorder="little").tobytes(),
+                                           "little"))
+                   for w in np.unique(weights)]
 
-    # greedy reaches every coverable element, so it seeds the upper bound
-    greedy = greedy_set_cover(instance)
-    best_choice: list[int] = list(greedy.chosen)
+    def size(mask: int) -> int:
+        return sum(w * (mask & bits).bit_count() for w, bits in weight_bits)
+
+    covering = [np.flatnonzero(column).tolist() for column in merged.T]
+    # fail-first: columns by their number of covering rows, copies included,
+    # ties to the first
+    fewest_first = np.argsort(multiplicity @ merged, kind="stable").tolist()
+
+    # greedy reaches every coverable element, so it seeds the upper bound;
+    # on the merged rows it takes the same cells
+    best_choice = greedy_set_cover(CoverInstance._of_matrix(rows, np.arange(rows.shape[1]))).chosen
     best_size = len(best_choice)
 
-    max_set_size = max((mask.bit_count() for mask in set_masks), default=0)
+    max_set_size = max(map(size, set_masks))
 
     def solve(uncovered: int, chosen: list[int]) -> None:
         nonlocal best_choice, best_size
@@ -302,28 +344,26 @@ def exact_min_cover(instance: CoverInstance, limit: int = 24) -> CoverSolution:
                 best_size = len(chosen)
                 best_choice = list(chosen)
             return
-        lower = len(chosen) + math.ceil(uncovered.bit_count() / max_set_size)
+        lower = len(chosen) + math.ceil(size(uncovered) / max_set_size)
         if lower >= best_size:
             return
-        # fail-first: the uncovered element with the fewest covering sets
-        pick_sets = min((covering[j] for j in range(width) if uncovered >> j & 1), key=len)
-        for k in sorted(pick_sets, key=lambda k: (set_masks[k] & uncovered).bit_count(), reverse=True):
+        pick = next(g for g in fewest_first if uncovered >> g & 1)
+        for k in sorted(covering[pick], key=lambda k: size(set_masks[k] & uncovered), reverse=True):
             chosen.append(k)
             solve(uncovered & ~set_masks[k], chosen)
             chosen.pop()
 
-    solve(coverable, [])
+    solve((1 << len(columns)) - 1, [])
     gains = []
     running = 0
     for k in best_choice:
-        new = set_masks[k] | running
-        gains.append((new ^ running).bit_count())
-        running = new
+        gains.append(size(set_masks[k] & ~running))
+        running |= set_masks[k]
     return CoverSolution(
-        chosen=best_choice,
+        chosen=[cells[k] for k in best_choice],
         gains=gains,
-        covered=frozenset(instance.ids[coverable_columns].tolist()),
-        complete=width == n_ids,
+        covered=covered,
+        complete=complete,
     )
 
 

@@ -86,15 +86,22 @@ class ContributionMatrix:
     """Contributions for every (candidate point, door state) pair.
 
     values has shape (n_points, n_door_states, n_luminaires), in the order
-    of the grid's points and of enumerate_door_states.
+    of the grid's points and of door_states: the enumerate_door_states
+    index of each entry of the second axis, by default all of them in order.
     """
 
     values: np.ndarray
+    door_states: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         self.values = np.asarray(self.values, dtype=float)
         if self.values.ndim != 3:
             raise ValueError("contribution matrix must have shape (points, door_states, luminaires)")
+        if self.door_states is None:
+            self.door_states = np.arange(self.values.shape[1])
+        self.door_states = np.asarray(self.door_states, dtype=np.intp)
+        if self.door_states.shape != self.values.shape[1:2]:
+            raise ValueError("door_states must name one door state per entry of the second axis")
 
     @property
     def n_points(self) -> int:
@@ -192,19 +199,23 @@ def contribution_vector(
     return ContributionVector(values=values, point_index=point_index, door_state_index=door_state_index)
 
 
-def sweep(scene: Scene, cells: np.ndarray | None = None) -> ContributionMatrix:
+def sweep(scene: Scene, cells: np.ndarray | None = None,
+          states: np.ndarray | None = None) -> ContributionMatrix:
     """Contributions for every (grid point, door state, luminaire) triple,
     over the scene's grid and every state of enumerate_door_states; with
-    cells, over the grid points of those indices only, in their order.
+    cells, over the grid points of those indices only, in their order; with
+    states, over the door states of those enumerate_door_states indices
+    only, in their order.
 
     Factored over door states and luminaires: each luminaire's photometry
     is computed once, and sightlines_blocked runs once for the walls and
-    once per (door, angle) leaf, each time for all luminaires together. A
-    state's mask ORs the wall mask with its leaves' masks, gathered from the
-    stacked leaf masks, which equals testing its active_occluders together,
-    bit for bit. The computation is independent per point, so the result
-    does not depend on evaluation order: a row of sweep(scene, cells) is
-    bit-identical to the same point's row of sweep(scene). values is a
+    once per (door, angle) leaf that some swept state shows, each time for
+    all luminaires together. A state's mask ORs the wall mask with its
+    leaves' masks, gathered from the stacked leaf masks, which equals
+    testing its active_occluders together, bit for bit. The computation is
+    independent per point and per state, so the result does not depend on
+    evaluation order: a row of sweep(scene, cells, states) is bit-identical
+    to the same (point, state) row of sweep(scene). values is a
     C-contiguous float64 (points, door states, luminaires) array.
     """
     grid = scene.grid
@@ -212,35 +223,47 @@ def sweep(scene: Scene, cells: np.ndarray | None = None) -> ContributionMatrix:
         raise ValueError("sweep needs a scene grid with at least one candidate point")
     pts_xy = grid.points
     if cells is not None:
-        cells = np.asarray(cells, dtype=np.intp)
-        if cells.ndim != 1 or not ((cells >= 0) & (cells < len(pts_xy))).all():
-            raise ValueError("sweep cells must be a 1-D array of grid point indices")
-        pts_xy = pts_xy[cells]
+        pts_xy = pts_xy[_indices(cells, len(pts_xy), "cells", "grid point")]
     door_states = enumerate_door_states(scene)
+    states = (np.arange(len(door_states)) if states is None
+              else _indices(states, len(door_states), "states", "door state"))
     leaves = [(d, a) for d, door in enumerate(scene.doors) for a in door.allowed_angles_deg]
     leaf_index = {leaf: k for k, leaf in enumerate(leaves)}
-    # state_leaves[q, d] is the leaf that door d shows in state q
+    # state_leaves[s, d] is the leaf that door d shows in swept state s
     state_leaves = np.array(
-        [[leaf_index[leaf] for leaf in enumerate(state.angles_deg)] for state in door_states],
+        [[leaf_index[leaf] for leaf in enumerate(door_states[q].angles_deg)]
+         for q in states.tolist()],
         dtype=np.intp,
-    ).reshape(len(door_states), len(scene.doors))
+    ).reshape(len(states), len(scene.doors))
     origins = _plan_xy(scene.luminaires)
     lux = np.array([_unoccluded_batch(lum, pts_xy, grid.height, grid.normal)
                     for lum in scene.luminaires])  # (L, P)
-    leaf_blocked = np.array([
-        sightlines_blocked(origins, pts_xy, segments_as_array([door_leaf_segment(scene.doors[d], a)]))
-        for d, a in leaves
-    ], dtype=bool).reshape((len(leaves),) + lux.shape)
-    # blocked[q, i, p]: some occluder of state q cuts luminaire i's sight line to point p
+    # only the leaves some swept state shows are tested; no state gathers
+    # the others
+    leaf_blocked = np.zeros((len(leaves),) + lux.shape, dtype=bool)
+    for k in set(state_leaves.ravel().tolist()):
+        d, a = leaves[k]
+        leaf_blocked[k] = sightlines_blocked(
+            origins, pts_xy, segments_as_array([door_leaf_segment(scene.doors[d], a)]))
+    # blocked[s, i, p]: some occluder of swept state s cuts luminaire i's
+    # sight line to point p
     blocked = np.repeat(sightlines_blocked(origins, pts_xy, segments_as_array(scene.walls))[None],
-                        len(door_states), axis=0)
+                        len(states), axis=0)
     for d in range(len(scene.doors)):
         blocked |= leaf_blocked[state_leaves[:, d]]
-    values = np.empty((len(pts_xy), len(door_states), scene.n_luminaires))
+    values = np.empty((len(pts_xy), len(states), scene.n_luminaires))
     by_state = values.transpose(1, 2, 0)
     np.copyto(by_state, lux)
     np.copyto(by_state, 0.0, where=blocked)
-    return ContributionMatrix(values=values)
+    return ContributionMatrix(values=values, door_states=states)
+
+
+def _indices(indices: np.ndarray, size: int, name: str, what: str) -> np.ndarray:
+    """sweep's argument name as a 1-D intp array of indices in [0, size)."""
+    indices = np.asarray(indices, dtype=np.intp)
+    if indices.ndim != 1 or not ((indices >= 0) & (indices < size)).all():
+        raise ValueError(f"sweep {name} must be a 1-D array of {what} indices")
+    return indices
 
 
 def reading(
@@ -273,15 +296,16 @@ CSV_BLOCK_BYTES = 1 << 18
 def _csv_blocks(matrix: ContributionMatrix) -> Iterator[str]:
     """contributions.csv as its header, then blocks of whole points' rows.
 
-    A row whose values are bit-identical to its point's door-state-0 row
-    reuses that row's text (-0.0 and 0.0 differ in bits and in print), and
-    a block's other rows are formatted in one call.
+    Rows are labelled with matrix.door_states. A row whose values are
+    bit-identical to its point's first row reuses that row's text (-0.0
+    and 0.0 differ in bits and in print), and a block's other rows are
+    formatted in one call.
     """
     values = matrix.values
     n_points, n_states, n = values.shape
     yield ",".join(["point_index", "door_state"] + [f"lum_{i}" for i in range(n)]) + "\n"
     row = f",%.{CSV_SIG_DIGITS}g" * n + "\n"
-    states = [f",{q}" for q in range(n_states)]
+    states = [f",{q}" for q in matrix.door_states.tolist()]
     step = max(1, CSV_BLOCK_BYTES // max(1, values.itemsize * n_states * n))
     for start in range(0, n_points, step):
         block = values[start:start + step]

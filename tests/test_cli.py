@@ -291,6 +291,34 @@ class TestSolveCover:
         exact_rows = (out / "e" / "cover_report.csv").read_text().strip().splitlines()
         assert len(greedy_rows) >= len(exact_rows)
 
+    @pytest.mark.parametrize("universe, limit, size", [("full", 100, 576), ("open-door", 63, 64)])
+    def test_exact_limit_checked_before_the_sweep(self, apartment_path, tmp_path, capsys,
+                                                  monkeypatch, universe, limit, size):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("swept a universe the exact solver refuses")
+
+        monkeypatch.setattr(cli, "sweep", no_sweep)
+        code = run(["solve-cover", "--scene", str(apartment_path), "--universe", universe,
+                    "--exact", "--exact-limit", str(limit), "--out", str(tmp_path)])
+        assert code == EXIT_INVALID
+        assert f"universe of {size} exceeds exact-solver limit {limit}" in capsys.readouterr().err
+        assert not (tmp_path / "cover_report.csv").exists()
+
+    @pytest.mark.parametrize("solver", [[], ["--exact", "--exact-limit", "64"]])
+    def test_open_door_report_equals_the_restricted_whole_instance(
+            self, apartment_path, tmp_path, capsys, monkeypatch, solver):
+        argv = ["solve-cover", "--scene", str(apartment_path), "--universe", "open-door"] + solver
+        assert run(argv + ["--out", str(tmp_path / "state")]) == EXIT_OK
+        # every door state swept and flagged, then the open one's columns kept
+        monkeypatch.setattr(cli, "sweep", lambda scene, states=None: sweep(scene))
+        assert run(argv + ["--out", str(tmp_path / "whole")]) == EXIT_OK
+        got = (tmp_path / "state" / "cover_report.csv").read_bytes()
+        assert got == (tmp_path / "whole" / "cover_report.csv").read_bytes()
+        step = got.splitlines()[1].split(b",")
+        assert (step[1], step[4]) == (b"20", b"64")
+        out = capsys.readouterr().out
+        assert out.count("universe: open-door (64 states)") == 2
+
 
 class TestInfer:
     def test_simulated_noiseless_readings_score_one(self, toy_scene_file, tmp_path):

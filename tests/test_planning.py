@@ -329,6 +329,20 @@ class TestCoverInstance:
         expected = [space.state_id(p, 0) for p in range(4)]
         assert instance.ids[instance.matrix[0]].tolist() == expected
 
+    def test_ids_name_the_matrix_door_states(self):
+        rng = np.random.default_rng(6)
+        values = rng.uniform(0.5, 9.0, (3, 4, 2))
+        whole = build_cover_instance(ContributionMatrix(values=values), tau=0.01)
+        for qs in ([2], [1, 3], [0, 1, 2, 3]):
+            part = build_cover_instance(ContributionMatrix(values=values[:, qs], door_states=qs),
+                                        tau=0.01)
+            assert part.ids.tolist() == [q * 4 + p for q in qs for p in range(4)]
+            keep = restrict_cover_instance(whole, part.ids.tolist())
+            assert np.array_equal(part.ids, keep.ids)
+            assert np.array_equal(part.matrix, keep.matrix)
+        with pytest.raises(ValueError, match="one door state per entry"):
+            ContributionMatrix(values=values, door_states=[0, 1])
+
     def test_sets_become_rows_over_ascending_ids(self):
         instance = CoverInstance(universe=frozenset({7, 3, 5}), sets=(frozenset({3, 7, 99}), frozenset()))
         assert instance.ids.tolist() == [3, 5, 7]
@@ -555,6 +569,82 @@ class TestExact:
             max_size = max(len(s) for s in sets)
             assert len(greedy.chosen) <= harmonic_bound(max_size) * len(exact.chosen)
             assert len(greedy.chosen) >= len(exact.chosen)
+
+
+def dense_exact_reference(instance, limit=24):
+    """exact_min_cover before it merged rows and columns: branch and bound
+    over one bit per coverable column and one mask per row."""
+    n_ids = instance.ids.size
+    if n_ids > limit:
+        raise ValueError(f"universe of {n_ids} exceeds exact-solver limit {limit}")
+    coverable_columns = instance.matrix.any(axis=0)
+    m = instance.matrix[:, coverable_columns]
+    width = m.shape[1]
+    set_masks = [int.from_bytes(row.tobytes(), "little")
+                 for row in np.packbits(m, axis=1, bitorder="little")]
+    coverable = (1 << width) - 1
+    covering = [np.flatnonzero(column).tolist() for column in m.T]
+    greedy = greedy_set_cover(instance)
+    best_choice = list(greedy.chosen)
+    best_size = len(best_choice)
+    max_set_size = max((mask.bit_count() for mask in set_masks), default=0)
+
+    def solve(uncovered, chosen):
+        nonlocal best_choice, best_size
+        if uncovered == 0:
+            if len(chosen) < best_size:
+                best_size = len(chosen)
+                best_choice = list(chosen)
+            return
+        lower = len(chosen) + math.ceil(uncovered.bit_count() / max_set_size)
+        if lower >= best_size:
+            return
+        pick_sets = min((covering[j] for j in range(width) if uncovered >> j & 1), key=len)
+        for k in sorted(pick_sets, key=lambda k: (set_masks[k] & uncovered).bit_count(), reverse=True):
+            chosen.append(k)
+            solve(uncovered & ~set_masks[k], chosen)
+            chosen.pop()
+
+    solve(coverable, [])
+    gains = []
+    running = 0
+    for k in best_choice:
+        new = set_masks[k] | running
+        gains.append((new ^ running).bit_count())
+        running = new
+    return best_choice, gains, frozenset(instance.ids[coverable_columns].tolist()), width == n_ids
+
+
+@given(st.data())
+@settings(max_examples=400, deadline=None)
+def test_merged_exact_equals_the_dense_search(data):
+    n_rows = data.draw(st.integers(min_value=0, max_value=12))
+    n_cols = data.draw(st.integers(min_value=0, max_value=16))
+    density = data.draw(st.sampled_from([0.1, 0.25, 0.4, 0.6]))
+    rng = np.random.default_rng(data.draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    m = rng.random((n_rows, n_cols)) < density
+    # repeated rows and repeated columns, and some empty ones
+    for k in np.flatnonzero(rng.random(n_rows) < 0.4):
+        m[k] = m[rng.integers(n_rows)]
+    for j in np.flatnonzero(rng.random(n_cols) < 0.4):
+        m[:, j] = m[:, rng.integers(n_cols)]
+    m[rng.random(n_rows) < 0.1] = False
+    m[:, rng.random(n_cols) < 0.1] = False
+    ids = np.sort(rng.choice(3 * n_cols + 1, size=n_cols, replace=False))
+    instance = CoverInstance(universe=frozenset(ids.tolist()),
+                             sets=[frozenset(ids[row].tolist()) for row in m])
+    assert solution_fields(exact_min_cover(instance, limit=64)) == dense_exact_reference(instance, 64)
+
+
+def test_fail_first_counts_repeated_rows():
+    # rows 2 and 3 are copies. Counting rows, element 3 (one covering row)
+    # is branched on first and the search finds [1, 2]; counting distinct
+    # rows, element 2 would tie with it and come first, giving [2, 1].
+    sets = (frozenset({0, 1}), frozenset({1, 3}), frozenset({0, 2}), frozenset({0, 2}))
+    instance = CoverInstance(universe=frozenset(range(4)), sets=sets)
+    assert greedy_set_cover(instance).chosen == [0, 1, 2]
+    assert dense_exact_reference(instance)[0] == [1, 2]
+    assert solution_fields(exact_min_cover(instance)) == dense_exact_reference(instance)
 
 
 class TestHarmonicBound:

@@ -361,6 +361,13 @@ def test_door_factored_sweep_equals_per_state_sweep(scene, data):
                      dtype=np.intp)
     assert np.array_equal(sweep(scene, cells).values.view(np.int64),
                           got.values[cells].view(np.int64))
+    # so does a sweep of some door states, alone and with cells
+    qs = np.array(data.draw(st.lists(st.integers(0, len(states) - 1), max_size=4)), dtype=np.intp)
+    by_state = sweep(scene, states=qs)
+    assert np.array_equal(by_state.door_states, qs)
+    assert np.array_equal(by_state.values.view(np.int64), got.values[:, qs].view(np.int64))
+    assert np.array_equal(sweep(scene, cells, qs).values.view(np.int64),
+                          got.values[np.ix_(cells, qs)].view(np.int64))
 
 
 def test_sweep_of_cells_equals_whole_sweep_rows(apartment, apartment_matrix):
@@ -372,6 +379,56 @@ def test_sweep_of_cells_equals_whole_sweep_rows(apartment, apartment_matrix):
     for bad in ([-1], [len(apartment.grid.points)], [[0]]):
         with pytest.raises(ValueError, match="grid point indices"):
             sweep(apartment, np.array(bad))
+
+
+def test_sweep_of_states_equals_whole_sweep_rows(apartment, apartment_matrix):
+    whole = apartment_matrix.values
+    cells = np.random.default_rng(5).integers(0, len(apartment.grid.points), 200)
+    for qs in ([8], [0], [4, 2], [8, 8, 0], list(range(9))[::-1]):
+        got = sweep(apartment, states=np.array(qs))
+        assert got.values.shape == (len(whole), len(qs), 6) and got.values.flags.c_contiguous
+        assert got.door_states.tolist() == qs
+        assert np.array_equal(got.values.view(np.int64), whole[:, qs].view(np.int64))
+        assert np.array_equal(sweep(apartment, cells, np.array(qs)).values.view(np.int64),
+                              whole[np.ix_(cells, qs)].view(np.int64))
+    assert sweep(apartment, states=np.array([], dtype=np.intp)).values.shape == (len(whole), 0, 6)
+    # the CSV names the swept states
+    lines = matrix_to_csv(sweep(apartment, np.array([3]), np.array([8, 2]))).splitlines()
+    assert [line.split(",")[:2] for line in lines[1:]] == [["0", "8"], ["0", "2"]]
+    for bad in ([-1], [9], [[0]]):
+        with pytest.raises(ValueError, match="door state indices"):
+            sweep(apartment, states=np.array(bad))
+
+
+def test_sweep_of_states_tests_only_their_leaves():
+    # two doors of three angles each: 9 states, 6 leaves
+    scene = parse_scene(
+        "ceiling 3.0\nwall 0 4 3 4\nwall 4 4 8 4\nwall 3.5 0 3.5 4\n"
+        "door d1 3 4 1.0 0 0,45,90\ndoor d2 3.5 1 1.0 90 0,45,90\n"
+        "lum A 1.5 2 2.7 100 iso\nlum B 6 2 2.7 120 iso\nlum C 4 6 2.7 90 iso\n"
+        "grid 0.25 0.25 7.75 7.75 0.5 1.0 omni\n"
+    )
+    whole = sweep(scene).values
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return blocked(*args)
+
+    blocked = transport.sightlines_blocked
+    with mock.patch.object(transport, "sightlines_blocked", counting):
+        for q in range(9):
+            calls.clear()
+            got = sweep(scene, states=np.array([q]))
+            assert np.array_equal(got.values.view(np.int64), whole[:, [q]].view(np.int64))
+            assert len(calls) == 3  # the walls and one leaf per door
+        calls.clear()
+        sweep(scene, states=np.array([0, 4, 8]))
+        assert len(calls) == 1 + 6
+        calls.clear()
+        sweep(scene, states=np.array([0, 1]))  # d1 at 0, d2 at 0 and 45
+        assert len(calls) == 1 + 3
+    assert (whole[:, 0] != whole[:, 8]).any()
 
 
 class TestCsv:
