@@ -37,11 +37,9 @@ from .inference import (
     check_epsilon,
     fuse_candidates,
     fuse_votes,
-    half_sums_batch,
     infer_reading,
     jaccard_rows,
     sensor_votes,
-    tables_per_batch,
 )
 from .planning import (
     DEFAULT_TAU,
@@ -321,10 +319,9 @@ def cmd_infer(args: argparse.Namespace) -> int:
 
     # The rows come as columns. Only the grid points they name are swept,
     # and every row is checked, as arrays, before any is answered. Rows that
-    # revisit a (point, door state) share its vector; vectors are numbered
-    # as they first appear, and each run of `step` of them is one batch: one
-    # table build and one decode of all the batch's rows. A trial is fused
-    # in the batch of its last-numbered vector.
+    # revisit a (point, door state) share its vector, numbered as it first
+    # appears; the whole file is one batch: one decode, one vote and one
+    # fusion of every trial.
     point, door, truth = readings.point, readings.door, readings.truth
     on_grid = (point >= 0) & (point < len(grid.points))
     cells = np.unique(point[on_grid]).astype(np.intp)
@@ -351,44 +348,17 @@ def cmd_infer(args: argparse.Namespace) -> int:
                           for v, t in zip(vector_arr[simulated].tolist(),
                                           truth[simulated].tolist())]
 
-    step = tables_per_batch(n)
     trial_arr, n_trials = readings.trial, len(readings.names)
     trial_truth = _trial_value(truth, trial_arr, n_trials)
     trial_door = _trial_value(door, trial_arr, n_trials)
-    batch_of = vector_arr // step
-    closes = np.zeros(n_trials, np.intp)
-    np.maximum.at(closes, trial_arr, batch_of)
-    n_candidates = np.zeros(len(point), np.int64)
-    accuracy = np.zeros(len(point))
-    fused = np.zeros(n_trials, np.int64)
-    decided = np.zeros(n_trials, bool)
-    # rows of trials that a later batch fuses: batch -> (rows, votes,
-    # candidate counts, candidates) parts
-    pending: dict[int, list[tuple]] = {}
-    order = np.argsort(batch_of, kind="stable")
-    cuts = np.flatnonzero(np.diff(batch_of[order])) + 1
-    for b, members in enumerate(np.split(order, cuts) if len(order) else []):
-        batch = DecodeBatch(contributions[b * step:(b + 1) * step],
-                            vector_arr[members] - b * step, lux_arr[members], args.epsilon)
-        tables = half_sums_batch(batch.values)
-        result = infer_reading(batch, truth[members], tables)
-        del tables  # the next batch's tables replace these rather than join them
-        counts = result.counts
-        n_candidates[members] = counts
-        accuracy[members] = result.accuracy
-        votes = sensor_votes(batch, result)
-        close = closes[trial_arr[members]]
-        for c in np.flatnonzero(np.bincount(close)).tolist():
-            keep = close == c
-            pending.setdefault(c, []).append((members[keep], votes[keep], counts[keep],
-                                              result.candidates[np.repeat(keep, counts)]))
-        if b in pending:
-            at, votes, counts, candidates = map(np.concatenate, zip(*pending.pop(b)))
-            closing, trial = np.unique(trial_arr[at], return_inverse=True)
-            offsets = np.zeros(len(counts) + 1, np.int64)
-            counts.cumsum(out=offsets[1:])
-            fused[closing], decided[closing] = fuse_candidates(candidates, offsets, trial,
-                                                               fuse_votes(votes, trial))
+    batch = DecodeBatch(contributions, vector_arr, lux_arr, args.epsilon)
+    result = infer_reading(batch, truth)
+    n_candidates, accuracy = result.counts, result.accuracy
+    votes = sensor_votes(batch, result)
+    fused, decided = np.zeros(n_trials, np.int64), np.zeros(n_trials, bool)
+    if n_trials:  # a header-only file has nothing to fuse
+        fused, decided = fuse_candidates(result.candidates, result.offsets, trial_arr,
+                                         fuse_votes(votes, trial_arr))
 
     report = np.column_stack([point, door, truth, n_candidates,
                               _accuracy_text(accuracy, readings.has_truth),

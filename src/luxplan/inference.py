@@ -13,6 +13,11 @@ luminaire i is on) plus R + 1 row offsets: row r's set is
 candidates[offsets[r]:offsets[r + 1]], ascending. Scoring, voting and
 fusion are array passes over those two arrays; only perfect_sum wraps
 indices in LightConfig.
+
+A batch may be a whole readings file: search_batch bounds its own memory
+by matching the rows in chunks, each building the meet-in-the-middle
+tables of only the vectors it reads. The candidate sets of every row are
+held until the caller is done with them.
 """
 from __future__ import annotations
 
@@ -29,8 +34,8 @@ from .transport import ContributionVector, LightConfig
 log = logging.getLogger(__name__)
 
 MAX_SOLVER_BITS = 24
-# bytes of meet-in-the-middle tables built at once, and of search arrays
-# held at once; one 24-luminaire vector's tables take 96 KB
+# bytes of one search_batch row chunk's meet-in-the-middle tables, and of
+# its search arrays; one 24-luminaire vector's tables take 96 KB
 TABLE_BUDGET_BYTES = 16 << 20
 _ALL_BITS = (1 << MAX_SOLVER_BITS) - 1
 
@@ -127,16 +132,15 @@ class HalfSums:
     """Meet-in-the-middle tables of V contribution vectors of n luminaires.
 
     lo[v] holds the subset sums of vector v's low n // 2 luminaires,
-    indexed by low mask, and lo_masks those masks. hi[v] holds the subset
-    sums of its other luminaires, sorted ascending, and hi_masks[v] the
-    configuration bits of each (the high mask shifted past the low half).
-    Every sum adds its luminaires in increasing bit order starting from 0.0.
+    indexed by low mask. hi[v] holds the subset sums of its other
+    luminaires, sorted ascending, and hi_masks[v] the configuration bits
+    of each (the high mask shifted past the low half). Every sum adds its
+    luminaires in increasing bit order starting from 0.0.
     """
 
     lo: np.ndarray
     hi: np.ndarray
     hi_masks: np.ndarray
-    lo_masks: np.ndarray
 
 
 def half_sums_batch(values: np.ndarray) -> HalfSums:
@@ -148,23 +152,17 @@ def half_sums_batch(values: np.ndarray) -> HalfSums:
     hi_masks = hi.argsort(axis=1, kind="stable")
     hi.sort(axis=1)
     hi_masks <<= h
-    return HalfSums(lo, hi, hi_masks, np.arange(1 << h))
-
-
-def tables_per_batch(n: int) -> int:
-    """How many n-luminaire vectors' tables fit TABLE_BUDGET_BYTES."""
-    h = n // 2
-    return max(1, TABLE_BUDGET_BYTES // (8 * ((1 << h) + 2 * (1 << (n - h)))))
+    return HalfSums(lo, hi, hi_masks)
 
 
 def rows_per_chunk(n: int) -> int:
     """How many n-luminaire readings search_batch matches at once: each
-    holds about eight 8-byte arrays as long as its vector's low table."""
+    holds about eight 8-byte arrays as long as its vector's low table, and
+    its vector's tables take at most five."""
     return max(1, TABLE_BUDGET_BYTES // (64 << n // 2))
 
 
-def search_batch(batch: DecodeBatch,
-                 halves: HalfSums | None = None) -> tuple[np.ndarray, np.ndarray]:
+def search_batch(batch: DecodeBatch) -> tuple[np.ndarray, np.ndarray]:
     """Every configuration index whose reading matches its row's target
     within epsilon: the flat candidates, each row's ascending, and the row
     offsets.
@@ -173,69 +171,68 @@ def search_batch(batch: DecodeBatch,
     admits the sorted high-half sums in [(target - epsilon) - s,
     (target + epsilon) - s], found by binary search, so a reading takes
     O(n 2^(n/2)) steps plus one per match once the tables of its vector are
-    built. `halves` are the tables of batch.contributions, built by
-    half_sums_batch; without them the call builds its own. Rows are matched
-    rows_per_chunk at a time, and within a chunk the rows of each vector
-    share one pair of searchsorted calls.
+    built. The rows, sorted stably by vector, are matched rows_per_chunk at
+    a time: a chunk builds the tables of the vectors it reads, and its rows
+    of each vector share one pair of searchsorted calls.
     """
     values = batch.values
-    if halves is None:
-        halves = half_sums_batch(values)
     n = values.shape[1]
-    lo, hi = halves.lo, halves.hi
     low = batch.targets - batch.epsilon
     high = batch.targets + batch.epsilon
     counts = np.zeros(len(low), np.int64)
     parts = [np.zeros(0, np.int64)]
     step = rows_per_chunk(n)
+    by_vector = batch.vector.argsort(kind="stable")
     for a in range(0, len(low), step):
-        vec = batch.vector[a:a + step]
-        order = vec.argsort(kind="stable")
-        vec = vec[order]
-        starts = np.flatnonzero(np.diff(vec, prepend=-1)).tolist()
-        below = low[a:a + step][order, None] - lo[vec]
-        above = high[a:a + step][order, None] - lo[vec]
+        rows = by_vector[a:a + step]
+        vec = batch.vector[rows]
+        new = np.concatenate(([True], vec[1:] != vec[:-1]))  # a vector's first row
+        starts = np.flatnonzero(new).tolist()
+        halves = half_sums_batch(values[vec[starts]])
+        vec = new.cumsum() - 1  # each row's vector among the chunk's tables
+        below = low[rows, None] - halves.lo[vec]
+        above = high[rows, None] - halves.lo[vec]
         first = np.empty(below.shape, np.int64)
         last = np.empty(below.shape, np.int64)
-        for s, e in zip(starts, starts[1:] + [len(vec)]):
-            table = hi[vec[s]]
+        for table, s, e in zip(halves.hi, starts, starts[1:] + [len(vec)]):
             first[s:e] = table.searchsorted(below[s:e])
             last[s:e] = table.searchsorted(above[s:e], "right")
         per_low = last - first
         per_row = per_low.sum(axis=1)
-        counts[a + order] = per_row
+        counts[rows] = per_row
         per_low = per_low.ravel()
         ends = per_low.cumsum()
         # the matches of (row j, low mask m) are hi_masks[vec[j], first:last],
         # at positions ends - per_low ... ends - 1 of the chunk's matches
-        last += (vec * hi.shape[1])[:, None]
+        last += (vec * halves.hi.shape[1])[:, None]
         pos = np.repeat(last.ravel() - ends, per_low)
         pos += np.arange(len(pos))
         masks = halves.hi_masks.ravel()[pos]
-        del pos
-        masks |= np.repeat(np.tile(halves.lo_masks, len(vec)), per_low)
-        # one sort puts the chunk's rows back in order, each row ascending
-        masks |= np.repeat(order << n, per_row)
-        masks.sort()
-        masks &= (1 << n) - 1
+        del pos, halves  # the next chunk's tables replace these rather than join them
+        masks |= np.repeat(np.tile(np.arange(1 << n // 2), len(vec)), per_low)
+        masks |= np.repeat(rows << n, per_row)
         parts.append(masks)
+    # one sort puts the rows back in order, each row ascending
+    candidates = np.concatenate(parts)
+    del parts
+    candidates.sort()
+    candidates &= (1 << n) - 1
     offsets = np.zeros(len(low) + 1, np.int64)
     counts.cumsum(out=offsets[1:])
-    return np.concatenate(parts), offsets
+    return candidates, offsets
 
 
-def perfect_sum_indices(query: PerfectSumQuery, halves: HalfSums | None = None) -> list[int]:
+def perfect_sum_indices(query: PerfectSumQuery) -> list[int]:
     """Every configuration index whose reading matches the query, sorted
-    ascending: search_batch on the one-row batch. `halves` are the tables
-    of the query's vector alone."""
+    ascending: search_batch on the one-row batch."""
     batch = DecodeBatch((query.contributions,), [0], [query.target], query.epsilon)
-    return search_batch(batch, halves)[0].tolist()
+    return search_batch(batch)[0].tolist()
 
 
-def perfect_sum(query: PerfectSumQuery, halves: HalfSums | None = None) -> list[LightConfig]:
+def perfect_sum(query: PerfectSumQuery) -> list[LightConfig]:
     """perfect_sum_indices, each index as a LightConfig."""
     n = len(query.contributions)
-    return [LightConfig(m, n) for m in perfect_sum_indices(query, halves)]
+    return [LightConfig(m, n) for m in perfect_sum_indices(query)]
 
 
 def popcount(x: np.ndarray) -> np.ndarray:
@@ -297,14 +294,10 @@ def jaccard_accuracy(truth: LightConfig, candidates: list[int]) -> float:
     return float(jaccard_rows(np.array([truth.index]), cands, np.array([0, len(cands)]))[0])
 
 
-def infer_reading(
-    batch: DecodeBatch,
-    truth: np.ndarray | None = None,
-    halves: HalfSums | None = None,
-) -> InferenceResult:
-    """Search every row of the batch, on its vectors' tables when given,
-    and score each row against truth[r] when truth is known."""
-    candidates, offsets = search_batch(batch, halves)
+def infer_reading(batch: DecodeBatch, truth: np.ndarray | None = None) -> InferenceResult:
+    """Search every row of the batch and score each row against truth[r]
+    when truth is known."""
+    candidates, offsets = search_batch(batch)
     accuracy = jaccard_rows(truth, candidates, offsets) if truth is not None else None
     return InferenceResult(candidates=candidates, offsets=offsets, accuracy=accuracy)
 

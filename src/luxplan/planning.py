@@ -234,12 +234,17 @@ def restrict_cover_instance(instance: CoverInstance, keep: Iterable[int]) -> Cov
     form one contiguous run, the result's matrix is a view of the
     instance's.
     """
-    keep = (np.arange(keep.start, keep.stop, keep.step, dtype=np.int64) if isinstance(keep, range)
-            else np.fromiter(keep, dtype=np.int64))
-    columns = np.flatnonzero(np.isin(instance.ids, keep))
-    if columns.size and columns[-1] - columns[0] + 1 == columns.size:
-        columns = slice(columns[0], columns[-1] + 1)
-    return CoverInstance._of_matrix(instance.matrix[:, columns], instance.ids[columns])
+    ids = instance.ids
+    if isinstance(keep, range) and keep.step == 1 and (ids[1:] > ids[:-1]).all():
+        # ascending ids in [start, stop) are one run
+        columns = slice(*ids.searchsorted([keep.start, keep.stop]).tolist())
+    else:
+        keep = (np.arange(keep.start, keep.stop, keep.step, dtype=np.int64)
+                if isinstance(keep, range) else np.fromiter(keep, dtype=np.int64))
+        columns = np.flatnonzero(np.isin(ids, keep))
+        if columns.size and columns[-1] - columns[0] + 1 == columns.size:
+            columns = slice(columns[0], columns[-1] + 1)
+    return CoverInstance._of_matrix(instance.matrix[:, columns], ids[columns])
 
 
 def greedy_set_cover(instance: CoverInstance) -> CoverSolution:

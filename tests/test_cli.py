@@ -347,6 +347,20 @@ class TestInfer:
         assert [r["rule"] for r in fused] == ["intersection", "intersection"]
         assert list(fused[0]) == ["trial", "door_state", "truth", "fused_p", "accuracy", "rule"]
 
+    def test_header_only_readings_write_header_only_outputs(self, toy_scene_file, tmp_path):
+        # no trial to fuse: fuse_votes would reject the empty vote table
+        readings = tmp_path / "r.csv"
+        write_readings(readings, [])
+        out = tmp_path / "inf"
+        assert run([
+            "infer", "--scene", str(toy_scene_file), "--readings", str(readings),
+            "--out", str(out),
+        ]) == EXIT_OK
+        assert (out / "inference_report.csv").read_text(encoding="utf-8") == (
+            "point_index,door_state,config_p,n_candidates,accuracy,no_solution\n")
+        assert (out / "fused.csv").read_text(encoding="utf-8") == (
+            "trial,door_state,truth,fused_p,accuracy,rule\n")
+
     def test_unreachable_readings_fuse_by_vote(self, toy_scene_file, tmp_path):
         readings = tmp_path / "r.csv"
         write_readings(readings, [("t0", 38, 1, 1000000.0, 3), ("t0", 40, 1, "", 3)])
@@ -447,7 +461,7 @@ class TestInfer:
         self, apartment_path, tmp_path, monkeypatch, budget,
     ):
         # shuffled rows that come back to earlier (point, door state) keys;
-        # a small table budget splits the keys over several batches
+        # a small table budget splits the rows over several search chunks
         rng = np.random.default_rng(4)
         keys = [(int(p), int(q)) for p, q in zip(rng.integers(0, 2880, 9), rng.integers(0, 9, 9))]
         rows = []
@@ -459,16 +473,19 @@ class TestInfer:
         write_readings(readings, rows)
         monkeypatch.setattr(inference, "TABLE_BUDGET_BYTES", budget)
         builds = []
-        monkeypatch.setattr(cli, "half_sums_batch",
-                            lambda v: builds.append(len(v)) or inference.half_sums_batch(v))
+        build = inference.half_sums_batch
+        monkeypatch.setattr(inference, "half_sums_batch",
+                            lambda v: builds.append(len(v)) or build(v))
         out = tmp_path / "inf"
         assert run([
             "infer", "--scene", str(apartment_path), "--readings", str(readings),
             "--sigma", "0.05", "--out", str(out),
         ]) == EXIT_OK
         distinct = len({(p, q) for _, p, q, _, _ in rows})
-        per_batch = inference.tables_per_batch(6)
-        assert builds == [min(per_batch, distinct - k) for k in range(0, distinct, per_batch)]
+        per_chunk = inference.rows_per_chunk(6)
+        assert max(builds) <= per_chunk and sum(builds) >= distinct
+        if per_chunk >= len(rows):
+            assert builds == [distinct]
 
         matrix = sweep(load_scene(apartment_path))
         noise = cli.NoiseModel(sigma=0.05, seed=0)
@@ -495,8 +512,8 @@ class TestInfer:
         self, apartment_path, tmp_path, monkeypatch, budget,
     ):
         # each trial's rows lie scattered through the file, and its vectors
-        # fall in different table batches, so a trial's last row is often
-        # answered long after its first
+        # fall in different search chunks, so a trial's last row is often
+        # matched long after its first
         rng = np.random.default_rng(11)
         keys = [(int(p), int(q)) for p, q in zip(rng.integers(0, 2880, 12), rng.integers(0, 9, 12))]
         rows = []
@@ -509,14 +526,15 @@ class TestInfer:
         write_readings(readings, rows)
         monkeypatch.setattr(inference, "TABLE_BUDGET_BYTES", budget)
         builds = []
-        monkeypatch.setattr(cli, "half_sums_batch",
-                            lambda v: builds.append(len(v)) or inference.half_sums_batch(v))
+        build = inference.half_sums_batch
+        monkeypatch.setattr(inference, "half_sums_batch",
+                            lambda v: builds.append(len(v)) or build(v))
         out = tmp_path / "inf"
         assert run([
             "infer", "--scene", str(apartment_path), "--readings", str(readings),
             "--sigma", "0.05", "--out", str(out),
         ]) == EXIT_OK
-        assert len(builds) > 1
+        assert len(builds) > 1 and max(builds) <= inference.rows_per_chunk(6)
 
         matrix = sweep(load_scene(apartment_path))
         noise = cli.NoiseModel(sigma=0.05, seed=0)
@@ -562,14 +580,14 @@ class TestInfer:
         readings.write_text("truth,lux,door_state,point_index,trial\n"
                             + "".join("%s,%s,%s,%s,%s\n" % row for row in rows), encoding="utf-8")
         seen = []
-        monkeypatch.setattr(cli, "infer_reading", lambda batch, truth, tables: seen.append(
+        monkeypatch.setattr(cli, "infer_reading", lambda batch, truth: seen.append(
             (batch.contributions, batch.vector, batch.targets, truth))
-            or inference.infer_reading(batch, truth, tables))
+            or inference.infer_reading(batch, truth))
         assert run([
             "infer", "--scene", str(apartment_path), "--readings", str(readings),
             "--sigma", "0.05", "--seed", "3", "--out", str(tmp_path / "out"),
         ]) == EXIT_OK
-        [(contributions, vector, targets, truths)] = seen  # one table batch, rows in file order
+        [(contributions, vector, targets, truths)] = seen  # one batch, rows in file order
         noise = cli.NoiseModel(sigma=0.05, seed=3)
         for (truth, lux, q, p, _), v, target, t in zip(rows, vector, targets, truths, strict=True):
             x = apartment_matrix.vector_at(p, q)

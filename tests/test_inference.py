@@ -169,7 +169,7 @@ def bisect_reference(values, target, epsilon):
 
 @given(st.data())
 @settings(max_examples=300, deadline=None)
-def test_perfect_sum_with_and_without_tables_equals_the_bisect_reference(data):
+def test_perfect_sum_equals_the_bisect_reference(data):
     # values come from a small pool (repeats and zeros) or are drawn fresh;
     # on the 1/64 lattice every sum is exact, so brute force agrees too
     n = data.draw(st.integers(min_value=1, max_value=12), label="n")
@@ -187,10 +187,8 @@ def test_perfect_sum_with_and_without_tables_equals_the_bisect_reference(data):
             at += values[i]
     target = at + data.draw(st.sampled_from([-epsilon, 0.0, epsilon]), label="offset")
     query = PerfectSumQuery(contributions=tuple(values), target=target, epsilon=epsilon)
-    halves = half_sums_batch(np.array([values]))
     want = bisect_reference(values, target, epsilon)
     assert [c.index for c in perfect_sum(query)] == want
-    assert [c.index for c in perfect_sum(query, halves)] == want
     if lattice:
         assert want == brute_force(values, target, epsilon)
 
@@ -266,6 +264,38 @@ def test_one_byte_budget_searches_one_row_at_a_time(monkeypatch):
     got = search_batch(batch)
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
     assert len(want[0]) > 50
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_chunked_search_equals_one_chunk_at_every_budget(monkeypatch, n):
+    # three vectors interleaved through the rows, vector 1 read by 16 of
+    # them, so that at small budgets its rows span several chunks and
+    # chunks start and end inside a vector's rows
+    rng = np.random.default_rng(n)
+    values = rng.integers(0, 12, (3, n)) / 4.0
+    vector = np.array([1, 0, 1, 2, 1, 1, 0, 1, 2, 1, 1, 1, 0, 1, 1, 2, 1, 1, 1, 0, 1, 1, 1, 2])
+    targets = np.array([float(values[v] @ rng.integers(0, 2, n)) for v in vector])
+    targets[::5] += 0.125  # some rows match nothing
+    batch = DecodeBatch(tuple(map(tuple, values.tolist())), vector, targets, 0.0625)
+    build = inference.half_sums_batch
+    results, sizes = [], []
+    for budget in (1, 600, inference.TABLE_BUDGET_BYTES):
+        monkeypatch.setattr(inference, "TABLE_BUDGET_BYTES", budget)
+        builds = []
+        monkeypatch.setattr(inference, "half_sums_batch",
+                            lambda v: builds.append(len(v)) or build(v))
+        results.append(search_batch(batch))
+        sizes.append(inference.rows_per_chunk(n))
+        assert max(builds) <= sizes[-1]
+        assert len(builds) == -(-len(vector) // sizes[-1])
+    assert sizes[0] == 1 < sizes[1] < len(vector) <= sizes[2]
+    (candidates, offsets), *others = results
+    for got in others:
+        assert np.array_equal(got[0], candidates) and np.array_equal(got[1], offsets)
+    for r, (v, t) in enumerate(zip(vector.tolist(), targets.tolist())):
+        want = one_query_reference(values[v].tolist(), t, 0.0625)
+        assert candidates[offsets[r]:offsets[r + 1]].tolist() == want
+    assert 0 < np.count_nonzero(np.diff(offsets)) < len(vector)
 
 
 def loop_jaccard(truth, candidates):

@@ -349,6 +349,21 @@ class TestCoverInstance:
         # 99 is outside the universe and is dropped
         assert instance.matrix.tolist() == [[True, False, True], [False, False, False]]
 
+    @pytest.mark.parametrize("keep", [range(8), range(4, 12), range(2, 6), range(6, 30)])
+    def test_range_restricts_non_ascending_ids_like_the_id_set(self, keep):
+        # door states [3, 1] give ids 12..15 before 4..7, so a range cannot
+        # be cut from them as one run
+        rng = np.random.default_rng(9)
+        values = rng.uniform(0.5, 9.0, (3, 2, 2))
+        instance = build_cover_instance(ContributionMatrix(values=values, door_states=[3, 1]),
+                                        tau=0.01)
+        assert instance.ids.tolist() == [12, 13, 14, 15, 4, 5, 6, 7]
+        by_range = restrict_cover_instance(instance, keep)
+        by_set = restrict_cover_instance(instance, frozenset(keep))
+        assert np.array_equal(by_range.ids, by_set.ids)
+        assert np.array_equal(by_range.matrix, by_set.matrix)
+        assert by_range.ids.tolist() == [i for i in instance.ids.tolist() if i in keep]
+
     def test_restrict_takes_any_iterable_of_ids(self):
         instance = CoverInstance(universe=range(6), sets=(frozenset({0, 4}), frozenset({1, 5})))
         for keep in (range(2, 6), frozenset({2, 3, 4, 5}), iter([5, 4, 3, 2]), (k for k in (2, 3, 4, 5, 9))):
