@@ -19,11 +19,22 @@ def heatmap_csv(grid: Grid, values: np.ndarray) -> str:
 
 
 def _point_lines(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """Each grid point's "x,y," row prefix, formatted in one call, and its
-    "x,y,0" line; both as object arrays of str."""
-    prefixes = np.array(
-        ("%.6g,%.6g,\n" * len(grid.points) % tuple(grid.points.ravel().tolist())).splitlines(),
-        dtype=object)
+    """Each grid point's "x,y," row prefix and its "x,y,0" line, both as
+    object arrays of str.
+
+    A lattice has nx distinct x values and ny distinct y values, so each
+    distinct coordinate is formatted once, in one call per axis, and the
+    prefixes are joined from those texts. Coordinates are told apart by
+    their float bits, not their values, so -0.0 keeps its own text; equal
+    bits print equally, so each prefix is what "%.6g,%.6g," gives.
+    """
+    bits = np.ascontiguousarray(grid.points, dtype=float).view(np.int64)
+    texts = []
+    for axis in (0, 1):
+        distinct, at = np.unique(bits[:, axis], return_inverse=True)
+        text = ("%.6g,\n" * distinct.size % tuple(distinct.view(float).tolist())).splitlines()
+        texts.append(np.array(text, dtype=object)[at])
+    prefixes = texts[0] + texts[1]
     return prefixes, prefixes + "0\n"
 
 

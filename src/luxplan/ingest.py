@@ -15,6 +15,7 @@ import io
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import repeat
 from pathlib import Path
 
@@ -135,7 +136,11 @@ class BaselineCell:
 
 @dataclass
 class BaselineTable:
-    """Baselines per (location, configuration index)."""
+    """Baselines per (location, configuration index).
+
+    cells is grouped by location the first time locations or configs is
+    read, and the grouping is kept: add no cell after that.
+    """
 
     cells: dict[tuple[str, int], BaselineCell]
     settle: float
@@ -144,15 +149,21 @@ class BaselineTable:
     def cell(self, location: str, config_index: int) -> BaselineCell | None:
         return self.cells.get((location, config_index))
 
+    @cached_property
+    def _configs(self) -> dict[str, list[int]]:
+        """Each location's ascending config indices, locations in
+        first-appearance order; grouped in one pass over the cells."""
+        grouped: dict[str, list[int]] = {}
+        for loc, p in self.cells:
+            grouped.setdefault(loc, []).append(p)
+        return {loc: sorted(ps) for loc, ps in grouped.items()}
+
     @property
     def locations(self) -> list[str]:
-        seen: dict[str, None] = {}
-        for loc, _ in self.cells:
-            seen.setdefault(loc, None)
-        return list(seen)
+        return list(self._configs)
 
     def configs(self, location: str) -> list[int]:
-        return sorted(p for loc, p in self.cells if loc == location)
+        return list(self._configs.get(location, ()))
 
 
 @dataclass

@@ -18,6 +18,9 @@ from .scene import DoorState
 from .transport import ContributionMatrix
 
 DEFAULT_TAU = 0.01  # lux
+# bytes of configuration sums heatmap_scores sorts at once: a distinct
+# live n-luminaire vector takes 8 * 2^n, and a chunk holds at least one
+SCORE_BUDGET_BYTES = 16 << 20
 
 
 @dataclass(frozen=True)
@@ -93,22 +96,30 @@ class CoverSolution:
     complete: bool
 
 
-def _isolated(values: np.ndarray, tau: float) -> np.ndarray:
-    """Flag entries along the last axis whose nearest other entry is more
-    than tau away.
+def _isolated_sorted(ordered: np.ndarray, tau: float) -> np.ndarray:
+    """Flag entries of rows sorted ascending along the last axis whose gaps
+    to both sorted neighbours are more than tau.
 
     Strict inequality: a gap of exactly tau is not isolated, and a lone
-    entry is. Sorting first is exact: the nearest other value is always a
-    neighbour in sorted order, so this equals the all-pairs definition.
-    The sort need not be stable: equal entries share every flag.
+    entry is. The nearest other value is always a sorted neighbour, so
+    this equals the all-pairs definition.
+    """
+    wide = np.diff(ordered, axis=-1) > tau
+    isolated = np.ones(ordered.shape, dtype=bool)
+    isolated[..., 1:] &= wide
+    isolated[..., :-1] &= wide
+    return isolated
+
+
+def _isolated(values: np.ndarray, tau: float) -> np.ndarray:
+    """Flag entries along the last axis whose nearest other entry is more
+    than tau away: _isolated_sorted on the sorted entries, put back in
+    place. The sort need not be stable: equal entries share every flag.
     """
     order = np.argsort(values, axis=-1)
-    wide = np.diff(np.take_along_axis(values, order, axis=-1), axis=-1) > tau
-    isolated_sorted = np.ones(values.shape, dtype=bool)
-    isolated_sorted[..., 1:] &= wide
-    isolated_sorted[..., :-1] &= wide
-    flags = np.empty_like(isolated_sorted)
-    np.put_along_axis(flags, order, isolated_sorted, axis=-1)
+    isolated = _isolated_sorted(np.take_along_axis(values, order, axis=-1), tau)
+    flags = np.empty_like(isolated)
+    np.put_along_axis(flags, order, isolated, axis=-1)
     return flags
 
 
@@ -201,12 +212,20 @@ def heatmap_scores(matrix: ContributionMatrix, tau: float = DEFAULT_TAU) -> np.n
     """Distinctness score per (point, door state); int64, shape (P, Q).
 
     The score is the number of flags distinctness_flags_batch sets for the
-    (point, door state) row. Only the D distinct live rows are flagged, and
-    their counts are scattered back to the rows that repeat them: this
-    never holds the (P, Q, 2^n) flags, and a dead row scores 0.
+    (point, door state) row, but no flag is put back in place: a count
+    needs only the sorted sums. The D distinct live rows go through in
+    chunks of SCORE_BUDGET_BYTES of sums; each chunk's sums are sorted in
+    place and their gaps counted. The counts are scattered back to the
+    rows that repeat them, and a dead row scores 0.
     """
+    _check_tau(tau)
     distinct, index = _live_patterns(matrix.values)
-    counts = np.count_nonzero(distinctness_flags_batch(distinct, tau), axis=-1).astype(np.int64)
+    counts = np.empty(len(distinct), dtype=np.int64)
+    step = max(1, SCORE_BUDGET_BYTES // (8 << distinct.shape[-1]))
+    for start in range(0, len(distinct), step):
+        sums = config_sums_batch(distinct[start:start + step])
+        sums.sort(axis=-1)
+        counts[start:start + step] = np.count_nonzero(_isolated_sorted(sums, tau), axis=-1)
     return _scatter(counts, index).reshape(matrix.values.shape[:-1])
 
 

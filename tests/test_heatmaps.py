@@ -1,4 +1,6 @@
 """CSV and plain-PGM rasters of distinctness scores."""
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from luxplan import (
     write_heatmap_set,
 )
 from luxplan.geometry import WallSegment
+from luxplan.heatmaps import _point_lines
 
 ONE_LAMP = """\
 ceiling 3.0
@@ -207,3 +210,20 @@ def test_csv_of_dense_float_values_equals_the_reference():
     grid = edge_grid()
     values = np.linspace(0.5, 300.25, len(grid.points))  # no zero; %d truncates
     assert heatmap_csv(grid, values) == reference_csv(grid, values)
+
+
+@pytest.mark.parametrize("spacing", [0.1, 0.05, 0.165, 1.0 / 3.0])
+@pytest.mark.parametrize("bounds", [(0.0, 0.0, 3.2, 2.1), (-1.37, -0.83, 1.9, 1.15)])
+def test_point_lines_equal_per_point_formatting(bounds, spacing):
+    grid = build_grid(bounds, spacing, 1.0, None)
+    prefixes, zero_lines = _point_lines(grid)
+    want = ["%.6g,%.6g," % (x, y) for x, y in grid.points.tolist()]
+    assert prefixes.tolist() == want
+    assert zero_lines.tolist() == [p + "0\n" for p in want]
+
+
+def test_point_lines_keep_negative_zero_apart_from_zero():
+    grid = edge_grid()
+    points = np.array([[0.0, -0.0], [-0.0, 0.0], [0.0, 0.0], [-0.0, 0.5]])
+    grid = dataclasses.replace(grid, points=points, cells=grid.cells[:4])
+    assert _point_lines(grid)[0].tolist() == ["0,-0,", "-0,0,", "0,0,", "-0,0.5,"]

@@ -20,6 +20,8 @@ from luxplan import (
     synthesize_logs,
 )
 from luxplan.ingest import (
+    BaselineCell,
+    BaselineTable,
     Command,
     CommandLog,
     FLAG_NO_SAMPLES,
@@ -209,6 +211,16 @@ class TestExtractBaselines:
         for settle, window in [(math.nan, 3.0), (math.inf, 3.0), (3.0, math.nan), (3.0, math.inf)]:
             with pytest.raises(ValueError, match="finite"):
                 extract_baselines(samples, commands, settle=settle, window=window)
+
+    def test_locations_and_configs_group_the_cells(self):
+        keys = [("b", 3), ("a", 1), ("b", 0), ("a", 4), ("b", 2)]
+        table = BaselineTable(cells={k: BaselineCell(mean=1.0, count=1, stddev=0.0) for k in keys},
+                              settle=0.0, window=1.0)
+        assert table.locations == ["b", "a"]
+        assert table.configs("b") == [0, 2, 3] and table.configs("a") == [1, 4]
+        assert table.configs("c") == []
+        table.configs("a").append(9)  # a caller's list is its own
+        assert table.configs("a") == [1, 4]
 
 
 def scanned_baselines(samples, commands, settle, window):

@@ -1,6 +1,7 @@
 """Distinctness scoring and sensor-set covering, checked against oracles."""
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from luxplan import (
     heatmap_scores,
     restrict_cover_instance,
 )
+from luxplan import planning
 from luxplan.planning import _isolated
 from luxplan.transport import ContributionMatrix
 
@@ -247,6 +249,24 @@ def test_pruned_flags_equal_the_unpruned_kernel(data):
     assert np.array_equal(flags, unpruned_flags(values, tau))
 
 
+# k/64 entries add up exactly, so their sums tie and their gaps can equal tau
+dyadic = st.integers(min_value=1, max_value=256).map(lambda k: k / 64.0)
+
+
+def scores_at_budgets(matrix, tau):
+    """heatmap_scores at the default budget, at 1 B (one row a chunk) and
+    at two rows a chunk; all three must agree."""
+    n = matrix.values.shape[-1]
+    got = []
+    for budget in (planning.SCORE_BUDGET_BYTES, 1, 2 * (8 << n)):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(planning, "SCORE_BUDGET_BYTES", budget)
+            got.append(heatmap_scores(matrix, tau))
+    for scores in got[1:]:
+        assert np.array_equal(scores, got[0])
+    return got[0]
+
+
 @given(st.data())
 @settings(max_examples=200, deadline=None)
 def test_heatmap_scores_equal_the_unpruned_flag_counts(data):
@@ -254,7 +274,7 @@ def test_heatmap_scores_equal_the_unpruned_flag_counts(data):
     n_points = data.draw(st.integers(min_value=1, max_value=5))
     n_states = data.draw(st.integers(min_value=1, max_value=4))
     kind = data.draw(st.sampled_from(["mixed", "mixed", "all dead", "all live"]))
-    entry = st.floats(0.5, 50.0) if kind == "all live" else any_entry
+    entry = st.floats(0.5, 50.0) | dyadic if kind == "all live" else any_entry | dyadic
     values = np.array(data.draw(st.lists(st.lists(st.lists(entry, min_size=n, max_size=n),
                                                    min_size=n_states, max_size=n_states),
                                           min_size=n_points, max_size=n_points)))
@@ -270,11 +290,44 @@ def test_heatmap_scores_equal_the_unpruned_flag_counts(data):
                                                     st.integers(0, n_states - 1),
                                                     st.integers(0, n_states - 1)), max_size=4)):
             values[p, r] = values[p, q]
-    tau = data.draw(st.sampled_from([0.0, 0.01, 0.25, 1.0]))
-    scores = heatmap_scores(ContributionMatrix(values=values), tau)
+    tau = data.draw(st.sampled_from([0.0, 0.01, 1 / 64, 0.25, 1.0]))
+    scores = scores_at_budgets(ContributionMatrix(values=values), tau)
     assert scores.dtype == np.int64
     assert scores.shape == (n_points, n_states)
     assert np.array_equal(scores, unpruned_flags(values, tau).sum(-1))
+
+
+def test_heatmap_scores_of_tied_sums_and_gaps_of_exactly_tau():
+    # sums of (1, 2, 3)/64 are 0..6/64 with 3/64 twice: every gap is 1/64
+    # but the tie's, so at tau = 1/64 nothing is isolated, and below it all
+    # but the tied pair are; (1, 2, 4)/64 has no tie, and (2, 4, 8)/64 has
+    # gaps of 2/64
+    values = np.array([[[1, 2, 3], [1, 2, 4]], [[2, 4, 8], [1, 2, 3]]]) / 64.0
+    matrix = ContributionMatrix(values=values)
+    for tau, want in ((0.0, [[6, 8], [8, 6]]), (1 / 128, [[6, 8], [8, 6]]),
+                      (1 / 64, [[0, 0], [8, 0]]), (2 / 64, [[0, 0], [0, 0]])):
+        scores = scores_at_budgets(matrix, tau)
+        assert scores.tolist() == want, tau
+        assert np.array_equal(scores, unpruned_flags(values, tau).sum(-1))
+
+
+def test_heatmap_scores_peak_memory_follows_the_budget(monkeypatch):
+    # 48 distinct live 16-luminaire vectors hold 24 MB of sums; at a 2 MB
+    # budget a chunk holds 4 of them, and its sums, gaps and flags about
+    # 2.25 budgets
+    budget = 2 << 20
+    monkeypatch.setattr(planning, "SCORE_BUDGET_BYTES", budget)
+    rng = np.random.default_rng(7)
+    values = rng.uniform(1.0, 100.0, size=(48, 1, 16))
+    matrix = ContributionMatrix(values=values)
+    tracemalloc.start()
+    try:
+        scores = heatmap_scores(matrix, 0.01)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * budget
+    assert np.array_equal(scores[:2], unpruned_flags(values[:2], 0.01).sum(-1))
 
 
 @pytest.mark.parametrize("tau", [-1.0, math.nan, math.inf])
