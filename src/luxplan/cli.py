@@ -319,20 +319,16 @@ def cmd_infer(args: argparse.Namespace) -> int:
 
     # The rows come as columns. Only the grid points they name are swept,
     # and every row is checked, as arrays, before any is answered. Rows that
-    # revisit a (point, door state) share its vector, numbered as it first
-    # appears; the whole file is one batch: one decode, one vote and one
-    # fusion of every trial.
+    # revisit a (point, door state) share its vector, numbered by np.unique;
+    # no output hangs on that order. The whole file is one batch: one
+    # decode, one vote and one fusion of every trial.
     point, door, truth = readings.point, readings.door, readings.truth
     on_grid = (point >= 0) & (point < len(grid.points))
     cells = np.unique(point[on_grid]).astype(np.intp)
     matrix = sweep(scene, cells=cells)
     _check_readings(args.readings, readings, len(grid.points), matrix.n_door_states, n)
-    _, first, inverse = np.unique(point * matrix.n_door_states + door, return_index=True,
-                                  return_inverse=True)
-    rank = np.empty(len(first), np.intp)
-    rank[first.argsort()] = np.arange(len(first))
-    vector_arr = rank[inverse]
-    first.sort()  # each vector's first row, in vector order
+    _, first, vector_arr = np.unique(point * matrix.n_door_states + door, return_index=True,
+                                     return_inverse=True)
     values = matrix.values[cells.searchsorted(point[first]), door[first]]
     contributions = tuple(map(tuple, values.tolist()))
 

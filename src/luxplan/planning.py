@@ -18,8 +18,8 @@ from .scene import DoorState
 from .transport import ContributionMatrix
 
 DEFAULT_TAU = 0.01  # lux
-# bytes of configuration sums heatmap_scores sorts at once: a distinct
-# live n-luminaire vector takes 8 * 2^n, and a chunk holds at least one
+# bytes of configuration sums built at once, for the cover's flags and the heatmap's
+# counts alike: a distinct live n-luminaire vector takes 8 * 2^n, a chunk at least one
 SCORE_BUDGET_BYTES = 16 << 20
 
 
@@ -151,38 +151,53 @@ def config_sums_batch(values: np.ndarray) -> np.ndarray:
     """
     values = np.asarray(values, dtype=float)
     n = values.shape[-1]
-    sums = np.zeros(values.shape[:-1] + (1 << n,))
+    sums = np.empty(values.shape[:-1] + (1 << n,))
+    sums[..., 0] = 0.0
     for i in range(n):
         half = 1 << i
-        sums[..., half:2 * half] = sums[..., :half] + values[..., i:i + 1]
+        np.add(sums[..., :half], values[..., i:i + 1], out=sums[..., half:2 * half])
     return sums
 
 
-def _live_patterns(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct live rows of values (..., n) and each row's pattern.
+def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct rows of a 2-D array with at least one column, keyed by
+    their bytes, in first-appearance order: each one's first row index,
+    each row's number among them and each one's count."""
+    rows = np.ascontiguousarray(rows)
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+    _, first, inverse, counts = np.unique(keys, return_index=True, return_inverse=True,
+                                          return_counts=True)
+    order = np.argsort(first)
+    return first[order], np.argsort(order)[inverse], counts[order]
 
-    A row is live when none of its entries is 0 (or -0.0); only live rows
-    can isolate anything (see distinctness_flags_batch). Returns the
-    distinct live rows, shape (D, n), and an index of shape (R,) over the
-    R rows of values in C order: the row's position among the D patterns,
-    or -1 for a dead row. Live rows hold no zero, so their bytes are equal
-    exactly when their values are, and dedup runs on the bytes.
+
+def _per_live_row(values: np.ndarray, reduce) -> np.ndarray:
+    """reduce(sums) of each distinct live row of values (..., n), given to
+    every row that repeats it; a dead row gets zeros.
+
+    A row is live when none of its entries is 0 (or -0.0): only live rows
+    can isolate anything (see distinctness_flags_batch). Live rows hold no
+    zero, so their bytes are equal exactly when their values are, and
+    dedup runs on the bytes. The distinct live rows go through in chunks of
+    SCORE_BUDGET_BYTES of config_sums_batch sums, at least one row a chunk;
+    reduce gets a chunk's sums, which it may overwrite, and returns one
+    entry per row. Its answer on no rows gives the entries' shape and type.
     """
     n = values.shape[-1]
     rows = np.ascontiguousarray(values).reshape(-1, n)
     live = np.flatnonzero((rows != 0).all(axis=1))
-    keys = rows[live].view(np.dtype((np.void, rows.itemsize * n))).ravel()
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    first, number, _ = _distinct_rows(rows[live])
+    distinct = rows[live[first]]
+    empty = reduce(config_sums_batch(distinct[:0]))
+    # one more entry, left zero, for the dead rows' index of -1
+    per_row = np.zeros((len(distinct) + 1,) + empty.shape[1:], dtype=empty.dtype)
+    step = max(1, SCORE_BUDGET_BYTES // (8 << n))
+    for start in range(0, len(distinct), step):
+        chunk = distinct[start:start + step]
+        per_row[start:start + len(chunk)] = reduce(config_sums_batch(chunk))
     index = np.full(rows.shape[0], -1, dtype=np.intp)
-    index[live] = inverse
-    return rows[live[first]], index
-
-
-def _scatter(per_pattern: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """Give each row its pattern's entry of per_pattern, in one gather: a
-    zero entry is appended, and a dead row's index of -1 picks it."""
-    zero = np.zeros((1,) + per_pattern.shape[1:], dtype=per_pattern.dtype)
-    return np.concatenate([per_pattern, zero])[index]
+    index[live] = number
+    return per_row[index].reshape(values.shape[:-1] + per_row.shape[1:])
 
 
 def distinctness_flags_batch(values: np.ndarray, tau: float) -> np.ndarray:
@@ -198,14 +213,11 @@ def distinctness_flags_batch(values: np.ndarray, tau: float) -> np.ndarray:
     later doubling step: each sum has an equal twin, a gap of 0, which is
     not more than any tau >= 0. Such dead rows are set aside before the
     dedup. The flags are a pure function of x, and door states leave most
-    cells' vectors unchanged, so each distinct live vector is flagged once
-    and the result is scattered back to every row that repeats it.
+    cells' vectors unchanged, so each distinct live vector is flagged once,
+    in _per_live_row's chunks, and copied to every row that repeats it.
     """
     _check_tau(tau)
-    values = np.asarray(values, dtype=float)
-    distinct, index = _live_patterns(values)
-    flags = _scatter(_isolated(config_sums_batch(distinct), tau), index)
-    return flags.reshape(values.shape[:-1] + flags.shape[-1:])
+    return _per_live_row(np.asarray(values, dtype=float), lambda sums: _isolated(sums, tau))
 
 
 def heatmap_scores(matrix: ContributionMatrix, tau: float = DEFAULT_TAU) -> np.ndarray:
@@ -213,20 +225,17 @@ def heatmap_scores(matrix: ContributionMatrix, tau: float = DEFAULT_TAU) -> np.n
 
     The score is the number of flags distinctness_flags_batch sets for the
     (point, door state) row, but no flag is put back in place: a count
-    needs only the sorted sums. The D distinct live rows go through in
-    chunks of SCORE_BUDGET_BYTES of sums; each chunk's sums are sorted in
-    place and their gaps counted. The counts are scattered back to the
-    rows that repeat them, and a dead row scores 0.
+    needs only the sorted sums. The same pass over distinct live rows
+    sorts each chunk's sums in place and counts their gaps; a dead row
+    scores 0.
     """
     _check_tau(tau)
-    distinct, index = _live_patterns(matrix.values)
-    counts = np.empty(len(distinct), dtype=np.int64)
-    step = max(1, SCORE_BUDGET_BYTES // (8 << distinct.shape[-1]))
-    for start in range(0, len(distinct), step):
-        sums = config_sums_batch(distinct[start:start + step])
+
+    def count(sums: np.ndarray) -> np.ndarray:
         sums.sort(axis=-1)
-        counts[start:start + step] = np.count_nonzero(_isolated_sorted(sums, tau), axis=-1)
-    return _scatter(counts, index).reshape(matrix.values.shape[:-1])
+        return np.count_nonzero(_isolated_sorted(sums, tau), axis=-1).astype(np.int64)
+
+    return _per_live_row(matrix.values, count)
 
 
 def build_cover_instance(matrix: ContributionMatrix, tau: float = DEFAULT_TAU) -> CoverInstance:
@@ -297,16 +306,6 @@ def greedy_set_cover(instance: CoverInstance) -> CoverSolution:
     )
 
 
-def _distinct_rows(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows of a bool matrix with at least one column, in
-    first-appearance order: each one's first row index and its count."""
-    packed = np.ascontiguousarray(np.packbits(m, axis=1))
-    keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
-    _, first, counts = np.unique(keys, return_index=True, return_counts=True)
-    order = np.argsort(first)
-    return first[order], counts[order]
-
-
 def exact_min_cover(instance: CoverInstance, limit: int = 24) -> CoverSolution:
     """Provably minimum cover by branch and bound over element bitmasks.
 
@@ -334,9 +333,9 @@ def exact_min_cover(instance: CoverInstance, limit: int = 24) -> CoverSolution:
         return CoverSolution(chosen=[], gains=[], covered=covered, complete=complete)
     cells = np.flatnonzero(instance.matrix.any(axis=1))
     rows = instance.matrix[cells][:, coverable_columns]
-    first, multiplicity = _distinct_rows(rows)
+    first, _, multiplicity = _distinct_rows(np.packbits(rows, axis=1))
     cells, rows = cells[first].tolist(), rows[first]
-    columns, weights = _distinct_rows(rows.T)
+    columns, _, weights = _distinct_rows(np.packbits(rows.T, axis=1))
     merged = rows[:, columns]
     # bit g of a row mask is merged column g
     set_masks = [int.from_bytes(row.tobytes(), "little")

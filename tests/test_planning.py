@@ -152,6 +152,19 @@ class TestBatch:
                 expected = fsum_config_readings(values[i, q])
                 assert np.allclose(sums[i, q], expected, rtol=1e-12)
 
+    @pytest.mark.parametrize("shape", [(7, 16), (292, 6), (1, 20), (5, 3, 7), (4, 1), (3, 0)])
+    def test_config_sums_batch_equals_the_doubling_with_temporaries(self, shape):
+        # thirds and square roots are not dyadic, so the sums round, and the
+        # in-place steps must round each of them exactly as before
+        values = np.sqrt(np.random.default_rng(15).uniform(1, 90, size=shape)) / 3
+        expected = np.zeros(shape[:-1] + (1 << shape[-1],))
+        for i in range(shape[-1]):
+            half = 1 << i
+            expected[..., half:2 * half] = expected[..., :half] + values[..., i:i + 1]
+        sums = config_sums_batch(values)
+        assert sums.shape == expected.shape
+        assert sums.tobytes() == expected.tobytes()
+
     def test_flags_batch_matches_vector_route(self):
         rng = np.random.default_rng(10)
         values = rng.integers(0, 6, size=(6, 2, 4)) / 2.0
@@ -225,6 +238,20 @@ class TestExactZeroPrune:
             assert np.array_equal(distinctness_flags_batch(values, 0.01), unpruned_flags(values, 0.01))
 
 
+def at_budgets(compute, n):
+    """compute() at the default budget, at 1 B (one row a chunk) and at two
+    rows a chunk of n-luminaire sums; all three must agree."""
+    got = []
+    for budget in (planning.SCORE_BUDGET_BYTES, 1, 2 * (8 << n)):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(planning, "SCORE_BUDGET_BYTES", budget)
+            got.append(compute())
+    for result in got[1:]:
+        assert result.dtype == got[0].dtype
+        assert np.array_equal(result, got[0])
+    return got[0]
+
+
 # half-lux lattice values collide often; tiny and -0.0 entries sit at the prune's edge
 any_entry = (st.integers(min_value=0, max_value=8).map(lambda k: k / 2.0)
              | st.sampled_from([-0.0, 1e-300]) | st.floats(0.0, 50.0))
@@ -244,7 +271,7 @@ def test_pruned_flags_equal_the_unpruned_kernel(data):
     rows += [rows[i] for i in data.draw(st.lists(st.integers(min_value=0, max_value=n_rows - 1), max_size=3))]
     values = np.array(rows).reshape(len(rows), 1, n)
     tau = data.draw(st.sampled_from([0.0, 0.0, 0.01, 0.25, 1.0]))
-    flags = distinctness_flags_batch(values, tau)
+    flags = at_budgets(lambda: distinctness_flags_batch(values, tau), n)
     assert flags.dtype == bool
     assert np.array_equal(flags, unpruned_flags(values, tau))
 
@@ -254,17 +281,7 @@ dyadic = st.integers(min_value=1, max_value=256).map(lambda k: k / 64.0)
 
 
 def scores_at_budgets(matrix, tau):
-    """heatmap_scores at the default budget, at 1 B (one row a chunk) and
-    at two rows a chunk; all three must agree."""
-    n = matrix.values.shape[-1]
-    got = []
-    for budget in (planning.SCORE_BUDGET_BYTES, 1, 2 * (8 << n)):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(planning, "SCORE_BUDGET_BYTES", budget)
-            got.append(heatmap_scores(matrix, tau))
-    for scores in got[1:]:
-        assert np.array_equal(scores, got[0])
-    return got[0]
+    return at_budgets(lambda: heatmap_scores(matrix, tau), matrix.values.shape[-1])
 
 
 @given(st.data())
@@ -308,7 +325,9 @@ def test_heatmap_scores_of_tied_sums_and_gaps_of_exactly_tau():
                       (1 / 64, [[0, 0], [8, 0]]), (2 / 64, [[0, 0], [0, 0]])):
         scores = scores_at_budgets(matrix, tau)
         assert scores.tolist() == want, tau
-        assert np.array_equal(scores, unpruned_flags(values, tau).sum(-1))
+        flags = at_budgets(lambda: distinctness_flags_batch(values, tau), 3)
+        assert np.array_equal(flags, unpruned_flags(values, tau))
+        assert np.array_equal(scores, flags.sum(-1))
 
 
 def test_heatmap_scores_peak_memory_follows_the_budget(monkeypatch):
@@ -328,6 +347,23 @@ def test_heatmap_scores_peak_memory_follows_the_budget(monkeypatch):
         tracemalloc.stop()
     assert peak < 4 * budget
     assert np.array_equal(scores[:2], unpruned_flags(values[:2], 0.01).sum(-1))
+
+
+def test_flag_pass_peak_memory_follows_the_budget(monkeypatch):
+    # the same 48 vectors: a chunk's sums, sort order, sorted sums and gaps
+    # take about 4 budgets, and the flags are held per distinct vector and
+    # then per row
+    budget = 2 << 20
+    monkeypatch.setattr(planning, "SCORE_BUDGET_BYTES", budget)
+    values = np.random.default_rng(7).uniform(1.0, 100.0, size=(48, 1, 16))
+    tracemalloc.start()
+    try:
+        flags = distinctness_flags_batch(values, 0.01)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * budget + 2 * flags.nbytes
+    assert np.array_equal(flags[:2], unpruned_flags(values[:2], 0.01))
 
 
 @pytest.mark.parametrize("tau", [-1.0, math.nan, math.inf])
