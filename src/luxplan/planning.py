@@ -62,30 +62,85 @@ class StateSpace:
 
 
 class CoverInstance:
-    """Set-cover instance as a bool matrix.
+    """Set-cover instance over distinct cell patterns and merged columns.
 
-    matrix[k, j] is True when candidate cell k covers state ids[j]; rows
-    are cells and columns are the universe, with ids ascending.
+    ids holds the universe's state ids, one per column of the cells-by-ids
+    bool matrix that `matrix` expands on demand: matrix[k, j] is True when
+    candidate cell k covers state ids[j]. The instance keeps only that
+    matrix's nonempty distinct rows and coverable distinct columns:
+    - column[j] is the merged column of ids[j], or -1 when no cell covers it;
+      weights[g] counts the ids merged column g stands for, and merged
+      columns go in order of their first id;
+    - patterns[r, g] says whether row pattern r covers merged column g;
+      patterns go in order of their first cell, cells[r], and multiplicity[r]
+      counts the cells that share pattern r;
+    - cell_pattern[k] is cell k's pattern, or -1 when it covers nothing.
+
     CoverInstance(universe, sets) builds one from explicit sets of state
-    ids; elements of a set that are outside the universe are ignored.
+    ids, ids ascending; elements of a set outside the universe are ignored.
     """
 
-    __slots__ = ("matrix", "ids")
+    __slots__ = ("ids", "column", "weights", "patterns", "cells", "multiplicity", "cell_pattern")
 
     def __init__(self, universe: Iterable[int], sets: Sequence[Iterable[int]]) -> None:
-        ids = sorted(universe)
-        column = {u: j for j, u in enumerate(ids)}
+        ids = np.array(sorted(universe), dtype=np.int64)
+        position = {u: j for j, u in enumerate(ids.tolist())}
         matrix = np.zeros((len(sets), len(ids)), dtype=bool)
         for k, s in enumerate(sets):
-            matrix[k, [column[u] for u in s if u in column]] = True
-        self.matrix = matrix
-        self.ids = np.array(ids, dtype=np.int64)
+            matrix[k, [position[u] for u in s if u in position]] = True
+        cells = np.arange(len(sets))
+        self._merge(ids, np.arange(len(ids)), matrix, cells, np.ones(len(sets), dtype=np.int64),
+                    cells)
 
     @classmethod
-    def _of_matrix(cls, matrix: np.ndarray, ids: np.ndarray) -> "CoverInstance":
+    def _merged(cls, *raw) -> "CoverInstance":
         instance = cls.__new__(cls)
-        instance.matrix, instance.ids = matrix, ids
+        instance._merge(*raw)
         return instance
+
+    def _merge(self, ids: np.ndarray, column: np.ndarray, patterns: np.ndarray, cells: np.ndarray,
+               multiplicity: np.ndarray, cell_pattern: np.ndarray) -> None:
+        """Set the instance from a raw one with the same fields, whose rows
+        may be empty or repeat, whose columns may be uncovered, unnamed or
+        repeat, and whose columns need not follow their first id; its rows
+        must follow their first cell."""
+        # raw columns some id names, by first id, less those no row covers
+        raw, first = np.unique(column[column >= 0], return_index=True)
+        raw = raw[first.argsort()]
+        raw = raw[patterns.any(axis=0)[raw]]
+        merged = np.full(patterns.shape[1] + 1, -1, dtype=np.intp)  # the last entry is column -1's
+        rows = patterns.take(raw, axis=1)
+        if raw.size:
+            distinct, number, _ = _distinct_columns(rows)
+            merged[raw] = number
+            rows = rows.take(distinct, axis=1)
+        self.ids, self.column = ids, merged[column]
+        self.weights = np.bincount(self.column[self.column >= 0], minlength=rows.shape[1])
+        # nonempty rows, identical ones merged onto the first
+        live = np.flatnonzero(rows.any(axis=1))
+        pattern = np.full(len(rows) + 1, -1, dtype=np.intp)  # the last entry is pattern -1's
+        distinct = live[:0]
+        if live.size:
+            distinct, number, _ = _distinct_rows(np.packbits(rows[live], axis=1))
+            pattern[live] = number
+            distinct = live[distinct]
+        self.patterns, self.cells = rows[distinct], cells[distinct]
+        self.multiplicity = np.bincount(pattern[live], weights=multiplicity[live],
+                                        minlength=distinct.size).astype(np.int64)
+        self.cell_pattern = pattern[cell_pattern]
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The cells-by-ids bool matrix, expanded."""
+        n_rows, n_columns = self.patterns.shape
+        padded = np.zeros((n_rows + 1, n_columns + 1), dtype=bool)  # pattern and column -1 cover nothing
+        padded[:n_rows, :n_columns] = self.patterns
+        return padded[self.cell_pattern][:, self.column]
+
+    def coverage(self) -> tuple[frozenset[int], bool]:
+        """The ids some cell covers, and whether that is all of them."""
+        coverable = self.column >= 0
+        return frozenset(self.ids[coverable].tolist()), bool(coverable.all())
 
 
 @dataclass
@@ -114,12 +169,18 @@ def _isolated_sorted(ordered: np.ndarray, tau: float) -> np.ndarray:
 def _isolated(values: np.ndarray, tau: float) -> np.ndarray:
     """Flag entries along the last axis whose nearest other entry is more
     than tau away: _isolated_sorted on the sorted entries, put back in
-    place. The sort need not be stable: equal entries share every flag.
+    place. values is sorted in place, and only the isolated entries are
+    put back, through the sort order. The sort need not be stable: an
+    isolated entry has no equal twin, so its place in the order is sure.
     """
     order = np.argsort(values, axis=-1)
-    isolated = _isolated_sorted(np.take_along_axis(values, order, axis=-1), tau)
-    flags = np.empty_like(isolated)
-    np.put_along_axis(flags, order, isolated, axis=-1)
+    values.sort(axis=-1)
+    isolated = _isolated_sorted(values, tau)
+    # each sorted entry's flat index in values, for a C-ordered order array
+    width = values.shape[-1]
+    order += np.arange(0, order.size, width).reshape(order.shape[:-1] + (1,))
+    flags = np.zeros(values.shape, dtype=bool)
+    flags.reshape(-1)[order[isolated]] = True
     return flags
 
 
@@ -137,7 +198,7 @@ def distinctness_vector(values, tau: float) -> DistinctnessVector:
     entry is trivially distinct.
     """
     _check_tau(tau)
-    vals = np.asarray(values, dtype=float)
+    vals = np.array(values, dtype=float)  # a copy: _isolated sorts it in place
     if vals.ndim != 1 or vals.size == 0:
         raise ValueError("need a 1-D, nonempty value vector")
     return DistinctnessVector(flags=tuple(_isolated(vals, tau).astype(int).tolist()), tau=tau)
@@ -171,33 +232,56 @@ def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return first[order], np.argsort(order)[inverse], counts[order]
 
 
-def _per_live_row(values: np.ndarray, reduce) -> np.ndarray:
-    """reduce(sums) of each distinct live row of values (..., n), given to
-    every row that repeats it; a dead row gets zeros.
+def _distinct_columns(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_distinct_rows of the columns of a 2-D bool array with at least one
+    row and one column. Each column's bits are packed eight rows to a byte
+    first, so that only those bytes are transposed."""
+    packed = np.zeros((-(-len(m) // 8), m.shape[1]), dtype=np.uint8)
+    for bit in range(8):
+        rows = m[bit::8].view(np.uint8)
+        packed[:len(rows)] |= rows << bit
+    return _distinct_rows(packed.T)
+
+
+def _live_vectors(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct live rows of values (..., n) in first-appearance order,
+    and each row's number among them, -1 for a dead row, in values' shape
+    less its last axis.
 
     A row is live when none of its entries is 0 (or -0.0): only live rows
     can isolate anything (see distinctness_flags_batch). Live rows hold no
     zero, so their bytes are equal exactly when their values are, and
-    dedup runs on the bytes. The distinct live rows go through in chunks of
+    dedup runs on the bytes.
+    """
+    n = values.shape[-1]
+    rows = np.ascontiguousarray(values).reshape(-1, n)
+    # a row's n nonzero tests as one n-byte key, compared at once
+    nonzero = (rows != 0).view(np.dtype((np.void, n))).ravel()
+    live = np.flatnonzero(nonzero == np.void(b"\x01" * n))
+    first, number, _ = _distinct_rows(rows[live])
+    index = np.full(rows.shape[0], -1, dtype=np.intp)
+    index[live] = number
+    return rows[live[first]], index.reshape(values.shape[:-1])
+
+
+def _per_live_row(values: np.ndarray, reduce) -> np.ndarray:
+    """reduce(sums) of each distinct live row of values (..., n), given to
+    every row that repeats it; a dead row gets zeros.
+
+    The distinct live rows (see _live_vectors) go through in chunks of
     SCORE_BUDGET_BYTES of config_sums_batch sums, at least one row a chunk;
     reduce gets a chunk's sums, which it may overwrite, and returns one
     entry per row. Its answer on no rows gives the entries' shape and type.
     """
-    n = values.shape[-1]
-    rows = np.ascontiguousarray(values).reshape(-1, n)
-    live = np.flatnonzero((rows != 0).all(axis=1))
-    first, number, _ = _distinct_rows(rows[live])
-    distinct = rows[live[first]]
+    distinct, index = _live_vectors(values)
     empty = reduce(config_sums_batch(distinct[:0]))
     # one more entry, left zero, for the dead rows' index of -1
     per_row = np.zeros((len(distinct) + 1,) + empty.shape[1:], dtype=empty.dtype)
-    step = max(1, SCORE_BUDGET_BYTES // (8 << n))
+    step = max(1, SCORE_BUDGET_BYTES // (8 << values.shape[-1]))
     for start in range(0, len(distinct), step):
         chunk = distinct[start:start + step]
         per_row[start:start + len(chunk)] = reduce(config_sums_batch(chunk))
-    index = np.full(rows.shape[0], -1, dtype=np.intp)
-    index[live] = number
-    return per_row[index].reshape(values.shape[:-1] + per_row.shape[1:])
+    return per_row[index]
 
 
 def distinctness_flags_batch(values: np.ndarray, tau: float) -> np.ndarray:
@@ -246,64 +330,110 @@ def build_cover_instance(matrix: ContributionMatrix, tau: float = DEFAULT_TAU) -
     where door_state_index is the matrix.door_states entry, so a matrix of
     some door states gives those states' true ids. Candidate point k covers
     the states whose reading it isolates.
+
+    The cells-by-states flag matrix is never built. Each distinct live
+    (cell, door state) vector is flagged once, and cells that see the same
+    vector numbers in every door state share one raw row. In each door
+    state, the configurations some of its vectors isolate become raw
+    columns, one per set of configurations that its vectors all flag alike;
+    CoverInstance then merges what still repeats across door states.
     """
-    flags = distinctness_flags_batch(matrix.values, tau)  # (P, Q, 2^n)
-    rows = flags.reshape(flags.shape[0], -1)  # row-major: q major, p minor
-    n_configs = flags.shape[-1]
+    distinct, vector = _live_vectors(matrix.values)  # vector: (P, Q), -1 for dead
+    flags = distinctness_flags_batch(distinct, tau)
+    n_configs = 1 << matrix.values.shape[-1]
+    # cells dead in every door state cover nothing and get no raw row
+    cells = np.unique(np.flatnonzero(vector >= 0) // vector.shape[1])
+    first, number, counts = _distinct_rows(vector[cells])
+    raw_row = np.full(len(vector), -1, dtype=np.intp)
+    raw_row[cells] = number
+    seen = vector[cells[first]]  # each raw row's vector per door state
+    column = np.full((len(matrix.door_states), n_configs), -1, dtype=np.intp)
+    blocks, width = [], 0
+    for q, vectors in enumerate(seen.T):
+        present = flags[np.unique(vectors[vectors >= 0])]
+        coverable = np.flatnonzero(present.any(axis=0))
+        if coverable.size:
+            reps, group, _ = _distinct_columns(present.take(coverable, axis=1))
+            column[q, coverable] = width + group
+            block = np.zeros((len(flags) + 1, reps.size), dtype=bool)  # vector -1 isolates nothing
+            block[:-1] = flags.take(coverable[reps], axis=1)
+            blocks.append(block[vectors])
+            width += reps.size
+    patterns = np.concatenate(blocks, axis=1) if blocks else np.zeros((len(seen), 0), dtype=bool)
     ids = matrix.door_states.astype(np.int64)[:, None] * n_configs + np.arange(n_configs)
-    return CoverInstance._of_matrix(rows, ids.ravel())
+    return CoverInstance._merged(ids.ravel(), column.ravel(), patterns, cells[first], counts, raw_row)
 
 
 def restrict_cover_instance(instance: CoverInstance, keep: Iterable[int]) -> CoverInstance:
     """Project an instance onto a sub-universe (e.g. a single door state).
 
     keep is any iterable of state ids, such as a range or a frozenset; ids
-    outside the instance's universe are ignored. When the kept columns
-    form one contiguous run, the result's matrix is a view of the
-    instance's.
+    outside the instance's universe are ignored. The kept ids keep their
+    order; merged columns that lose all their ids go, the rest lose weight,
+    and rows left empty or equal are dropped or merged again. An instance
+    all of whose ids are kept is returned as it is.
     """
     ids = instance.ids
     if isinstance(keep, range) and keep.step == 1 and (ids[1:] > ids[:-1]).all():
         # ascending ids in [start, stop) are one run
-        columns = slice(*ids.searchsorted([keep.start, keep.stop]).tolist())
+        kept = np.arange(*ids.searchsorted([keep.start, keep.stop]).tolist())
     else:
         keep = (np.arange(keep.start, keep.stop, keep.step, dtype=np.int64)
                 if isinstance(keep, range) else np.fromiter(keep, dtype=np.int64))
-        columns = np.flatnonzero(np.isin(ids, keep))
-        if columns.size and columns[-1] - columns[0] + 1 == columns.size:
-            columns = slice(columns[0], columns[-1] + 1)
-    return CoverInstance._of_matrix(instance.matrix[:, columns], ids[columns])
+        kept = np.flatnonzero(np.isin(ids, keep))
+    if kept.size == ids.size:
+        return instance
+    return CoverInstance._merged(ids[kept], instance.column[kept], instance.patterns, instance.cells,
+                                 instance.multiplicity, instance.cell_pattern)
+
+
+def _weighted_counts(patterns: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Each row's sum of the weights of the columns it holds, for weights in
+    ascending order: one count per run of equal weights, so that no integer
+    copy of patterns is built."""
+    counts = np.zeros(len(patterns), dtype=np.int64)
+    starts = np.flatnonzero(np.diff(weights, prepend=-1)).tolist()
+    for start, stop in zip(starts, starts[1:] + [len(weights)]):
+        counts += int(weights[start]) * patterns[:, start:stop].sum(axis=1, dtype=np.int64)
+    return counts
+
+
+def _greedy(patterns: np.ndarray, weights: np.ndarray) -> tuple[list[int], list[int]]:
+    """Greedy cover of every column of patterns: the rows taken, in order,
+    and their weighted gains. Ties go to the lowest row. Each row's gain is
+    counted once and then lowered by the columns each pick covers; the
+    columns are put in order of weight for _weighted_counts."""
+    by_weight = np.argsort(weights, kind="stable")
+    patterns, weights = patterns.take(by_weight, axis=1), weights[by_weight]
+    gains = _weighted_counts(patterns, weights)
+    uncovered = np.ones(len(weights), dtype=bool)
+    picks: list[int] = []
+    got: list[int] = []
+    while uncovered.any():  # some row covers each column, so the best gain is > 0
+        best = int(np.argmax(gains))  # argmax returns the first (lowest) index on ties
+        picks.append(best)
+        got.append(int(gains[best]))
+        newly = patterns[best] & uncovered
+        uncovered &= ~newly
+        gains -= _weighted_counts(np.compress(newly, patterns, axis=1), weights[newly])
+    return picks, got
 
 
 def greedy_set_cover(instance: CoverInstance) -> CoverSolution:
     """Classic greedy cover: repeatedly take the set with the largest
     uncovered gain, ties broken by the lowest point index.
 
-    Runs on the instance's non-empty part: rows that cover nothing can
-    never be taken, and columns no row covers can never be gained, so
-    both are dropped first. The kept rows stay in ascending order, so
-    ties still go to the lowest point index. Every coverable state ends
-    up covered; complete=False says some state is in no set.
+    Runs on the instance's distinct row patterns over its merged columns:
+    a gain adds up the merged columns' weights, so it counts states, and
+    the pick is the lowest cell of the first best pattern. Patterns follow
+    their first cell, so that is the lowest cell of best gain. Every
+    coverable state ends up covered; complete=False says some state is in
+    no set.
     """
-    m = instance.matrix
-    rows = np.flatnonzero(m.any(axis=1))
-    cols = m.any(axis=0)
-    sub = m[np.ix_(rows, np.flatnonzero(cols))]
-    uncovered = np.ones(sub.shape[1], dtype=bool)
-    chosen: list[int] = []
-    gains: list[int] = []
-    while uncovered.any():  # some kept row covers each uncovered column, so gain > 0
-        counts = (sub & uncovered).sum(axis=1)
-        best = int(np.argmax(counts))  # argmax returns the first (lowest) index on ties
-        chosen.append(int(rows[best]))
-        gains.append(int(counts[best]))
-        uncovered &= ~sub[best]
-    return CoverSolution(
-        chosen=chosen,
-        gains=gains,
-        covered=frozenset(instance.ids[cols].tolist()),
-        complete=bool(cols.all()),
-    )
+    picks, gains = _greedy(instance.patterns, instance.weights)
+    covered, complete = instance.coverage()
+    return CoverSolution(chosen=instance.cells[picks].tolist(), gains=gains, covered=covered,
+                         complete=complete)
 
 
 def exact_min_cover(instance: CoverInstance, limit: int = 24) -> CoverSolution:
@@ -312,31 +442,23 @@ def exact_min_cover(instance: CoverInstance, limit: int = 24) -> CoverSolution:
     Branches on an uncovered element with the fewest covering sets and
     prunes with a counting bound. Elements no set covers are excluded up
     front (complete=False); the cover is then minimum for the rest.
-    Refuses universes larger than `limit`.
+    Refuses universes larger than `limit`, counted in state ids.
 
-    The search runs on merged rows and columns. Identical rows become one
-    row, named by its lowest cell, with a multiplicity; identical coverable
-    columns become one bit, in first-appearance order, with a weight. Set
-    sizes, gains and the bound add up weights, and the fail-first key adds
-    up multiplicities, so the search takes the same branches in the same
-    order as on the whole matrix, less the ones on a later copy of a row:
-    such a branch follows its lowest copy's over the same subproblem, so it
-    can never find a smaller cover.
+    The search runs on the instance's merged form: one bit per merged
+    column, one row per distinct pattern, named by its lowest cell. Set
+    sizes, gains and the bound add up column weights, and the fail-first
+    key adds up row multiplicities, so the search takes the same branches
+    in the same order as on the whole matrix, less the ones on a later
+    copy of a row: such a branch follows its lowest copy's over the same
+    subproblem, so it can never find a smaller cover.
     """
     n_ids = instance.ids.size
     if n_ids > limit:
         raise ValueError(f"universe of {n_ids} exceeds exact-solver limit {limit}")
-    coverable_columns = instance.matrix.any(axis=0)
-    covered = frozenset(instance.ids[coverable_columns].tolist())
-    complete = bool(coverable_columns.all())
-    if not coverable_columns.any():
+    covered, complete = instance.coverage()
+    merged, weights = instance.patterns, instance.weights
+    if not weights.size:
         return CoverSolution(chosen=[], gains=[], covered=covered, complete=complete)
-    cells = np.flatnonzero(instance.matrix.any(axis=1))
-    rows = instance.matrix[cells][:, coverable_columns]
-    first, _, multiplicity = _distinct_rows(np.packbits(rows, axis=1))
-    cells, rows = cells[first].tolist(), rows[first]
-    columns, _, weights = _distinct_rows(np.packbits(rows.T, axis=1))
-    merged = rows[:, columns]
     # bit g of a row mask is merged column g
     set_masks = [int.from_bytes(row.tobytes(), "little")
                  for row in np.packbits(merged, axis=1, bitorder="little")]
@@ -351,11 +473,10 @@ def exact_min_cover(instance: CoverInstance, limit: int = 24) -> CoverSolution:
     covering = [np.flatnonzero(column).tolist() for column in merged.T]
     # fail-first: columns by their number of covering rows, copies included,
     # ties to the first
-    fewest_first = np.argsort(multiplicity @ merged, kind="stable").tolist()
+    fewest_first = np.argsort(instance.multiplicity @ merged, kind="stable").tolist()
 
-    # greedy reaches every coverable element, so it seeds the upper bound;
-    # on the merged rows it takes the same cells
-    best_choice = greedy_set_cover(CoverInstance._of_matrix(rows, np.arange(rows.shape[1]))).chosen
+    # greedy reaches every coverable element, so it seeds the upper bound
+    best_choice = _greedy(merged, weights)[0]
     best_size = len(best_choice)
 
     max_set_size = max(map(size, set_masks))
@@ -376,14 +497,14 @@ def exact_min_cover(instance: CoverInstance, limit: int = 24) -> CoverSolution:
             solve(uncovered & ~set_masks[k], chosen)
             chosen.pop()
 
-    solve((1 << len(columns)) - 1, [])
+    solve((1 << len(weights)) - 1, [])
     gains = []
     running = 0
     for k in best_choice:
         gains.append(size(set_masks[k] & ~running))
         running |= set_masks[k]
     return CoverSolution(
-        chosen=[cells[k] for k in best_choice],
+        chosen=instance.cells[best_choice].tolist(),
         gains=gains,
         covered=covered,
         complete=complete,

@@ -2,6 +2,7 @@
 import itertools
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -350,9 +351,9 @@ def test_heatmap_scores_peak_memory_follows_the_budget(monkeypatch):
 
 
 def test_flag_pass_peak_memory_follows_the_budget(monkeypatch):
-    # the same 48 vectors: a chunk's sums, sort order, sorted sums and gaps
-    # take about 4 budgets, and the flags are held per distinct vector and
-    # then per row
+    # the same 48 vectors: besides the flags held per distinct vector, a
+    # chunk's sums, sort order and gaps take about 3 budgets (the sums are
+    # sorted in place, where a sorted copy made it 4)
     budget = 2 << 20
     monkeypatch.setattr(planning, "SCORE_BUDGET_BYTES", budget)
     values = np.random.default_rng(7).uniform(1.0, 100.0, size=(48, 1, 16))
@@ -362,8 +363,29 @@ def test_flag_pass_peak_memory_follows_the_budget(monkeypatch):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 4 * budget + 2 * flags.nbytes
+    assert peak < 3.5 * budget + flags.nbytes
     assert np.array_equal(flags[:2], unpruned_flags(values[:2], 0.01))
+
+
+def test_isolation_sorts_its_sums_in_place():
+    # besides the sums, the kernel holds only their sort order, their gaps
+    # and the flags: about 2 more times the sums' size, where a sorted copy
+    # made it 3
+    sums = config_sums_batch(np.random.default_rng(7).uniform(1.0, 100.0, size=(4, 16)))
+    # the kernel before it sorted in place: a sorted copy, its flags put back
+    order = np.argsort(sums, axis=-1)
+    expected = np.empty(sums.shape, dtype=bool)
+    np.put_along_axis(expected, order, planning._isolated_sorted(
+        np.take_along_axis(sums, order, axis=-1), 0.01), axis=-1)
+    tracemalloc.start()
+    try:
+        flags = _isolated(sums, 0.01)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * sums.nbytes
+    assert np.array_equal(sums, np.sort(sums, axis=-1))
+    assert np.array_equal(flags, expected) and flags.any() and not flags.all()
 
 
 @pytest.mark.parametrize("tau", [-1.0, math.nan, math.inf])
@@ -688,8 +710,7 @@ def dense_exact_reference(instance, limit=24):
                  for row in np.packbits(m, axis=1, bitorder="little")]
     coverable = (1 << width) - 1
     covering = [np.flatnonzero(column).tolist() for column in m.T]
-    greedy = greedy_set_cover(instance)
-    best_choice = list(greedy.chosen)
+    best_choice = greedy_reference(instance)[0] if width else []
     best_size = len(best_choice)
     max_set_size = max((mask.bit_count() for mask in set_masks), default=0)
 
@@ -749,6 +770,77 @@ def test_fail_first_counts_repeated_rows():
     assert greedy_set_cover(instance).chosen == [0, 1, 2]
     assert dense_exact_reference(instance)[0] == [1, 2]
     assert solution_fields(exact_min_cover(instance)) == dense_exact_reference(instance)
+
+
+def dense_instance(values, door_states, tau):
+    """The cover instance as the whole cells-by-states flag matrix and its
+    state ids, as build_cover_instance made it before it merged anything."""
+    flags = distinctness_flags_batch(values, tau)
+    ids = np.asarray(door_states, dtype=np.int64)[:, None] * flags.shape[-1] + np.arange(flags.shape[-1])
+    return SimpleNamespace(matrix=flags.reshape(len(values), -1), ids=ids.ravel())
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_compact_instance_equals_the_dense_flag_matrix(data):
+    # cells draw their vectors from a small pool of half-lux vectors, so
+    # vectors repeat across cells and door states, and readings collide;
+    # dead vectors hold a 0.0 or -0.0 entry; door states come in any order
+    n = data.draw(st.integers(min_value=1, max_value=3))
+    n_points = data.draw(st.integers(min_value=1, max_value=8))
+    door_states = data.draw(st.lists(st.integers(min_value=0, max_value=4), min_size=1, max_size=4,
+                                     unique=True))
+    halves = st.integers(min_value=1, max_value=6).map(lambda k: k / 2.0)
+    pool = data.draw(st.lists(st.lists(halves, min_size=n, max_size=n), min_size=1, max_size=4))
+    for vector in data.draw(st.lists(st.sampled_from(pool), max_size=2)):
+        dead = list(vector)
+        dead[data.draw(st.integers(min_value=0, max_value=n - 1))] = data.draw(
+            st.sampled_from([0.0, -0.0]))
+        pool.append(dead)
+    picks = data.draw(st.lists(st.integers(min_value=0, max_value=len(pool) - 1),
+                               min_size=n_points * len(door_states),
+                               max_size=n_points * len(door_states)))
+    values = np.array(pool)[picks].reshape(n_points, len(door_states), n)
+    tau = data.draw(st.sampled_from([0.0, 0.25, 0.5, 1.0]))
+    built = build_cover_instance(ContributionMatrix(values=values, door_states=door_states), tau)
+    dense = dense_instance(values, door_states, tau)
+    assert np.array_equal(built.ids, dense.ids)
+    assert np.array_equal(built.matrix, dense.matrix)
+
+    ids = dense.ids.tolist()
+    keep = data.draw(st.one_of(
+        st.frozensets(st.sampled_from(ids + [-1, 99])),
+        st.builds(range, st.integers(min_value=0, max_value=40), st.integers(min_value=0, max_value=40))))
+    columns = np.isin(dense.ids, np.array(list(keep), dtype=np.int64))
+    restricted = restrict_cover_instance(built, keep)
+    dense_restricted = SimpleNamespace(matrix=dense.matrix[:, columns], ids=dense.ids[columns])
+    assert np.array_equal(restricted.ids, dense_restricted.ids)
+    assert np.array_equal(restricted.matrix, dense_restricted.matrix)
+    for instance, reference in ((built, dense), (restricted, dense_restricted)):
+        assert solution_fields(greedy_set_cover(instance)) == greedy_reference(reference)
+        limit = reference.ids.size
+        assert solution_fields(exact_min_cover(instance, limit)) == dense_exact_reference(reference, limit)
+
+
+def test_cover_build_peak_memory_stays_compact():
+    # 2,000 cells x 4 door states x 12 luminaires, drawn from 5 live vectors
+    # and 2 dead ones: the dense cells-by-states matrix would take 32.8 MB
+    rng = np.random.default_rng(11)
+    pool = rng.uniform(1.0, 50.0, size=(5, 12))
+    dead = pool[:2].copy()
+    dead[0, 3], dead[1, 0] = 0.0, -0.0
+    values = np.concatenate([pool, dead])[rng.integers(0, 7, size=(2000, 4))]
+    tracemalloc.start()
+    try:
+        instance = build_cover_instance(ContributionMatrix(values=values), 0.01)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000
+    dense = dense_instance(values, range(4), 0.01)
+    assert dense.matrix.nbytes == 32_768_000
+    assert np.array_equal(instance.ids, dense.ids)
+    assert np.array_equal(instance.matrix, dense.matrix)
 
 
 class TestHarmonicBound:
