@@ -353,7 +353,7 @@ def test_heatmap_scores_peak_memory_follows_the_budget(monkeypatch):
 def test_flag_pass_peak_memory_follows_the_budget(monkeypatch):
     # the same 48 vectors: besides the flags held per distinct vector, a
     # chunk's sums, sort order and gaps take about 3 budgets (the sums are
-    # sorted in place, where a sorted copy made it 4)
+    # sorted in place)
     budget = 2 << 20
     monkeypatch.setattr(planning, "SCORE_BUDGET_BYTES", budget)
     values = np.random.default_rng(7).uniform(1.0, 100.0, size=(48, 1, 16))
@@ -369,10 +369,9 @@ def test_flag_pass_peak_memory_follows_the_budget(monkeypatch):
 
 def test_isolation_sorts_its_sums_in_place():
     # besides the sums, the kernel holds only their sort order, their gaps
-    # and the flags: about 2 more times the sums' size, where a sorted copy
-    # made it 3
+    # and the flags: about twice the sums' size
     sums = config_sums_batch(np.random.default_rng(7).uniform(1.0, 100.0, size=(4, 16)))
-    # the kernel before it sorted in place: a sorted copy, its flags put back
+    # reference: the flags of a sorted copy, put back through the order
     order = np.argsort(sums, axis=-1)
     expected = np.empty(sums.shape, dtype=bool)
     np.put_along_axis(expected, order, planning._isolated_sorted(
