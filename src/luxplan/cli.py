@@ -25,12 +25,12 @@ import math
 import sys
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from itertools import compress
 from pathlib import Path
 
 import numpy as np
 
 from . import ingest as ingest_mod
+from .csvcolumns import Column, coded, raise_first, read_columns
 from .heatmaps import write_heatmap_set
 from .inference import (
     DecodeBatch,
@@ -187,33 +187,19 @@ class Readings:
     line: np.ndarray
 
 
-def _ints(values: list[int]) -> np.ndarray:
-    """values as int64, or as Python ints where one does not fit."""
-    try:
-        return np.array(values, dtype=np.int64)
-    except OverflowError:
-        return np.array(values, dtype=object)
-
-
-def _readings(trial: list[str], point: list[int], door: list[int], lux: list[float],
-              truth: list[int], has_truth: list[bool], line: list[int]) -> Readings:
-    names: dict[str, int] = {}
-    codes = [names.setdefault(name, len(names)) for name in trial]
-    return Readings(tuple(names), np.array(codes, dtype=np.intp),
-                    _ints(point), _ints(door), np.array(lux, dtype=float), _ints(truth),
-                    np.array(has_truth, dtype=bool), np.array(line, dtype=np.intp))
-
-
-def _readings_columns(path: Path, header: list[str] | None) -> dict[str, int]:
-    """Each READINGS_COLUMNS name the header gives, with its position."""
-    if header is None or not {"trial", "point_index", "door_state"}.issubset(header):
+def _readings_columns(path: Path, header: list[str]) -> list[Column]:
+    """The READINGS_COLUMNS of this header, in that order."""
+    if not {"trial", "point_index", "door_state"}.issubset(header):
         raise ValueError(
             f"{path}: readings need columns trial,point_index,door_state[,lux][,truth]"
         )
     for name in READINGS_COLUMNS:
         if header.count(name) > 1:
             raise ValueError(f"{path}: the header names column {name!r} twice")
-    return {name: header.index(name) for name in READINGS_COLUMNS if name in header}
+    at = {name: header.index(name) for name in READINGS_COLUMNS if name in header}
+    return [Column(at["trial"], str), Column(at["point_index"], int),
+            Column(at["door_state"], int), Column(at.get("lux"), float, math.nan),
+            Column(at.get("truth"), int, -1)]
 
 
 def _read_readings_csv(path: Path) -> Readings:
@@ -221,69 +207,15 @@ def _read_readings_csv(path: Path) -> Readings:
     columns in any order. An empty lux or truth is none. A row whose width
     differs from the header's, or with an unparsable field or a non-finite
     lux, raises ValueError naming the file and its 1-based line."""
-    return _read_readings_text(path) or _read_readings_rows(path)
-
-
-def _read_readings_rows(path: Path) -> Readings:
-    """_read_readings_csv through the csv module, one row at a time."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        columns = _readings_columns(path, header)
-        k_lux, k_truth = columns.get("lux"), columns.get("truth")
-        trial, point, door, lux, truth, has_truth, line = [], [], [], [], [], [], []
-        for row in reader:
-            if not row:
-                continue
-            try:
-                if len(row) != len(header):
-                    raise ValueError(f"expected {len(header)} fields, got {len(row)}")
-                lux_text = "" if k_lux is None else row[k_lux]
-                truth_text = "" if k_truth is None else row[k_truth]
-                try:
-                    p, q = int(row[columns["point_index"]]), int(row[columns["door_state"]])
-                    x = float(lux_text) if lux_text else math.nan
-                    t = int(truth_text) if truth_text else None
-                except ValueError:
-                    raise ValueError("malformed reading row") from None
-                if lux_text and not math.isfinite(x):
-                    raise ValueError(f"lux {lux_text!r} is not finite")
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
-            trial.append(row[columns["trial"]])
-            point.append(p)
-            door.append(q)
-            lux.append(x)
-            truth.append(-1 if t is None else t)
-            has_truth.append(t is not None)
-            line.append(reader.line_num)
-    return _readings(trial, point, door, lux, truth, has_truth, line)
-
-
-def _read_readings_text(path: Path) -> Readings | None:
-    """_read_readings_csv through ingest.split_csv_text, or None where the
-    csv module is needed: for quoting, or for the error a malformed row
-    raises."""
-    split = ingest_mod.split_csv_text(path)
-    if split is None:
-        return None
-    header, fields, lines = split
-    columns = _readings_columns(path, header)
-    n_rows = len(fields) // len(header)
-    text_of = {name: fields[k::len(header)] for name, k in columns.items()}
-    lux_text = text_of.get("lux", [""] * n_rows)
-    truth_text = text_of.get("truth", [""] * n_rows)
-    try:
-        point = list(map(int, text_of["point_index"]))
-        door = list(map(int, text_of["door_state"]))
-        lux = [float(v) if v else math.nan for v in lux_text]
-        truth = [int(v) if v else -1 for v in truth_text]
-    except ValueError:
-        return None
-    if not all(map(math.isfinite, compress(lux, lux_text))):
-        return None
-    line = [k for k, row in enumerate(lines[1:], start=2) if row]
-    return _readings(text_of["trial"], point, door, lux, truth, list(map(bool, truth_text)), line)
+    table = read_columns(path, lambda header: _readings_columns(path, header))
+    trial, point, door, lux, truth = table.values
+    lux_text, truth_text = table.text[3:]
+    table.check([(mask, lambda i: "malformed reading row") for mask, _ in table.failed] + [
+        (np.fromiter(map(bool, lux_text), bool, len(lux)) & ~np.isfinite(lux),
+         lambda i: f"lux {lux_text[i]!r} is not finite")])
+    names, codes = coded(trial)
+    return Readings(names, codes, point, door, lux, truth,
+                    np.fromiter(map(bool, truth_text), bool, len(truth)), table.line)
 
 
 def _check_readings(path: Path, readings: Readings, n_points: int, n_states: int,
@@ -291,23 +223,15 @@ def _check_readings(path: Path, readings: Readings, n_points: int, n_states: int
     """Raise the first bad row's error, in file order: a point off the grid,
     a door state or truth out of range, or neither lux nor truth."""
     point, door, truth = readings.point, readings.door, readings.truth
-    bad_point = (point < 0) | (point >= n_points)
-    bad_door = (door < 0) | (door >= n_states)
-    bad_truth = readings.has_truth & ((truth < 0) | (truth >= 1 << n))
-    neither = np.isnan(readings.lux) & ~readings.has_truth
-    bad = bad_point | bad_door | bad_truth | neither
-    if not bad.any():
-        return
-    i = int(bad.argmax())
-    if bad_point[i]:
-        problem = f"point_index {point[i]} outside the candidate grid"
-    elif bad_door[i]:
-        problem = f"door_state {door[i]} out of range"
-    elif bad_truth[i]:
-        problem = f"config index {truth[i]} out of range for {n} luminaires"
-    else:
-        problem = "a reading row needs lux, or truth to simulate it"
-    raise ValueError(f"{path}: line {readings.line[i]}: {problem}")
+    raise_first(path, readings.line, [
+        ((point < 0) | (point >= n_points),
+         lambda i: f"point_index {point[i]} outside the candidate grid"),
+        ((door < 0) | (door >= n_states), lambda i: f"door_state {door[i]} out of range"),
+        (readings.has_truth & ((truth < 0) | (truth >= 1 << n)),
+         lambda i: f"config index {truth[i]} out of range for {n} luminaires"),
+        (np.isnan(readings.lux) & ~readings.has_truth,
+         lambda i: "a reading row needs lux, or truth to simulate it"),
+    ])
 
 
 def cmd_infer(args: argparse.Namespace) -> int:

@@ -13,14 +13,14 @@ from __future__ import annotations
 import csv
 import io
 import math
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
+from .csvcolumns import Column, coded, read_columns
 from .inference import DecodeBatch, infer_reading
 from .transport import LightConfig
 
@@ -83,8 +83,9 @@ class SampleLog:
     @classmethod
     def from_samples(cls, samples: Iterable[Sample]) -> SampleLog:
         samples = list(samples)
-        return _coded_log([s.t for s in samples], [s.location for s in samples],
-                          [s.lux for s in samples])
+        names, code = coded([s.location for s in samples])
+        return cls(np.array([s.t for s in samples], dtype=float), code,
+                   np.array([s.lux for s in samples], dtype=float), names)
 
     @property
     def samples(self) -> list[Sample]:
@@ -100,14 +101,6 @@ class SampleLog:
     @property
     def end_time(self) -> float:
         return self.t.max().item() if self.t.size else -math.inf
-
-
-def _coded_log(t: list[float], locations: list[str], lux: list[float]) -> SampleLog:
-    """The log of these columns, locations coded in first-appearance order."""
-    codes: dict[str, int] = {}
-    code = [codes.setdefault(loc, len(codes)) for loc in locations]
-    return SampleLog(t=np.array(t, dtype=float), code=np.array(code, dtype=np.intp),
-                     lux=np.array(lux, dtype=float), names=tuple(codes))
 
 
 @dataclass
@@ -329,83 +322,31 @@ def evaluate_locations(
     return out
 
 
-def _read_log(path: str | Path, header: list[str], parse) -> list:
-    """parse(*fields) for each nonblank row of a headed CSV log.
-
-    A row with the wrong field count or an unparsable field raises
-    ValueError naming the file and its 1-based line.
-    """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        if [c.strip() for c in next(reader, [])] != header:
-            raise ValueError(f"{path}: expected header {','.join(header)!r}")
-        out = []
-        for row in reader:
-            if not row:
-                continue
-            try:
-                if len(row) != len(header):
-                    raise ValueError(f"expected {len(header)} fields, got {len(row)}")
-                out.append(parse(*row))
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
-        return out
+def _log_columns(path: str | Path, names: list[str],
+                 parsers: tuple[type, ...]) -> Callable[[list[str]], list[Column]]:
+    """The read_columns spec of a log whose header, stripped, is names."""
+    def spec(header: list[str]) -> list[Column]:
+        if [c.strip() for c in header] != names:
+            raise ValueError(f"{path}: expected header {','.join(names)!r}")
+        return list(map(Column, range(len(names)), parsers))
+    return spec
 
 
 def read_samples_csv(path: str | Path) -> SampleLog:
     """Read a 't,location,lux' log."""
-    return _read_samples_text(path) or SampleLog.from_samples(_read_log(
-        path, SAMPLES_HEADER,
-        lambda t, location, lux: Sample(t=float(t), location=location, lux=float(lux)),
-    ))
-
-
-def _read_samples_text(path: str | Path) -> SampleLog | None:
-    """The log through split_csv_text, or None where the csv module is
-    needed."""
-    split = split_csv_text(path)
-    if split is None or [c.strip() for c in split[0]] != SAMPLES_HEADER:
-        return None
-    fields = split[1]
-    try:
-        t = list(map(float, fields[0::3]))
-        lux = list(map(float, fields[2::3]))
-    except ValueError:
-        return None
-    return _coded_log(t, fields[1::3], lux)
-
-
-def split_csv_text(path: str | Path) -> tuple[list[str], list[str], list[str]] | None:
-    """A headed CSV split at line ends and commas: the header's fields, the
-    nonblank rows' fields in one flat list, and the file's lines (line k is
-    lines[k - 1]). None where csv's quoting, limits or error messages are
-    needed: the text is not UTF-8, has a quote or a NUL, has a line over
-    the field size limit, or has a row whose width differs from the
-    header's. Lines end at CR LF, CR or LF, as for csv.reader;
-    str.splitlines would also split at VT, FF, NEL and more."""
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            text = fh.read()
-    except UnicodeDecodeError:
-        return None
-    if '"' in text or "\0" in text:
-        return None
-    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-    limit = csv.field_size_limit()
-    if len(text) > limit and max(map(len, lines)) > limit:
-        return None
-    header = lines[0].split(",")
-    rows = list(filter(None, lines[1:]))
-    if list(map(str.count, rows, repeat(","))).count(len(header) - 1) != len(rows):
-        return None
-    return header, ",".join(rows).split(",") if rows else [], lines
+    table = read_columns(path, _log_columns(path, SAMPLES_HEADER, (float, str, float)))
+    table.check(table.failed)
+    t, locations, lux = table.values
+    names, code = coded(locations)
+    return SampleLog(t, code, lux, names)
 
 
 def read_commands_csv(path: str | Path) -> CommandLog:
     """Read a 't,bitmask' log."""
-    return CommandLog(commands=_read_log(
-        path, ["t", "bitmask"], lambda t, bitmask: Command(t=float(t), config_index=int(bitmask)),
-    ))
+    table = read_columns(path, _log_columns(path, ["t", "bitmask"], (float, int)))
+    table.check(table.failed)
+    t, bitmask = table.values
+    return CommandLog(commands=list(map(Command, t.tolist(), bitmask.tolist())))
 
 
 def write_samples_csv(log: SampleLog, path: str | Path) -> None:

@@ -9,7 +9,6 @@ identified by the integer whose bit i is luminaire i's state.
 """
 from __future__ import annotations
 
-import csv
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -17,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .csvcolumns import Column, read_columns
 from .geometry import segments_as_array, sightlines_blocked
 from .scene import (
     CandidatePoint,
@@ -344,40 +344,35 @@ def read_matrix_csv(path: str | Path) -> ContributionMatrix:
     infinite or negative, raises ValueError naming the file and its 1-based
     line.
     """
-    data: dict[tuple[int, int], list[float]] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
+    def columns(header: list[str]) -> list[Column]:
         if header[:2] != ["point_index", "door_state"]:
             raise ValueError(f"{path}: not a contribution matrix CSV")
-        width = len(header)
-        for row in reader:
-            if not row:
-                continue
-            try:
-                if len(row) != width:
-                    raise ValueError(f"expected {width} fields, got {len(row)}")
-                key = (int(row[0]), int(row[1]))
-                if min(key) < 0:
-                    raise ValueError("negative point_index or door_state")
-                if key in data:
-                    raise ValueError(f"point {key[0]}, door state {key[1]} given twice")
-                lux = [float(v) for v in row[2:]]
-                bad = [text for text, v in zip(row[2:], lux) if not 0.0 <= v < math.inf]
-                if bad:
-                    raise ValueError(f"lux {bad[0]!r} is not finite and nonnegative")
-                data[key] = lux
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
-    if not data:
+        return [Column(0, int), Column(1, int)] + [Column(k, float) for k in range(2, len(header))]
+
+    table = read_columns(path, columns)
+    p, q, *lux = table.values
+    lux = np.reshape(lux, (len(lux), len(p)))
+    # a row gives its key twice where it is not the key's first row; keys are
+    # ranked per column so that a pair of ranks fits in one int64
+    ranks = [np.unique(key, return_inverse=True)[1] for key in (p, q)]
+    twice = np.ones(len(p), dtype=bool)
+    twice[np.unique(ranks[0] * len(p) + ranks[1], return_index=True)[1]] = False
+    out_of_range = ~((lux >= 0.0) & (lux < math.inf))
+    table.check([
+        *table.failed[:2],
+        ((p < 0) | (q < 0), lambda i: "negative point_index or door_state"),
+        (twice, lambda i: f"point {p[i]}, door state {q[i]} given twice"),
+        *table.failed[2:],
+        (out_of_range.any(axis=0), lambda i: "lux {!r} is not finite and nonnegative".format(
+            table.text[2 + out_of_range[:, i].argmax()][i])),
+    ])
+    if not len(p):
         raise ValueError(f"{path}: empty contribution matrix")
-    n_points = max(k[0] for k in data) + 1
-    n_states = max(k[1] for k in data) + 1
-    if len(data) != n_points * n_states:
+    n_points, n_states = int(p.max()) + 1, int(q.max()) + 1
+    if len(p) != n_points * n_states:
         raise ValueError(
-            f"{path}: {len(data)} rows do not cover {n_points} points x {n_states} door states"
+            f"{path}: {len(p)} rows do not cover {n_points} points x {n_states} door states"
         )
-    values = np.zeros((n_points, n_states, width - 2))
-    for (p, q), vals in data.items():
-        values[p, q] = vals
+    values = np.zeros((n_points, n_states, len(lux)))
+    values[p, q] = lux.T
     return ContributionMatrix(values=values)

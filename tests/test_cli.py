@@ -1,5 +1,8 @@
 """Command-line behavior: exit codes, output files, determinism."""
 import csv
+import math
+import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,9 +20,14 @@ from luxplan import (
     sweep,
     synthesize_logs,
 )
-from luxplan import cli
+from luxplan import cli, csvcolumns, read_matrix_csv
 from luxplan.cli import EXIT_INVALID, EXIT_OK, EXIT_USAGE, build_parser, run
-from luxplan.ingest import write_commands_csv, write_samples_csv
+from luxplan.ingest import (
+    read_commands_csv,
+    read_samples_csv,
+    write_commands_csv,
+    write_samples_csv,
+)
 
 
 def trial_rule(vectors, candidate_sets):
@@ -684,22 +692,68 @@ def test_main_raises_system_exit(toy_scene_file, tmp_path, monkeypatch):
     assert exc.value.code == EXIT_OK
 
 
-# fields the reader generator draws from: text that int() or float() reads,
-# with spaces, signs or past int64 ...
+# fields the file generator draws from, per format and column: text that
+# int() or float() reads, with spaces, signs or past int64, drawn for the
+# r-th row where a column is a function of r (times that increase, matrix
+# keys that fill a block) ...
 FIELD_TEXT = {
-    "trial": st.sampled_from(["t0", "t1", "", "hall east", "hall, east", 'say "hi"', " t2"]),
-    "point_index": st.one_of(st.integers(-3, 3000).map(str),
-                             st.sampled_from([" 7", "+2", "1_0", "9" * 25])),
-    "door_state": st.one_of(st.integers(-1, 9).map(str), st.just(" 3 ")),
-    "lux": st.one_of(st.just(""), st.floats(-1, 500, allow_nan=False).map(repr),
-                     st.sampled_from([" 2.5", "1e3"])),
-    "truth": st.one_of(st.just(""), st.integers(-1, 70).map(str), st.just("+3")),
-    "note": st.sampled_from(["", "n"]),
+    "readings": {
+        "trial": st.sampled_from(["t0", "t1", "", "hall east", "hall, east", 'say "hi"', " t2"]),
+        "point_index": st.one_of(st.integers(-3, 3000).map(str),
+                                 st.sampled_from([" 7", "+2", "1_0", "9" * 25])),
+        "door_state": st.one_of(st.integers(-1, 9).map(str), st.just(" 3 ")),
+        "lux": st.one_of(st.just(""), st.floats(-1, 500, allow_nan=False).map(repr),
+                         st.sampled_from([" 2.5", "1e3", "nan", "inf", "-inf"])),
+        "truth": st.one_of(st.just(""), st.integers(-1, 70).map(str), st.just("+3")),
+    },
+    "samples": {
+        "t": lambda r: st.sampled_from([repr(r / 4), f" {r}e-1", f"{r}_0", "nan", "0"]),
+        "location": st.sampled_from(["a", "b", " a", "g h", "5", "c,d", 'e"f', ""]),
+        "lux": st.sampled_from(["1.5", "0", "88000", " 3e2", "-0.5", "88000.5"]),
+    },
+    "commands": {
+        "t": lambda r: st.sampled_from([repr(r * 1.5), f" {r}", "inf", "0"]),
+        "bitmask": st.one_of(st.integers(0, 9).map(str),
+                             st.sampled_from([" 3", "+2", "9" * 25, "-1"])),
+    },
+    "matrix": {
+        "point_index": lambda r: st.sampled_from([str(r)] * 4 + [f" {r}", f"+{r}", "-1", "0",
+                                                                 "9" * 25]),
+        "door_state": st.sampled_from(["0"] * 10 + ["1", "-1"]),
+        "lum": st.sampled_from(["1.5", "0", "-0", "1e3", " 2", "2.25", "7", "nan", "inf", "-2.5"]),
+    },
 }
 # ... and text it must reject
-BAD_TEXT = {"trial": st.just("t0"), "point_index": st.sampled_from(["x", "", "1e3", "1.0"]),
-            "door_state": st.just(""), "lux": st.sampled_from(["nan", "inf", "-inf", "x"]),
-            "truth": st.sampled_from(["x", "1.5"]), "note": st.just("n")}
+BAD_TEXT = {
+    "readings": {"trial": st.just("t0"), "point_index": st.sampled_from(["x", "", "1e3", "1.0"]),
+                 "door_state": st.just(""), "lux": st.just("x"),
+                 "truth": st.sampled_from(["x", "1.5"])},
+    "samples": {"t": st.sampled_from(["x", "", "1.0.0"]), "location": st.just("a"),
+                "lux": st.sampled_from(["dim", ""])},
+    "commands": {"t": st.sampled_from(["x", ""]), "bitmask": st.sampled_from(["x", "1.5", ""])},
+    "matrix": {"point_index": st.sampled_from(["x", "1.0"]), "door_state": st.just(""),
+               "lum": st.sampled_from(["bright", ""])},
+}
+HEADERS = {
+    "samples": st.sampled_from([["t", "location", "lux"]] * 8 + [[" t ", "location", "lux "],
+                                                                 ["t", "loc", "lux"], []]),
+    "commands": st.sampled_from([["t", "bitmask"]] * 8 + [["t", " bitmask"], ["t"]]),
+    "matrix": st.integers(-1, 3).map(
+        lambda n: ["point_index", "door_state"] + [f"lum_{i}" for i in range(n)] if n >= 0
+        else ["door_state", "point_index", "lum_0"]),
+}
+
+
+@st.composite
+def readings_header(draw):
+    optional = draw(st.lists(st.sampled_from(["lux", "truth", "note"]), unique=True))
+    header = draw(st.permutations(["trial", "point_index", "door_state"] + optional))
+    if draw(st.integers(0, 14)) == 0:
+        header.append(draw(st.sampled_from(header)))  # a repeated column
+    return header
+
+
+HEADERS["readings"] = readings_header()
 
 
 def csv_field(text):
@@ -707,42 +761,194 @@ def csv_field(text):
 
 
 @st.composite
-def readings_files(draw):
-    optional = draw(st.lists(st.sampled_from(["lux", "truth", "note"]), unique=True))
-    header = draw(st.permutations(["trial", "point_index", "door_state"] + optional))
-    if draw(st.integers(0, 14)) == 0:
-        header.append(draw(st.sampled_from(header)))  # a repeated column
+def headed_files(draw, fmt):
+    """Text of a CSV of the format: up to eight rows, with blank lines,
+    mixed line ends and csv quoting where a field needs it. In half the
+    files, one row in three has a field the format rejects or the wrong
+    width."""
+    def column(name):
+        name = name.strip()
+        return "lum" if name.startswith("lum_") else name
+
+    def field(name, r):
+        text = FIELD_TEXT[fmt].get(column(name), st.sampled_from(["", "n"]))
+        return draw(text(r) if callable(text) else text)
+
+    header = draw(HEADERS[fmt])
+    faulty = draw(st.booleans())
     lines = [",".join(header)]
-    for _ in range(draw(st.integers(0, 8))):
+    for r in range(draw(st.integers(0, 8))):
         if draw(st.integers(0, 5)) == 0:
             lines.append("")
-            continue
-        fields = [draw(FIELD_TEXT[name]) for name in header]
-        if draw(st.integers(0, 15)) == 0:
+        row = [field(name, r) for name in header]
+        fault = draw(st.integers(0, 5)) if faulty and row else None
+        if fault == 0:
             k = draw(st.integers(0, len(header) - 1))
-            fields[k] = draw(BAD_TEXT[header[k]])
-        if draw(st.integers(0, 15)) == 0:
-            fields = fields[:-1] if draw(st.booleans()) else fields + ["9"]
-        lines.append(",".join(map(csv_field, fields)))
+            row[k] = draw(BAD_TEXT[fmt].get(column(header[k]), st.just("n")))
+        elif fault == 1:
+            row = row[:-1] if draw(st.booleans()) else row + ["9"]
+        lines.append(",".join(map(csv_field, row)))
     end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     return end.join(lines) + draw(st.sampled_from(["", end]))
 
 
-def read_outcome(read, path):
+def readings_row_error(header, row, seen):
+    at = {name: header.index(name) for name in header}
+    lux = row[at["lux"]] if "lux" in at else ""
+    truth = row[at["truth"]] if "truth" in at else ""
     try:
-        r = read(path)
+        int(row[at["point_index"]]), int(row[at["door_state"]])
+        x = float(lux) if lux else 0.0
+        int(truth) if truth else None
+    except ValueError:
+        return "malformed reading row"
+    if not math.isfinite(x):
+        return f"lux {lux!r} is not finite"
+
+
+def readings_header_error(header):
+    if not {"trial", "point_index", "door_state"}.issubset(header):
+        return "readings need columns trial,point_index,door_state[,lux][,truth]"
+    for name in ("trial", "point_index", "door_state", "lux", "truth"):
+        if header.count(name) > 1:
+            return f"the header names column {name!r} twice"
+
+
+def log_header_error(names):
+    return lambda header: None if [c.strip() for c in header] == names else (
+        f"expected header {','.join(names)!r}")
+
+
+def parse_error(*parsed):
+    """The message of the first (parser, text) pair that does not parse."""
+    for parse, text in parsed:
+        try:
+            parse(text)
+        except ValueError as exc:
+            return str(exc)
+
+
+def matrix_row_error(header, row, seen):
+    problem = parse_error((int, row[0]), (int, row[1]))
+    if problem:
+        return problem
+    key = (int(row[0]), int(row[1]))
+    if min(key) < 0:
+        return "negative point_index or door_state"
+    if key in seen:
+        return f"point {key[0]}, door state {key[1]} given twice"
+    seen.add(key)
+    problem = parse_error(*((float, v) for v in row[2:]))
+    if problem:
+        return problem
+    bad = [v for v in row[2:] if not 0.0 <= float(v) < math.inf]
+    if bad:
+        return f"lux {bad[0]!r} is not finite and nonnegative"
+
+
+# per format: its reader, what the reader gives as comparable values, and
+# the header and row rules for the row-by-row oracle
+FORMATS = {
+    "readings": (cli._read_readings_csv,
+                 lambda r: (r.names, r.trial.tolist(), r.point.dtype, r.point.tolist(),
+                            r.door.tolist(), r.lux.tobytes(), r.truth.tolist(),
+                            r.has_truth.tolist(), r.line.tolist()),
+                 readings_header_error, readings_row_error),
+    "samples": (read_samples_csv,
+                lambda log: (log.names, log.code.tolist(), log.t.tobytes(), log.lux.tobytes()),
+                log_header_error(["t", "location", "lux"]),
+                lambda header, row, seen: parse_error((float, row[0]), (float, row[2]))),
+    "commands": (read_commands_csv, lambda log: list(map(repr, log.commands)),
+                 log_header_error(["t", "bitmask"]),
+                 lambda header, row, seen: parse_error((float, row[0]), (int, row[1]))),
+    "matrix": (read_matrix_csv, lambda m: (m.values.shape, m.values.tobytes()),
+               lambda header: None if header[:2] == ["point_index", "door_state"] else (
+                   "not a contribution matrix CSV"),
+               matrix_row_error),
+}
+
+
+def read_outcome(fmt, path):
+    read, values = FORMATS[fmt][:2]
+    try:
+        return values(read(path))
     except ValueError as exc:
         return str(exc)
-    return (r.names, r.trial.tolist(), r.point.dtype, r.point.tolist(), r.door.tolist(),
-            r.lux.tobytes(), r.truth.tolist(), r.has_truth.tolist(), r.line.tolist())
 
 
-@given(readings_files())
-@settings(max_examples=300, deadline=None)
-def test_fast_readings_reader_equals_csv_module_reader(tmp_path_factory, text):
-    path = tmp_path_factory.getbasetemp() / "readings.csv"
+def rowwise_row_error(fmt, path):
+    """The error of the file's first bad row, its rows read and checked one
+    at a time with csv.reader, or of its header; None where neither is bad."""
+    header_error, row_error = FORMATS[fmt][2:]
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        if header_error(header):
+            return f"{path}: {header_error(header)}"
+        seen = set()
+        for row in reader:
+            if not row:
+                continue
+            problem = (f"expected {len(header)} fields, got {len(row)}" if len(row) != len(header)
+                       else row_error(header, row, seen))
+            if problem:
+                return f"{path}: line {reader.line_num}: {problem}"
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_fast_reader_equals_csv_module_reader(tmp_path_factory, fmt, data):
+    text = data.draw(headed_files(fmt))
+    path = tmp_path_factory.getbasetemp() / f"{fmt}.csv"
     path.write_bytes(text.encode("utf-8"))
-    want = read_outcome(cli._read_readings_rows, path)
-    assert read_outcome(cli._read_readings_csv, path) == want
+    with mock.patch.object(csvcolumns, "split_csv_text", return_value=None):
+        want = read_outcome(fmt, path)
+    assert read_outcome(fmt, path) == want
+    # the first bad row in file order, and the first rule it breaks, names
+    # the error; errors past the rows name no line
+    first_bad = rowwise_row_error(fmt, path)
+    if first_bad is not None:
+        assert want == first_bad
+    else:
+        assert not (isinstance(want, str) and want.startswith(f"{path}: line "))
     if '"' not in text and not isinstance(want, str):
-        assert cli._read_readings_text(path) is not None  # well formed: no fallback
+        # well formed: no fallback
+        with mock.patch.object(csvcolumns, "_csv_rows", side_effect=AssertionError):
+            assert read_outcome(fmt, path) == want
+
+
+# per format: a file whose line 2 has one field to fill, and what the
+# reader keeps of that field, or None where the format parses it as a number
+ONE_FIELD_FILES = {
+    "readings": (b"trial,point_index,door_state,truth\n%s,0,0,1\n", lambda r: r.names[0]),
+    "samples": (b"t,location,lux\n0.0,%s,1.0\n", lambda log: log.names[0]),
+    "commands": (b"t,bitmask\n0.0,%s\n", None),
+    "matrix": (b"point_index,door_state,lum_0\n0,0,%s\n", None),
+}
+
+
+@pytest.mark.parametrize("field", [b"a\0b", b"x" * (csv.field_size_limit() + 1), b"\xff"],
+                         ids=["nul", "oversized", "not-utf8"])
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_nul_oversized_and_undecodable_fields_name_the_file(tmp_path, fmt, field):
+    # csv.reader rejects a field over the size limit, and a NUL on Python
+    # versions before 3.11; bad UTF-8 fails while decoding
+    template, kept = ONE_FIELD_FILES[fmt]
+    path = tmp_path / f"{fmt}.csv"
+    path.write_bytes(template % field)
+    read = FORMATS[fmt][0]
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            list(csv.reader(fh))
+    except (csv.Error, UnicodeDecodeError) as exc:
+        with pytest.raises(ValueError) as got:
+            read(path)
+        line = "line 2: " if isinstance(exc, csv.Error) else ""
+        assert str(got.value) == f"{path}: {line}{exc}"
+        return
+    if kept is None:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line 2: "):
+            read(path)
+    else:
+        assert kept(read(path)) == field.decode()

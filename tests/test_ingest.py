@@ -131,14 +131,20 @@ class TestLogs:
     def test_nul_oversized_and_undecodable_fields_read_as_csv_reads_them(self, tmp_path, location):
         # csv.reader's own rules decide these: depending on the Python
         # version a NUL is accepted or raises csv.Error, a field over the
-        # size limit raises csv.Error, and bad UTF-8 fails while decoding
+        # size limit raises csv.Error, and bad UTF-8 fails while decoding.
+        # luxplan raises each as a ValueError naming the file, and for a
+        # row its line
         path = tmp_path / "s.csv"
         path.write_bytes(b"t,location,lux\n0.0," + location + b",1.0\n")
 
         def outcome(read):
             try:
                 return read(path)
-            except (csv.Error, ValueError) as exc:
+            except csv.Error as exc:
+                return repr(ValueError(f"{path}: line 2: {exc}"))
+            except UnicodeDecodeError as exc:
+                return repr(ValueError(f"{path}: {exc}"))
+            except ValueError as exc:
                 return repr(exc)
 
         want = outcome(rowwise_read_samples)
