@@ -19,8 +19,9 @@ from .transport import ContributionMatrix
 
 DEFAULT_TAU = 0.01  # lux
 # bytes of configuration sums built at once, for the cover's flags and the heatmap's
-# counts alike: a distinct live n-luminaire vector takes 8 * 2^n, a chunk at least one
-SCORE_BUDGET_BYTES = 16 << 20
+# counts alike: a distinct live n-luminaire vector takes 8 * 2^n, a chunk at least one.
+# A chunk this size and its sort keys fit a core's L2 cache.
+SCORE_BUDGET_BYTES = 256 << 10
 
 
 @dataclass(frozen=True)
@@ -167,20 +168,43 @@ def _isolated_sorted(ordered: np.ndarray, tau: float) -> np.ndarray:
 
 
 def _isolated(values: np.ndarray, tau: float) -> np.ndarray:
-    """Flag entries along the last axis whose nearest other entry is more
-    than tau away: _isolated_sorted on the sorted entries, put back in
-    place. values is sorted in place, and only the isolated entries are
-    put back, through the sort order. The sort need not be stable: an
-    isolated entry has no equal twin, so its place in the order is sure.
+    """Flag entries along the last axis of a C-ordered array of finite
+    floats whose nearest other entry is more than tau away; values is
+    overwritten with its sorted gaps.
+
+    One sort gives both order and index: each float's key is the float
+    with its low ceil(log2 width) bits replaced by the entry's index, so
+    keys sort like the values but for values within 2^bits ulps of each
+    other. Such a misorder leaves a negative gap, and only those rows are
+    sorted again exactly. An entry is isolated when both its gaps (one
+    infinite past a row's end) are more than tau: its nearest other value
+    is a sorted neighbour, and it has no equal twin, so the order among
+    equal values cannot move a flag.
     """
-    order = np.argsort(values, axis=-1)
-    values.sort(axis=-1)
-    isolated = _isolated_sorted(values, tau)
-    # each sorted entry's flat index in values, for a C-ordered order array
     width = values.shape[-1]
-    order += np.arange(0, order.size, width).reshape(order.shape[:-1] + (1,))
-    flags = np.zeros(values.shape, dtype=bool)
-    flags.reshape(-1)[order[isolated]] = True
+    low = (1 << (width - 1).bit_length()) - 1
+    keys = values.view(np.int64) & ~low
+    keys |= np.arange(width)
+    keys.view(np.float64).sort(axis=-1)
+    keys &= low
+    keys += np.arange(0, keys.size, width).reshape(keys.shape[:-1] + (1,))
+    keys, flat = keys.reshape(-1), values.reshape(-1)
+    ordered = flat.take(keys)
+    np.subtract(ordered[1:], ordered[:-1], out=flat[:-1])
+    gaps = flat.reshape(-1, width)
+    gaps[:, -1] = np.inf
+    if np.fmin.reduce(flat, initial=0.0) < 0:  # fmin: a gap of inf - inf is NaN
+        near_ties = np.flatnonzero((gaps < 0).any(axis=-1))
+        exact = ordered.reshape(-1, width)[near_ties].argsort(axis=-1, kind="stable")
+        exact += (near_ties * width)[:, None]
+        keys.reshape(-1, width)[near_ties] = keys[exact]
+        gaps[near_ties, :-1] = np.diff(ordered[exact], axis=-1)
+    del ordered
+    wide = flat > tau
+    isolated = wide.copy()
+    isolated[1:] &= wide[:-1]
+    flags = np.empty(values.shape, dtype=bool)
+    flags.reshape(-1)[keys] = isolated
     return flags
 
 
@@ -191,6 +215,13 @@ def _check_tau(tau: float) -> None:
         raise ValueError("tau must be nonnegative and finite")
 
 
+def _check_finite(values: np.ndarray) -> None:
+    """Contributions and readings must be finite: a gap to NaN, or between
+    two infinite sums, is NaN, and no flag can be read from it."""
+    if not np.isfinite(values).all():
+        raise ValueError("values must be finite")
+
+
 def distinctness_vector(values, tau: float) -> DistinctnessVector:
     """Flag entries whose nearest other entry is more than tau away.
 
@@ -198,9 +229,10 @@ def distinctness_vector(values, tau: float) -> DistinctnessVector:
     entry is trivially distinct.
     """
     _check_tau(tau)
-    vals = np.array(values, dtype=float)  # a copy: _isolated sorts it in place
+    vals = np.array(values, dtype=float)  # a copy: _isolated overwrites it
     if vals.ndim != 1 or vals.size == 0:
         raise ValueError("need a 1-D, nonempty value vector")
+    _check_finite(vals)
     return DistinctnessVector(flags=tuple(_isolated(vals, tau).astype(int).tolist()), tau=tau)
 
 
@@ -274,6 +306,7 @@ def _per_live_row(values: np.ndarray, reduce) -> np.ndarray:
     entry per row. Its answer on no rows gives the entries' shape and type.
     """
     distinct, index = _live_vectors(values)
+    _check_finite(distinct)
     empty = reduce(config_sums_batch(distinct[:0]))
     # one more entry, left zero, for the dead rows' index of -1
     per_row = np.zeros((len(distinct) + 1,) + empty.shape[1:], dtype=empty.dtype)

@@ -367,15 +367,24 @@ def test_flag_pass_peak_memory_follows_the_budget(monkeypatch):
     assert np.array_equal(flags[:2], unpruned_flags(values[:2], 0.01))
 
 
-def test_isolation_sorts_its_sums_in_place():
-    # besides the sums, the kernel holds only their sort order, their gaps
-    # and the flags: about twice the sums' size
+def sorted_gaps(sums):
+    """What _isolated leaves in its sums buffer: each row's gaps in sorted
+    order, then an infinite gap past the row's end."""
+    gaps = np.full(sums.shape, np.inf)
+    gaps[..., :-1] = np.diff(np.sort(sums, axis=-1), axis=-1)
+    return gaps
+
+
+def test_isolation_overwrites_its_sums_with_their_gaps():
+    # besides the sums, the kernel holds only their sort keys, the values in
+    # sorted order and the flags: about twice the sums' size
     sums = config_sums_batch(np.random.default_rng(7).uniform(1.0, 100.0, size=(4, 16)))
     # reference: the flags of a sorted copy, put back through the order
     order = np.argsort(sums, axis=-1)
     expected = np.empty(sums.shape, dtype=bool)
     np.put_along_axis(expected, order, planning._isolated_sorted(
         np.take_along_axis(sums, order, axis=-1), 0.01), axis=-1)
+    gaps = sorted_gaps(sums)
     tracemalloc.start()
     try:
         flags = _isolated(sums, 0.01)
@@ -383,8 +392,80 @@ def test_isolation_sorts_its_sums_in_place():
     finally:
         tracemalloc.stop()
     assert peak < 2.5 * sums.nbytes
-    assert np.array_equal(sums, np.sort(sums, axis=-1))
+    assert np.array_equal(sums, gaps)
     assert np.array_equal(flags, expected) and flags.any() and not flags.all()
+
+
+# entries that tie, sit a few ulps apart, change sign or are -0.0
+isolation_entry = (
+    st.floats(-100.0, 100.0, allow_nan=False)
+    | st.integers(min_value=-64, max_value=64).map(lambda k: k / 64.0)
+    | st.sampled_from([0.0, -0.0, 0.1, 0.2, 0.3, 0.1 + 0.2, 1e-300, -1e-300])
+    | st.tuples(st.sampled_from([0.3, 1.0, -7.5, 1e6]), st.integers(-3, 3)).map(
+        lambda t: t[0] + t[1] * math.ulp(t[0]))
+)
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_isolation_equals_all_pairs(data):
+    width = data.draw(st.integers(min_value=1, max_value=40))
+    n_rows = data.draw(st.integers(min_value=1, max_value=4))
+    if data.draw(st.booleans()):
+        rows = [data.draw(st.lists(isolation_entry, min_size=width, max_size=width))
+                for _ in range(n_rows)]
+    else:
+        # equal contributions summed in another order land a few ulps apart
+        n = data.draw(st.integers(min_value=0, max_value=5))
+        pool = st.sampled_from([0.1, 0.2, 0.3, 0.7, 1.1, -0.3])
+        rows = config_sums_batch([data.draw(st.lists(pool, min_size=n, max_size=n))
+                                  for _ in range(n_rows)]).tolist()
+    rows += [rows[i] for i in data.draw(st.lists(st.integers(0, len(rows) - 1), max_size=2))]
+    sums = np.array(rows)
+    # a gap of exactly 1/64 is not isolated at tau = 1/64
+    tau = data.draw(st.sampled_from([0.0, 0.0, 1e-12, 1 / 64, 0.25]))
+    gaps = sorted_gaps(sums)
+    flags = _isolated(sums, tau)
+    assert flags.dtype == bool
+    assert [tuple(row) for row in flags.astype(int).tolist()] == [
+        all_pairs_flags(row, tau) for row in rows]
+    assert np.array_equal(sums, gaps)
+
+
+def near_tie_rows(sums):
+    """Rows whose sums, put in the order of _isolated's keys (each sum with
+    its low bits replaced by its index), are out of order: the rows it
+    sorts again exactly."""
+    bits = (sums.shape[-1] - 1).bit_length()
+    keys = (sums.view(np.int64) >> bits << bits | np.arange(sums.shape[-1])).view(np.float64)
+    ordered = np.take_along_axis(sums, np.argsort(keys, axis=-1), axis=-1)
+    return np.flatnonzero((np.diff(ordered, axis=-1) < 0).any(axis=-1))
+
+
+def test_near_tie_repair_on_the_apartment(apartment_matrix):
+    # at 0.165 m a few live vectors have sums within 64 ulps of each other
+    live = np.unique(apartment_matrix.values.reshape(-1, 6), axis=0)
+    live = live[(live != 0).all(axis=1)]
+    sums = config_sums_batch(live)
+    assert near_tie_rows(sums).size > 0
+    gaps = sorted_gaps(sums)
+    for tau in (0.0, 0.01):
+        got = sums.copy()
+        flags = _isolated(got, tau)
+        assert np.array_equal(got, gaps)
+        assert [tuple(row) for row in flags.astype(int).tolist()] == [
+            all_pairs_flags(row, tau) for row in sums.tolist()]
+
+
+@pytest.mark.parametrize("bad", [math.nan, -math.nan, math.inf, -math.inf])
+def test_non_finite_contributions_rejected(bad):
+    values = np.array([[[1.0, bad, 4.0]]])
+    with pytest.raises(ValueError, match="must be finite"):
+        distinctness_vector(values[0, 0], 0.01)
+    with pytest.raises(ValueError, match="must be finite"):
+        distinctness_flags_batch(values, 0.01)
+    with pytest.raises(ValueError, match="must be finite"):
+        heatmap_scores(ContributionMatrix(values=values), 0.01)
 
 
 @pytest.mark.parametrize("tau", [-1.0, math.nan, math.inf])
