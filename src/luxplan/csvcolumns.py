@@ -50,15 +50,24 @@ class Table(NamedTuple):
             raise ValueError(self.stop)
 
 
-def raise_first(path: str | Path, line: np.ndarray, rules: list[Rule]) -> None:
-    """Raise ValueError naming the file and line of the first row that
-    breaks a rule, with the message of the first rule it breaks; a row's
-    rules are checked in the order given."""
+def first_problem(rules: list[Rule]) -> tuple[int, str] | None:
+    """The first row that breaks a rule and the message of the first rule
+    it breaks, a row's rules checked in the order given; None when every
+    row keeps every rule."""
     bad = np.logical_or.reduce([mask for mask, _ in rules])
-    if bad.any():
-        i = int(bad.argmax())
-        problem = next(message(i) for mask, message in rules if mask[i])
-        raise ValueError(f"{path}: line {line[i]}: {problem}")
+    if not bad.any():
+        return None
+    i = int(bad.argmax())
+    return i, next(message(i) for mask, message in rules if mask[i])
+
+
+def raise_first(path: str | Path, line: np.ndarray, rules: list[Rule]) -> None:
+    """Raise ValueError naming the file and line of first_problem's row,
+    with its message."""
+    problem = first_problem(rules)
+    if problem is not None:
+        i, message = problem
+        raise ValueError(f"{path}: line {line[i]}: {message}")
 
 
 def read_columns(path: str | Path, spec: Callable[[list[str]], list[Column]]) -> Table:

@@ -34,8 +34,9 @@ from .transport import ContributionVector, LightConfig
 log = logging.getLogger(__name__)
 
 MAX_SOLVER_BITS = 24
-# bytes of one search_batch row chunk's meet-in-the-middle tables, and of
-# its search arrays; one 24-luminaire vector's tables take 96 KB
+# bytes of one search_batch row chunk's meet-in-the-middle tables and search
+# arrays (see _chunk_bytes); one 24-luminaire vector's tables split in half
+# take 160 KB, and at split 6 10 MB
 TABLE_BUDGET_BYTES = 16 << 20
 _ALL_BITS = (1 << MAX_SOLVER_BITS) - 1
 
@@ -50,8 +51,8 @@ def check_epsilon(epsilon: float) -> None:
 
 def _validate(values: np.ndarray, targets: np.ndarray, epsilon: float) -> None:
     """Reject what the search cannot answer: a bad epsilon, a non-finite
-    target, a non-finite or negative contribution and more than
-    MAX_SOLVER_BITS luminaires."""
+    target, a non-finite or negative contribution, contributions whose
+    total overflows and more than MAX_SOLVER_BITS luminaires."""
     check_epsilon(epsilon)
     bad = ~np.isfinite(targets)
     if bad.any():
@@ -60,6 +61,11 @@ def _validate(values: np.ndarray, targets: np.ndarray, epsilon: float) -> None:
         raise ValueError("contributions must be finite")
     if (values < 0).any():
         raise ValueError("contributions must be nonnegative")
+    # then no subset sum is infinite, and no search key NaN
+    with np.errstate(over="ignore"):
+        total = values.sum(axis=-1)
+    if not np.isfinite(total).all():
+        raise ValueError("contributions must sum to a finite number")
     if values.shape[-1] > MAX_SOLVER_BITS:
         raise ValueError(
             f"{values.shape[-1]} luminaires exceed the solver limit of {MAX_SOLVER_BITS}"
@@ -129,37 +135,143 @@ class InferenceResult:
 
 @dataclass(eq=False)
 class HalfSums:
-    """Meet-in-the-middle tables of V contribution vectors of n luminaires.
+    """Meet-in-the-middle tables of V contribution vectors of n luminaires,
+    split after the first k.
 
-    lo[v] holds the subset sums of vector v's low n // 2 luminaires,
-    indexed by low mask. hi[v] holds the subset sums of its other
-    luminaires, sorted ascending, and hi_masks[v] the configuration bits
-    of each (the high mask shifted past the low half). Every sum adds its
-    luminaires in increasing bit order starting from 0.0.
+    lo[v] holds the subset sums of vector v's first k luminaires, indexed
+    by low mask. keys[v] holds the subset sums of its other luminaires,
+    sorted ascending, as complex keys v + sum*1j: numpy orders complex
+    numbers by real part, then imaginary, so the flat keys are every
+    vector's table in (vector, sum) order, and neither part is rounded.
+    hi_masks[v] holds the configuration bits of each (the high mask shifted
+    past the low half). Every sum adds its luminaires in increasing bit
+    order starting from 0.0.
     """
 
     lo: np.ndarray
-    hi: np.ndarray
+    keys: np.ndarray
     hi_masks: np.ndarray
 
 
-def half_sums_batch(values: np.ndarray) -> HalfSums:
-    """The tables of each row of a (V, n) stack of contribution vectors."""
+def half_sums_batch(values: np.ndarray, k: int | None = None) -> HalfSums:
+    """The tables of each row of a (V, n) stack of contribution vectors,
+    split after luminaire k (n // 2 by default)."""
     values = np.asarray(values, dtype=float)
-    h = values.shape[-1] // 2
-    lo = config_sums_batch(values[:, :h])
-    hi = config_sums_batch(values[:, h:])
+    if k is None:
+        k = values.shape[-1] // 2
+    lo = config_sums_batch(values[:, :k])
+    hi = config_sums_batch(values[:, k:])
     hi_masks = hi.argsort(axis=1, kind="stable")
-    hi.sort(axis=1)
-    hi_masks <<= h
-    return HalfSums(lo, hi, hi_masks)
+    keys = np.empty(hi.shape, complex)
+    keys.real = np.arange(len(hi))[:, None]
+    keys.imag = np.take_along_axis(hi, hi_masks, axis=1)
+    hi_masks <<= k
+    return HalfSums(lo, keys, hi_masks)
 
 
-def rows_per_chunk(n: int) -> int:
-    """How many n-luminaire readings search_batch matches at once: each
-    holds about eight 8-byte arrays as long as its vector's low table, and
-    its vector's tables take at most five."""
-    return max(1, TABLE_BUDGET_BYTES // (64 << n // 2))
+def _work(n: int, k: int, rows: int, vectors: int) -> int:
+    """The modeled steps of matching rows readings of vectors vectors at
+    split k: each vector's 2^(n-k) high sums built and sorted, n-k+1 steps
+    each; each row's 2^(k+1) queries formed and binary-searched, n-k+2
+    steps each; and, off n // 2, each vector's n // 2 tables for the
+    settle."""
+    h = n // 2
+    settle = vectors * ((1 << h) + (1 << n - h)) if k != h else 0
+    return (n - k + 1) * (vectors << n - k) + (n - k + 2) * (rows << k + 1) + settle
+
+
+def _chunk_bytes(n: int, k: int, rows: int, vectors: int) -> int:
+    """The bytes a chunk of rows readings of vectors vectors holds at split
+    k, beyond its matches: per row its search arrays, about eight 8-byte
+    arrays as long as the low table; per vector its tables, about five
+    8-byte arrays as long as the high table, and off n // 2 the settle's."""
+    h = n // 2
+    settle = 16 << n - h if k != h else 0
+    return rows * (64 << k) + vectors * ((40 << n - k) + settle)
+
+
+def _split(n: int, rows: int, vectors: int, splits: list[int]) -> int:
+    """The split among splits of least _work, n // 2 on a tie; n // 2 when
+    splits is empty."""
+    h = n // 2
+    return min(splits, key=lambda k: (_work(n, k, rows, vectors), k != h), default=h)
+
+
+def rows_per_chunk(n: int, k: int) -> int:
+    """How many n-luminaire readings of one vector search_batch matches at
+    once at split k: as many as fit the budget beside the vector's tables,
+    at least one."""
+    spare = TABLE_BUDGET_BYTES - _chunk_bytes(n, k, 0, 1)
+    return max(1, spare // _chunk_bytes(n, k, 1, 0))
+
+
+def search_chunks(vector: np.ndarray, n: int) -> list[tuple[int, int, int]]:
+    """search_batch's chunks of rows reading vector[j], sorted by vector:
+    (start, stop, split) each.
+
+    The batch's rows per vector pick a split, among those at which one row
+    and its vector fit TABLE_BUDGET_BYTES. At that split each chunk takes
+    whole vectors' rows while they fit, then as many of the next vector's
+    rows as fit (at least one row a chunk). Each chunk then picks its own
+    split from its rows per vector, among those at which it fits.
+    """
+    budget = TABLE_BUDGET_BYTES
+    starts = np.flatnonzero(np.diff(vector, prepend=-1))  # each vector's first row
+    stops = np.append(starts[1:], len(vector))
+    fits = [k for k in range(n + 1) if _chunk_bytes(n, k, 1, 1) <= budget]
+    k0 = _split(n, len(vector), len(starts), fits)
+    per_row = _chunk_bytes(n, k0, 1, 0)
+    per_vector = _chunk_bytes(n, k0, 0, 1)
+    # the bytes of rows 0:stops[r], the tables of vectors 0..r
+    whole = stops * per_row + np.arange(1, len(starts) + 1) * per_vector
+    chunks, a, r0 = [], 0, 0
+    while a < len(vector):
+        held = a * per_row + r0 * per_vector  # what whole counts before row a
+        r = int(whole.searchsorted(budget + held, "right")) - 1  # the last vector that fits
+        if r < r0:
+            stop = min(int(stops[r0]), a + rows_per_chunk(n, k0))
+        else:
+            stop = int(stops[r])
+            if r + 1 < len(starts):
+                spare = budget + held - int(whole[r]) - per_vector
+                stop += max(0, spare // per_row)
+        last = int(starts.searchsorted(stop - 1, "right")) - 1
+        rows, vectors = stop - a, last - r0 + 1
+        k = _split(n, rows, vectors,
+                   [k for k in range(n + 1) if _chunk_bytes(n, k, rows, vectors) <= budget] or [k0])
+        chunks.append((a, stop, k))
+        a, r0 = stop, last + int(stop == stops[last])
+    return chunks
+
+
+def _widening(n: int) -> float:
+    """How far, relative to M = the vector's total + |target| + epsilon, an
+    n-luminaire window must widen at another split to keep every match of
+    the split-n // 2 test.
+
+    With u = 2^-53, each table sum adds at most n nonnegative terms left to
+    right, so a configuration's two half sums add up to within about
+    (n - 1) u M of its exact sum, at either split. If (t - e) - lo <= hi
+    holds in floats at split n // 2, then t - e <= lo + hi + u M for that
+    split's sums, so t - e <= lo' + hi' + ((2n - 2) u + u) M for the other
+    split's; the widened test's two roundings, of ((t - e) - w) and of its
+    difference with lo', add at most 3 u M more. (2n + 2) u M thus
+    suffices; (4n + 8) u M leaves room for the rounding of M and of the
+    product. The upper end is the mirror image.
+    """
+    return math.ldexp(4 * n + 8, -53)
+
+
+def _settled(x: np.ndarray, vec: np.ndarray, masks: np.ndarray, low: np.ndarray,
+             high: np.ndarray) -> np.ndarray:
+    """Which candidate configurations masks[j] of vectors x[vec[j]] pass the
+    split-n // 2 window test low[j] - lo <= hi <= high[j] - lo, lo and hi
+    the sums of the configuration's two halves."""
+    n = x.shape[1]
+    h = n // 2
+    lo = config_sums_batch(x[:, :h]).ravel()[vec << h | masks & (1 << h) - 1]
+    hi = config_sums_batch(x[:, h:]).ravel()[vec << n - h | masks >> h]
+    return (low - lo <= hi) & (hi <= high - lo)
 
 
 def search_batch(batch: DecodeBatch) -> tuple[np.ndarray, np.ndarray]:
@@ -167,58 +279,73 @@ def search_batch(batch: DecodeBatch) -> tuple[np.ndarray, np.ndarray]:
     within epsilon: the flat candidates, each row's ascending, and the row
     offsets.
 
-    Meet in the middle (Horowitz and Sahni, JACM 1974): each low-half sum s
-    admits the sorted high-half sums in [(target - epsilon) - s,
-    (target + epsilon) - s], found by binary search, so a reading takes
-    O(n 2^(n/2)) steps plus one per match once the tables of its vector are
-    built. The rows, sorted stably by vector, are matched rows_per_chunk at
-    a time: a chunk builds the tables of the vectors it reads, and its rows
-    of each vector share one pair of searchsorted calls.
+    Meet in the middle (Horowitz and Sahni, JACM 1974): with a vector's
+    luminaires split after the first k, each low-half sum s admits the
+    sorted high-half sums in [(target - epsilon) - s, (target + epsilon) -
+    s], found by binary search. A reading takes 2^(k+1) searches of the
+    2^(n-k) high sums once its vector's tables are built, so a vector read
+    by many rows gets a smaller k (see search_chunks). The rows, sorted
+    stably by vector, are matched a chunk at a time: a chunk builds the
+    tables of the vectors it reads, and all its rows share one pair of
+    searchsorted calls on the (vector, sum) keys.
+
+    Every answer is the split-n // 2 search's, bit for bit. Off that
+    split, the window is widened by _widening(n) times the vector's total
+    plus |target| + epsilon, and each candidate inside it is then settled
+    by the split-n // 2 test (_settled).
     """
     values = batch.values
     n = values.shape[1]
     low = batch.targets - batch.epsilon
     high = batch.targets + batch.epsilon
-    counts = np.zeros(len(low), np.int64)
     parts = [np.zeros(0, np.int64)]
-    step = rows_per_chunk(n)
     by_vector = batch.vector.argsort(kind="stable")
-    for a in range(0, len(low), step):
-        rows = by_vector[a:a + step]
+    for a, stop, k in search_chunks(batch.vector[by_vector], n):
+        rows = by_vector[a:stop]
         vec = batch.vector[rows]
         new = np.concatenate(([True], vec[1:] != vec[:-1]))  # a vector's first row
-        starts = np.flatnonzero(new).tolist()
-        halves = half_sums_batch(values[vec[starts]])
+        x = values[vec[new]]
         vec = new.cumsum() - 1  # each row's vector among the chunk's tables
-        below = low[rows, None] - halves.lo[vec]
-        above = high[rows, None] - halves.lo[vec]
-        first = np.empty(below.shape, np.int64)
-        last = np.empty(below.shape, np.int64)
-        for table, s, e in zip(halves.hi, starts, starts[1:] + [len(vec)]):
-            first[s:e] = table.searchsorted(below[s:e])
-            last[s:e] = table.searchsorted(above[s:e], "right")
-        per_low = last - first
+        halves = half_sums_batch(x, k)
+        below, above = low[rows], high[rows]
+        settle = k != n // 2
+        if settle:
+            wide = _widening(n) * (x.sum(axis=1)[vec] + np.abs(batch.targets[rows]) + batch.epsilon)
+            below, above = below - wide, above + wide
+        query = np.empty((len(rows), 1 << k), complex)
+        query.real = vec[:, None]
+        lo = halves.lo[vec]
+        keys = halves.keys.ravel()
+        np.subtract(below[:, None], lo, out=query.imag)
+        first = keys.searchsorted(query)
+        np.subtract(above[:, None], lo, out=query.imag)
+        per_low = keys.searchsorted(query, "right")
+        del query, lo
+        per_low -= first
         per_row = per_low.sum(axis=1)
-        counts[rows] = per_row
         per_low = per_low.ravel()
         ends = per_low.cumsum()
-        # the matches of (row j, low mask m) are hi_masks[vec[j], first:last],
+        # the matches of (row j, low mask m) are hi_masks.flat[first:last],
         # at positions ends - per_low ... ends - 1 of the chunk's matches
-        last += (vec * halves.hi.shape[1])[:, None]
-        pos = np.repeat(last.ravel() - ends, per_low)
+        first = first.ravel() + per_low
+        first -= ends
+        pos = np.repeat(first, per_low)
         pos += np.arange(len(pos))
         masks = halves.hi_masks.ravel()[pos]
-        del pos, halves  # the next chunk's tables replace these rather than join them
-        masks |= np.repeat(np.tile(np.arange(1 << n // 2), len(vec)), per_low)
-        masks |= np.repeat(rows << n, per_row)
+        del pos, first, halves  # the next chunk's tables replace these rather than join them
+        masks |= np.repeat(np.tile(np.arange(1 << k), len(vec)), per_low)
+        owner = np.repeat(np.arange(len(rows)), per_row)
+        if settle:
+            keep = _settled(x, vec[owner], masks, low[rows][owner], high[rows][owner])
+            owner, masks = owner[keep], masks[keep]
+        masks |= rows[owner] << n
         parts.append(masks)
     # one sort puts the rows back in order, each row ascending
     candidates = np.concatenate(parts)
     del parts
     candidates.sort()
+    offsets = candidates.searchsorted(np.arange(len(low) + 1) << n)
     candidates &= (1 << n) - 1
-    offsets = np.zeros(len(low) + 1, np.int64)
-    counts.cumsum(out=offsets[1:])
     return candidates, offsets
 
 

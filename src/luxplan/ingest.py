@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .csvcolumns import Column, coded, read_columns
+from .csvcolumns import Column, Rule, coded, first_problem, read_columns
 from .inference import DecodeBatch, infer_reading
 from .transport import LightConfig
 
@@ -50,6 +50,35 @@ class Command:
     config_index: int
 
 
+def _sample_rules(t: np.ndarray, code: np.ndarray, lux: np.ndarray,
+                  names: tuple[str, ...]) -> list[Rule]:
+    """The rules each sample row keeps, in the order they are checked: a
+    finite time, a lux within [LUX_MIN, LUX_MAX], and no rewind, a time
+    below the one before it at its location."""
+    order = code.argsort(kind="stable")
+    at = code[order]
+    rewind = np.zeros(t.size, dtype=bool)
+    rewind[order[1:][(at[1:] == at[:-1]) & (t[order[1:]] < t[order[:-1]])]] = True
+    return [
+        (~np.isfinite(t), lambda i: f"timestamp {t[i].item()} is not a finite number"),
+        (~((lux >= LUX_MIN) & (lux <= LUX_MAX)),
+         lambda i: f"lux {lux[i].item()} outside [{LUX_MIN}, {LUX_MAX}]"),
+        (rewind, lambda i: f"timestamps for {names[code[i]]!r} must be nondecreasing"),
+    ]
+
+
+def _command_rules(t: np.ndarray, bitmask: np.ndarray) -> list[Rule]:
+    """The rules each command row keeps, in the order they are checked: a
+    finite time, later than the row before's, and a nonnegative bitmask."""
+    rewind = np.zeros(t.size, dtype=bool)
+    rewind[1:] = t[1:] <= t[:-1]
+    return [
+        (~np.isfinite(t), lambda i: f"command timestamp {t[i].item()} is not a finite number"),
+        (rewind, lambda i: "command timestamps must be strictly increasing"),
+        (bitmask < 0, lambda i: "config bitmask must be nonnegative"),
+    ]
+
+
 @dataclass(eq=False)
 class SampleLog:
     """Lux samples as columns: row i is lux[i] at time t[i] from location
@@ -63,22 +92,9 @@ class SampleLog:
     def __post_init__(self) -> None:
         if not self.t.shape == self.code.shape == self.lux.shape == (self.t.size,):
             raise ValueError("sample columns must be 1-D and of equal length")
-        # a rewind is a timestamp below the one before it at its location;
-        # the first row that breaks any rule is reported, as a check of the
-        # rows in order would
-        bad_t = ~np.isfinite(self.t)
-        bad_lux = ~((self.lux >= LUX_MIN) & (self.lux <= LUX_MAX))
-        order = self.code.argsort(kind="stable")
-        code, t = self.code[order], self.t[order]
-        bad = bad_t | bad_lux
-        bad[order[1:][(code[1:] == code[:-1]) & (t[1:] < t[:-1])]] = True
-        if bad.any():
-            i = int(bad.argmax())
-            if bad_t[i]:
-                raise ValueError(f"timestamp {self.t[i].item()} is not a finite number")
-            if bad_lux[i]:
-                raise ValueError(f"lux {self.lux[i].item()} outside [{LUX_MIN}, {LUX_MAX}]")
-            raise ValueError(f"timestamps for {self.names[self.code[i]]!r} must be nondecreasing")
+        problem = first_problem(_sample_rules(self.t, self.code, self.lux, self.names))
+        if problem is not None:
+            raise ValueError(problem[1])
 
     @classmethod
     def from_samples(cls, samples: Iterable[Sample]) -> SampleLog:
@@ -108,15 +124,11 @@ class CommandLog:
     commands: list[Command]
 
     def __post_init__(self) -> None:
-        for c in self.commands:
-            if not math.isfinite(c.t):
-                raise ValueError(f"command timestamp {c.t} is not a finite number")
-        for a, b in zip(self.commands, self.commands[1:]):
-            if b.t <= a.t:
-                raise ValueError("command timestamps must be strictly increasing")
-        for c in self.commands:
-            if c.config_index < 0:
-                raise ValueError("config bitmask must be nonnegative")
+        t = np.array([c.t for c in self.commands], dtype=float)
+        bitmask = np.array([c.config_index for c in self.commands])
+        problem = first_problem(_command_rules(t, bitmask))
+        if problem is not None:
+            raise ValueError(problem[1])
 
 
 @dataclass
@@ -277,6 +289,35 @@ def calibrate_contributions(table: BaselineTable, location: str) -> CalibratedCo
     return CalibratedContributions(location=location, values=values, clamped=tuple(clamped))
 
 
+def _location_queries(table: BaselineTable, location: str,
+                      calib: CalibratedContributions) -> tuple[list[int], list[float]]:
+    """A location's truths and targets: each unflagged baseline's config
+    index, and its mean minus the location's all-off mean."""
+    off = table.cell(location, 0)
+    if off is None or off.flag:
+        raise ValueError(f"{location!r}: missing or flagged all-off baseline")
+    truths, targets = [], []
+    for p in table.configs(location):
+        cell = table.cell(location, p)
+        if cell is None or cell.flag:
+            continue
+        truths.append(p)
+        targets.append(cell.mean - off.mean)
+    if not truths:
+        raise ValueError(f"{location!r}: no usable baselines to evaluate")
+    if truths[-1] >> calib.n:
+        raise ValueError(f"config index {truths[-1]} out of range for {calib.n} luminaires")
+    return truths, targets
+
+
+def _location_batch(calib: CalibratedContributions, targets: list[float],
+                    epsilon: float) -> DecodeBatch:
+    """One location's queries as a batch of their own, built only to raise
+    that location's error."""
+    return DecodeBatch((tuple(calib.values.tolist()),), np.zeros(len(targets), np.intp),
+                       np.array(targets), epsilon)
+
+
 def evaluate_locations(
     table: BaselineTable,
     calibrations: dict[str, CalibratedContributions],
@@ -287,31 +328,41 @@ def evaluate_locations(
     The query target is the cell mean minus the location's all-off mean
     (ambient light cancels out); truth is the commanded configuration.
     Summaries are ordered like the calibration dict.
+
+    The locations of each luminaire count are decoded as one DecodeBatch,
+    one vector per location. A bad location raises the error it would
+    alone, the first location's in dict order.
     """
-    out: list[LocationAccuracy] = []
+    queries = []  # each location's (calibration, truths, targets), in dict order
     for location, calib in calibrations.items():
-        off = table.cell(location, 0)
-        if off is None or off.flag:
-            raise ValueError(f"{location!r}: missing or flagged all-off baseline")
-        truths, targets = [], []
-        for p in table.configs(location):
-            cell = table.cell(location, p)
-            if cell is None or cell.flag:
-                continue
-            truths.append(p)
-            targets.append(cell.mean - off.mean)
-        if not truths:
-            raise ValueError(f"{location!r}: no usable baselines to evaluate")
-        if truths[-1] >> calib.n:
-            raise ValueError(f"config index {truths[-1]} out of range for {calib.n} luminaires")
-        batch = DecodeBatch((tuple(calib.values.tolist()),), np.zeros(len(targets), np.intp),
-                            np.array(targets), epsilon)
-        arr = infer_reading(batch, truth=np.array(truths, dtype=np.int64)).accuracy
-        accs = arr.tolist()
+        try:
+            queries.append((calib, *_location_queries(table, location, calib)))
+        except ValueError:
+            for earlier, _, targets in queries:  # an earlier location's error comes first
+                _location_batch(earlier, targets, epsilon)
+            raise
+    accuracy: list[np.ndarray] = [np.zeros(0)] * len(queries)
+    for n in dict.fromkeys(calib.n for calib, _, _ in queries):
+        group = [j for j, (calib, _, _) in enumerate(queries) if calib.n == n]
+        calibs, truths, targets = zip(*(queries[j] for j in group))
+        counts = list(map(len, truths))
+        try:
+            batch = DecodeBatch(tuple(tuple(c.values.tolist()) for c in calibs),
+                                np.repeat(np.arange(len(group)), counts),
+                                np.concatenate(targets), epsilon)
+        except ValueError:
+            for calib, _, location_targets in queries:
+                _location_batch(calib, location_targets, epsilon)
+            raise
+        rows = infer_reading(batch, truth=np.concatenate(truths).astype(np.int64)).accuracy
+        for j, arr in zip(group, np.split(rows, np.cumsum(counts)[:-1])):
+            accuracy[j] = arr
+    out: list[LocationAccuracy] = []
+    for location, arr in zip(calibrations, accuracy):
         q1, med, q3 = np.percentile(arr, [25, 50, 75])
         out.append(LocationAccuracy(
             location=location,
-            accuracies=tuple(accs),
+            accuracies=tuple(arr.tolist()),
             minimum=float(arr.min()),
             q1=float(q1),
             median=float(med),
@@ -333,19 +384,23 @@ def _log_columns(path: str | Path, names: list[str],
 
 
 def read_samples_csv(path: str | Path) -> SampleLog:
-    """Read a 't,location,lux' log."""
+    """Read a 't,location,lux' log. A row that does not parse, or that
+    breaks a SampleLog rule, raises ValueError naming the file and line of
+    the first such row."""
     table = read_columns(path, _log_columns(path, SAMPLES_HEADER, (float, str, float)))
-    table.check(table.failed)
     t, locations, lux = table.values
     names, code = coded(locations)
+    table.check(table.failed + _sample_rules(t, code, lux, names))
     return SampleLog(t, code, lux, names)
 
 
 def read_commands_csv(path: str | Path) -> CommandLog:
-    """Read a 't,bitmask' log."""
+    """Read a 't,bitmask' log. A row that does not parse, or that breaks a
+    CommandLog rule, raises ValueError naming the file and line of the
+    first such row."""
     table = read_columns(path, _log_columns(path, ["t", "bitmask"], (float, int)))
-    table.check(table.failed)
     t, bitmask = table.values
+    table.check(table.failed + _command_rules(t, bitmask))
     return CommandLog(commands=list(map(Command, t.tolist(), bitmask.tolist())))
 
 

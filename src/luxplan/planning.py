@@ -304,6 +304,8 @@ def _per_live_row(values: np.ndarray, reduce) -> np.ndarray:
     SCORE_BUDGET_BYTES of config_sums_batch sums, at least one row a chunk;
     reduce gets a chunk's sums, which it may overwrite, and returns one
     entry per row. Its answer on no rows gives the entries' shape and type.
+    When every row is its own distinct live row, as for build_cover_instance,
+    the per-row entries are returned without a copy.
     """
     distinct, index = _live_vectors(values)
     _check_finite(distinct)
@@ -314,6 +316,8 @@ def _per_live_row(values: np.ndarray, reduce) -> np.ndarray:
     for start in range(0, len(distinct), step):
         chunk = distinct[start:start + step]
         per_row[start:start + len(chunk)] = reduce(config_sums_batch(chunk))
+    if len(distinct) == index.size:  # the rows are distinct and live: index is the identity
+        return per_row[:-1].reshape(index.shape + per_row.shape[1:])
     return per_row[index]
 
 

@@ -483,14 +483,14 @@ class TestInfer:
         builds = []
         build = inference.half_sums_batch
         monkeypatch.setattr(inference, "half_sums_batch",
-                            lambda v: builds.append(len(v)) or build(v))
+                            lambda v, k: builds.append(len(v)) or build(v, k))
         out = tmp_path / "inf"
         assert run([
             "infer", "--scene", str(apartment_path), "--readings", str(readings),
             "--sigma", "0.05", "--out", str(out),
         ]) == EXIT_OK
         distinct = len({(p, q) for _, p, q, _, _ in rows})
-        per_chunk = inference.rows_per_chunk(6)
+        per_chunk = inference.rows_per_chunk(6, 3)
         assert max(builds) <= per_chunk and sum(builds) >= distinct
         if per_chunk >= len(rows):
             assert builds == [distinct]
@@ -536,13 +536,13 @@ class TestInfer:
         builds = []
         build = inference.half_sums_batch
         monkeypatch.setattr(inference, "half_sums_batch",
-                            lambda v: builds.append(len(v)) or build(v))
+                            lambda v, k: builds.append(len(v)) or build(v, k))
         out = tmp_path / "inf"
         assert run([
             "infer", "--scene", str(apartment_path), "--readings", str(readings),
             "--sigma", "0.05", "--out", str(out),
         ]) == EXIT_OK
-        assert len(builds) > 1 and max(builds) <= inference.rows_per_chunk(6)
+        assert len(builds) > 1 and max(builds) <= inference.rows_per_chunk(6, 3)
 
         matrix = sweep(load_scene(apartment_path))
         noise = cli.NoiseModel(sigma=0.05, seed=0)
@@ -828,6 +828,36 @@ def parse_error(*parsed):
             return str(exc)
 
 
+def samples_row_error(header, row, seen):
+    """seen maps each location to its last time."""
+    problem = parse_error((float, row[0]), (float, row[2]))
+    if problem:
+        return problem
+    t, location, lux = float(row[0]), row[1], float(row[2])
+    if not math.isfinite(t):
+        return f"timestamp {t} is not a finite number"
+    if not 0.0 <= lux <= 88_000.0:
+        return f"lux {lux} outside [0.0, 88000.0]"
+    if location in seen and t < seen[location]:
+        return f"timestamps for {location!r} must be nondecreasing"
+    seen[location] = t
+
+
+def commands_row_error(header, row, seen):
+    """seen holds the last row's time."""
+    problem = parse_error((float, row[0]), (int, row[1]))
+    if problem:
+        return problem
+    t = float(row[0])
+    if not math.isfinite(t):
+        return f"command timestamp {t} is not a finite number"
+    if "t" in seen and t <= seen["t"]:
+        return "command timestamps must be strictly increasing"
+    if int(row[1]) < 0:
+        return "config bitmask must be nonnegative"
+    seen["t"] = t
+
+
 def matrix_row_error(header, row, seen):
     problem = parse_error((int, row[0]), (int, row[1]))
     if problem:
@@ -837,7 +867,7 @@ def matrix_row_error(header, row, seen):
         return "negative point_index or door_state"
     if key in seen:
         return f"point {key[0]}, door state {key[1]} given twice"
-    seen.add(key)
+    seen[key] = None
     problem = parse_error(*((float, v) for v in row[2:]))
     if problem:
         return problem
@@ -856,11 +886,9 @@ FORMATS = {
                  readings_header_error, readings_row_error),
     "samples": (read_samples_csv,
                 lambda log: (log.names, log.code.tolist(), log.t.tobytes(), log.lux.tobytes()),
-                log_header_error(["t", "location", "lux"]),
-                lambda header, row, seen: parse_error((float, row[0]), (float, row[2]))),
+                log_header_error(["t", "location", "lux"]), samples_row_error),
     "commands": (read_commands_csv, lambda log: list(map(repr, log.commands)),
-                 log_header_error(["t", "bitmask"]),
-                 lambda header, row, seen: parse_error((float, row[0]), (int, row[1]))),
+                 log_header_error(["t", "bitmask"]), commands_row_error),
     "matrix": (read_matrix_csv, lambda m: (m.values.shape, m.values.tobytes()),
                lambda header: None if header[:2] == ["point_index", "door_state"] else (
                    "not a contribution matrix CSV"),
@@ -885,7 +913,7 @@ def rowwise_row_error(fmt, path):
         header = next(reader, [])
         if header_error(header):
             return f"{path}: {header_error(header)}"
-        seen = set()
+        seen = {}
         for row in reader:
             if not row:
                 continue

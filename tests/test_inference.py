@@ -1,8 +1,10 @@
 """Perfect-sum search, ambiguity scoring, and multi-sensor voting."""
 import logging
 import math
+import tracemalloc
 from bisect import bisect_left, bisect_right
 from operator import itemgetter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,7 +24,13 @@ from luxplan import (
     sensor_votes,
 )
 from luxplan import inference
-from luxplan.inference import half_sums_batch, jaccard_rows, popcount, search_batch
+from luxplan.inference import (
+    MAX_SOLVER_BITS,
+    half_sums_batch,
+    jaccard_rows,
+    popcount,
+    search_batch,
+)
 from luxplan.planning import config_sums_batch
 from luxplan.transport import ContributionVector
 
@@ -257,10 +265,12 @@ def test_one_byte_budget_searches_one_row_at_a_time(monkeypatch):
     targets = rng.integers(0, 80, 50) / 8.0
     batch = DecodeBatch(tuple(map(tuple, values.tolist())), vector, targets, 0.0)
     want = search_batch(batch)
-    assert inference.rows_per_chunk(9) >= 50
-    assert inference.rows_per_chunk(24) * 64 << 12 <= inference.TABLE_BUDGET_BYTES
+    assert len(inference.search_chunks(np.sort(vector), 9)) == 1
+    assert inference.rows_per_chunk(24, 12) * 64 << 12 <= inference.TABLE_BUDGET_BYTES
     monkeypatch.setattr(inference, "TABLE_BUDGET_BYTES", 1)
-    assert inference.rows_per_chunk(9) == 1
+    assert inference.rows_per_chunk(9, 4) == 1
+    # nothing fits, so each row is a chunk at today's split
+    assert inference.search_chunks(np.sort(vector), 9) == [(j, j + 1, 4) for j in range(50)]
     got = search_batch(batch)
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
     assert len(want[0]) > 50
@@ -279,16 +289,21 @@ def test_chunked_search_equals_one_chunk_at_every_budget(monkeypatch, n):
     batch = DecodeBatch(tuple(map(tuple, values.tolist())), vector, targets, 0.0625)
     build = inference.half_sums_batch
     results, sizes = [], []
-    for budget in (1, 600, inference.TABLE_BUDGET_BYTES):
+    for budget in (1, 1500, inference.TABLE_BUDGET_BYTES):
         monkeypatch.setattr(inference, "TABLE_BUDGET_BYTES", budget)
         builds = []
         monkeypatch.setattr(inference, "half_sums_batch",
-                            lambda v: builds.append(len(v)) or build(v))
+                            lambda v, k: builds.append((len(v), k)) or build(v, k))
         results.append(search_batch(batch))
-        sizes.append(inference.rows_per_chunk(n))
-        assert max(builds) <= sizes[-1]
-        assert len(builds) == -(-len(vector) // sizes[-1])
-    assert sizes[0] == 1 < sizes[1] < len(vector) <= sizes[2]
+        chunks = inference.search_chunks(np.sort(vector), n)
+        assert [k for _, _, k in chunks] == [k for _, k in builds]
+        assert [a for a, _, _ in chunks] == [0] + [stop for _, stop, _ in chunks[:-1]]
+        for (a, stop, k), (vectors, _) in zip(chunks, builds):
+            assert vectors == len(set(np.sort(vector)[a:stop].tolist()))
+            # a chunk fits the budget, or is one row
+            assert stop - a == 1 or inference._chunk_bytes(n, k, stop - a, vectors) <= budget
+        sizes.append(len(chunks))
+    assert sizes[0] == len(vector) > sizes[1] > sizes[2] == 1
     (candidates, offsets), *others = results
     for got in others:
         assert np.array_equal(got[0], candidates) and np.array_equal(got[1], offsets)
@@ -296,6 +311,82 @@ def test_chunked_search_equals_one_chunk_at_every_budget(monkeypatch, n):
         want = one_query_reference(values[v].tolist(), t, 0.0625)
         assert candidates[offsets[r]:offsets[r + 1]].tolist() == want
     assert 0 < np.count_nonzero(np.diff(offsets)) < len(vector)
+
+
+def test_one_row_batches_keep_the_middle_split():
+    # a vector read once gains nothing from a larger high table, so one-row
+    # batches (perfect_sum_indices) keep split n // 2 at every n
+    for n in range(MAX_SOLVER_BITS + 1):
+        assert inference.search_chunks(np.zeros(1, np.intp), n) == [(0, 1, n // 2)]
+    # a vector read by many rows gets a smaller low half
+    assert inference.search_chunks(np.repeat(np.arange(4), 100), 16) == [(0, 400, 4)]
+
+
+def left_to_right(values):
+    total = 0.0
+    for x in values:
+        total += x
+    return total
+
+
+def ulp_neighbours(x):
+    return [np.nextafter(x, -math.inf), x, np.nextafter(x, math.inf)]
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_every_split_answers_like_the_one_query_kernel(data):
+    # non-dyadic contributions, so sums round; targets at a configuration's
+    # sum as each split's tables add it and correctly rounded, each
+    # +-epsilon and +-1 ulp. Every split the search could pick, forced through _split,
+    # gives the split-n // 2 kernel's candidates row for row
+    n = data.draw(st.integers(min_value=0, max_value=10), label="n")
+    fresh = st.floats(min_value=0.0, max_value=1000.0, allow_subnormal=False)
+    scale = data.draw(st.sampled_from([1e-3, 1.0, 1e3]), label="scale")
+    vectors = data.draw(st.lists(st.lists(st.one_of(st.just(0.0), fresh), min_size=n, max_size=n),
+                                 min_size=1, max_size=3), label="vectors")
+    vectors = [[x * scale / 7 for x in v] for v in vectors]
+    epsilon = data.draw(st.sampled_from([0.0, 1e-9, 0.01, 1 / 3]), label="eps")
+    vector, targets = [], []
+    for _ in range(data.draw(st.integers(min_value=1, max_value=8), label="rows")):
+        v = data.draw(st.integers(min_value=0, max_value=len(vectors) - 1), label="v")
+        p = data.draw(st.integers(min_value=0, max_value=(1 << n) - 1), label="p")
+        on = [vectors[v][i] if p >> i & 1 else 0.0 for i in range(n)]
+        # the sum as the tables of each split add it, low half + high half
+        splits = [left_to_right(on[:j]) + left_to_right(on[j:]) for j in range(n + 1)]
+        exact = data.draw(st.sampled_from(splits + [math.fsum(on)]), label="sum")
+        target = data.draw(st.sampled_from(ulp_neighbours(exact + data.draw(
+            st.sampled_from([-epsilon, 0.0, epsilon]), label="offset"))), label="ulp")
+        vector.append(v)
+        targets.append(float(target))
+    batch = DecodeBatch(tuple(map(tuple, vectors)), vector, targets, epsilon)
+    want = [one_query_reference(vectors[v], t, epsilon) for v, t in zip(vector, targets)]
+    for k in range(n + 1):
+        with mock.patch.object(inference, "_split", lambda n, rows, vectors, splits: k):
+            candidates, offsets = search_batch(batch)
+        got = [candidates[offsets[r]:offsets[r + 1]].tolist() for r in range(len(vector))]
+        assert got == want, f"split {k}"
+
+
+def test_24_luminaires_read_1000_times_each_stay_within_the_budget():
+    # the tables of a low split are large: each chunk must still fit
+    rng = np.random.default_rng(24)
+    values = rng.uniform(1, 100, (2, 24)) / 7
+    vector = np.repeat([0, 1], 1000)
+    targets = rng.uniform(0, 300, len(vector))
+    batch = DecodeBatch(tuple(map(tuple, values.tolist())), vector, targets, 0.0)
+    chunks = inference.search_chunks(vector, 24)
+    assert all(k < 12 for _, _, k in chunks)
+    tracemalloc.start()
+    try:
+        candidates, offsets = search_batch(batch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= inference.TABLE_BUDGET_BYTES
+    for r in range(0, len(vector), 97):
+        want = one_query_reference(values[vector[r]].tolist(), targets[r], 0.0)
+        assert candidates[offsets[r]:offsets[r + 1]].tolist() == want
 
 
 def loop_jaccard(truth, candidates):
@@ -343,16 +434,20 @@ def test_batched_tables_equal_tables_built_one_at_a_time(n):
     values = rng.uniform(0, 5, size=(7, n))
     values[rng.random(values.shape) < 0.3] = 0.0
     values[3] = values[1]
-    batched = half_sums_batch(values)
-    assert batched.lo.shape == (7, 1 << n // 2)
-    for v, row in enumerate(values):
-        alone = half_sums_batch(row[None, :])
-        for field in ("lo", "hi", "hi_masks"):
-            got, want = getattr(batched, field)[v], getattr(alone, field)[0]
-            assert got.dtype == want.dtype and np.array_equal(got, want)
-        assert np.all(np.diff(batched.hi[v]) >= 0)
-        highs = range(1 << (n - n // 2))
-        assert sorted(batched.hi_masks[v].tolist()) == [m << n // 2 for m in highs]
+    for k in sorted({n // 2, 0, n}):
+        batched = half_sums_batch(values, k)
+        assert batched.lo.shape == (7, 1 << k)
+        for v, row in enumerate(values):
+            alone = half_sums_batch(row[None, :], k)
+            for field in ("lo", "hi_masks"):
+                got, want = getattr(batched, field)[v], getattr(alone, field)[0]
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+            # the sorted high sums, keyed by the vector's number
+            assert np.array_equal(batched.keys[v].imag, alone.keys[0].imag)
+            assert np.all(batched.keys[v].real == v)
+            assert np.all(np.diff(batched.keys[v].imag) >= 0)
+            assert sorted(batched.hi_masks[v].tolist()) == [m << k for m in range(1 << n - k)]
+    assert np.array_equal(half_sums_batch(values).lo, half_sums_batch(values, n // 2).lo)
 
 
 @pytest.mark.parametrize("target, epsilon", [
@@ -372,6 +467,15 @@ def test_query_rejects_non_finite_contributions(bad, at):
     values[at] = bad
     with pytest.raises(ValueError, match="finite"):
         PerfectSumQuery(contributions=tuple(values), target=1.0, epsilon=0.01)
+
+
+def test_contributions_whose_total_overflows_are_rejected():
+    # a subset sum of inf would turn a search key into inf - inf = NaN,
+    # which sorts past every vector's table
+    big = np.finfo(float).max / 2
+    PerfectSumQuery(contributions=(big, big / 2), target=1.0, epsilon=0.01)
+    with pytest.raises(ValueError, match="sum to a finite number"):
+        PerfectSumQuery(contributions=(big, big, big), target=1.0, epsilon=0.01)
 
 
 class TestJaccard:

@@ -19,15 +19,18 @@ from luxplan import (
     sensor_votes,
     synthesize_logs,
 )
+from luxplan import ingest
 from luxplan.ingest import (
     BaselineCell,
     BaselineTable,
+    CalibratedContributions,
     Command,
     CommandLog,
     FLAG_NO_SAMPLES,
     FLAG_SHORT,
     LUX_MAX,
     LUX_MIN,
+    LocationAccuracy,
     Sample,
     SampleLog,
     _window_mean,
@@ -153,6 +156,34 @@ class TestLogs:
             got = list(zip(got.t.tolist(), [got.names[c] for c in got.code.tolist()], got.lux.tolist()))
         assert got == want
 
+    @pytest.mark.parametrize("text, line, message", [
+        ("t,location,lux\n0.0,a,1.0\n1.0,a,nan\n", 3, "lux nan outside [0.0, 88000.0]"),
+        ("t,location,lux\n0.0,a,1.0\n\ninf,b,1.0\n", 4, "timestamp inf is not a finite number"),
+        ("t,location,lux\n2.0,a,1.0\n1.0,b,1.0\n1.5,a,1.0\n", 4,
+         "timestamps for 'a' must be nondecreasing"),
+        # the first bad row in file order, whatever rule it breaks
+        ("t,location,lux\n0.0,a,-1.0\n1.0,a,dim\n", 2, "lux -1.0 outside [0.0, 88000.0]"),
+    ])
+    def test_sample_value_errors_name_file_and_line(self, tmp_path, text, line, message):
+        path = tmp_path / "s.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError) as got:
+            read_samples_csv(path)
+        assert str(got.value) == f"{path}: line {line}: {message}"
+
+    @pytest.mark.parametrize("text, line, message", [
+        ("t,bitmask\n0.0,1\n0.0,2\n", 3, "command timestamps must be strictly increasing"),
+        ("t,bitmask\n0.0,1\nnan,2\n", 3, "command timestamp nan is not a finite number"),
+        ("t,bitmask\n0.0,1\n7.0,-2\n", 3, "config bitmask must be nonnegative"),
+        ("t,bitmask\n0.0,-1\n-1.0,x\n", 2, "config bitmask must be nonnegative"),
+    ])
+    def test_command_value_errors_name_file_and_line(self, tmp_path, text, line, message):
+        path = tmp_path / "c.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError) as got:
+            read_commands_csv(path)
+        assert str(got.value) == f"{path}: line {line}: {message}"
+
     def test_csv_header_checked(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("time,loc,value\n0,a,1\n", encoding="utf-8")
@@ -276,30 +307,30 @@ def test_bisected_windows_equal_a_full_scan(data):
 
 def rowwise_read_samples(path):
     """(t, location, lux) rows of a samples file, read and checked one row
-    at a time with csv.reader, as luxplan did before a log became columns."""
+    at a time with csv.reader: the first row that does not parse or breaks
+    a value rule names its line."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         if [c.strip() for c in next(reader, [])] != ["t", "location", "lux"]:
             raise ValueError(f"{path}: expected header 't,location,lux'")
-        rows = []
+        rows, last_t = [], {}
         for row in reader:
             if not row:
                 continue
             try:
                 if len(row) != 3:
                     raise ValueError(f"expected 3 fields, got {len(row)}")
-                rows.append((float(row[0]), row[1], float(row[2])))
+                t, location, lux = float(row[0]), row[1], float(row[2])
+                if not math.isfinite(t):
+                    raise ValueError(f"timestamp {t} is not a finite number")
+                if not LUX_MIN <= lux <= LUX_MAX:
+                    raise ValueError(f"lux {lux} outside [{LUX_MIN}, {LUX_MAX}]")
+                if location in last_t and t < last_t[location]:
+                    raise ValueError(f"timestamps for {location!r} must be nondecreasing")
             except ValueError as exc:
                 raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
-    last_t = {}
-    for t, location, lux in rows:
-        if not math.isfinite(t):
-            raise ValueError(f"timestamp {t} is not a finite number")
-        if not LUX_MIN <= lux <= LUX_MAX:
-            raise ValueError(f"lux {lux} outside [{LUX_MIN}, {LUX_MAX}]")
-        if location in last_t and t < last_t[location]:
-            raise ValueError(f"timestamps for {location!r} must be nondecreasing")
-        last_t[location] = t
+            last_t[location] = t
+            rows.append((t, location, lux))
     return rows
 
 
@@ -480,6 +511,86 @@ class TestEvaluate:
         lines = text.strip().splitlines()
         assert lines[0] == "location,min,q1,median,mean,q3,max,n"
         assert len(lines) == 3
+
+
+def per_location_evaluation(table, calibrations, epsilon):
+    """evaluate_locations as one DecodeBatch per location, in dict order,
+    each checked before the next is read."""
+    out = []
+    for location, calib in calibrations.items():
+        off = table.cell(location, 0)
+        if off is None or off.flag:
+            raise ValueError(f"{location!r}: missing or flagged all-off baseline")
+        cells = [(p, table.cell(location, p)) for p in table.configs(location)]
+        truths = [p for p, cell in cells if not cell.flag]
+        targets = [cell.mean - off.mean for _, cell in cells if not cell.flag]
+        if not truths:
+            raise ValueError(f"{location!r}: no usable baselines to evaluate")
+        if truths[-1] >> calib.n:
+            raise ValueError(f"config index {truths[-1]} out of range for {calib.n} luminaires")
+        batch = DecodeBatch((tuple(calib.values.tolist()),), np.zeros(len(targets), np.intp),
+                            np.array(targets), epsilon)
+        arr = infer_reading(batch, truth=np.array(truths, dtype=np.int64)).accuracy
+        q1, med, q3 = np.percentile(arr, [25, 50, 75])
+        out.append(LocationAccuracy(location, tuple(arr.tolist()), float(arr.min()), float(q1),
+                                    float(med), float(arr.mean()), float(q3), float(arr.max())))
+    return out
+
+
+def mixed_locations():
+    """A table of noisy logs at five locations, two of them with three
+    luminaires and three with four, and their calibrations, the counts
+    interleaved in dict order."""
+    four = {"a": [12.1, 7.3, 3.7, 30.9], "b, east": [4.4, 11.7, 29.3, 0.0], "d": [5.5, 5.5, 11.0, 2.2]}
+    three = {"c": [10.3, 20.6, 41.2], "e": [1.9, 2.9, 4.9]}
+    cells = {}
+    for contributions, n in ((four, 4), (three, 3)):
+        samples, commands = synthesize_logs(contributions, list(range(1 << n)) * 2, sigma=0.07,
+                                            seed=n)
+        cells.update(extract_baselines(samples, commands).cells)
+    table = BaselineTable(cells=cells, settle=3.0, window=3.0)
+    calib = {loc: calibrate_contributions(table, loc) for loc in ("a", "c", "b, east", "e", "d")}
+    return table, calib
+
+
+class TestEvaluateBatch:
+    @pytest.mark.parametrize("epsilon", [0.0, 0.05, 0.3])
+    def test_one_batch_per_count_equals_one_batch_per_location(self, epsilon, monkeypatch):
+        table, calib = mixed_locations()
+        want = per_location_evaluation(table, calib, epsilon)
+        batches = []
+        monkeypatch.setattr(ingest, "infer_reading",
+                            lambda batch, truth: batches.append(batch) or infer_reading(batch, truth))
+        got = evaluate_locations(table, calib, epsilon)
+        assert got == want
+        assert [len(b.contributions) for b in batches] == [3, 2]
+        assert [s.location for s in got] == list(calib)
+        assert min(s.mean for s in got) < 1.0
+
+    @pytest.mark.parametrize("faults", [
+        {"b, east": "negative", "e": "no off"},
+        {"b, east": "no off", "e": "negative"},
+        {"c": "range", "d": "nan target"},
+        {"c": "nan target", "a": "range"},
+        {"d": "no off"},
+        {"e": "negative"},
+    ])
+    def test_the_first_bad_location_raises_its_own_error(self, faults):
+        table, calib = mixed_locations()
+        for location, fault in faults.items():
+            if fault == "negative":
+                calib[location].values[1] = -1.0
+            elif fault == "no off":
+                del table.cells[(location, 0)]
+            elif fault == "range":
+                calib[location] = CalibratedContributions(location, calib[location].values[:2])
+            else:
+                table.cells[(location, 3)].mean = math.nan
+        with pytest.raises(ValueError) as want:
+            per_location_evaluation(table, calib, 0.05)
+        with pytest.raises(ValueError) as got:
+            evaluate_locations(table, calib, 0.05)
+        assert str(got.value) == str(want.value)
 
 
 class TestFusion:

@@ -367,6 +367,25 @@ def test_flag_pass_peak_memory_follows_the_budget(monkeypatch):
     assert np.array_equal(flags[:2], unpruned_flags(values[:2], 0.01))
 
 
+def test_flag_pass_over_distinct_live_rows_holds_its_flags_once(monkeypatch):
+    # the cover's call: every row is its own distinct live vector, so the
+    # per-vector flags are the answer, not gathered into a second copy
+    budget = 256 << 10
+    monkeypatch.setattr(planning, "SCORE_BUDGET_BYTES", budget)
+    values = np.random.default_rng(7).uniform(1.0, 100.0, size=(96, 14))
+    tracemalloc.start()
+    try:
+        flags = distinctness_flags_batch(values, 0.01)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert flags.shape == (96, 1 << 14)
+    assert peak < 4 * budget + flags.nbytes < 2 * flags.nbytes
+    assert np.array_equal(flags[:2], unpruned_flags(values[:2], 0.01))
+    repeated = distinctness_flags_batch(values[[0, 1, 0]], 0.01)
+    assert np.array_equal(repeated, flags[[0, 1, 0]])
+
+
 def sorted_gaps(sums):
     """What _isolated leaves in its sums buffer: each row's gaps in sorted
     order, then an infinite gap past the row's end."""
