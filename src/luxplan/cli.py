@@ -19,18 +19,15 @@ Identical inputs and flags produce byte-identical outputs.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import math
 import sys
-from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import ingest as ingest_mod
-from .csvcolumns import Column, coded, raise_first, read_columns
+from .csvcolumns import Column, coded, csv_text, read_columns
 from .heatmaps import write_heatmap_set
 from .inference import (
     DecodeBatch,
@@ -78,14 +75,6 @@ def _load_scene_with_grid(args: argparse.Namespace) -> tuple[Scene, Grid]:
     if scene.grid is None:
         raise SceneError("scene has no grid line; candidate lattice is required")
     return scene, scene.grid
-
-
-def _write_csv(path: Path, header: list[str], rows: Iterable[Sequence]) -> None:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(header)
-    w.writerows(rows)
-    path.write_text(buf.getvalue(), encoding="utf-8")
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -157,7 +146,8 @@ def cmd_solve_cover(args: argparse.Namespace) -> int:
     print(f"chose {len(solution.chosen)} points; cover {status}")
     args.out.mkdir(parents=True, exist_ok=True)
     out_path = args.out / "cover_report.csv"
-    _write_csv(out_path, ["step", "point_index", "x", "y", "gain", "covered_total"], rows)
+    out_path.write_text(csv_text(["step", "point_index", "x", "y", "gain", "covered_total"], rows),
+                        encoding="utf-8")
     print(f"wrote {out_path}")
     return EXIT_OK
 
@@ -172,9 +162,8 @@ class Readings:
     Row i belongs to the trial names[trial[i]] (names in first-appearance
     order) and reads grid point point[i] under door state door[i]. lux[i]
     is its reading, NaN where the row gives none; truth[i] is its true
-    configuration where has_truth[i], else -1. line[i] is the row's 1-based
-    line in the file. point, door and truth are int64 arrays, or object
-    arrays where a value does not fit in int64.
+    configuration where has_truth[i], else -1. point, door and truth are
+    int64 arrays.
     """
 
     names: tuple[str, ...]
@@ -184,7 +173,6 @@ class Readings:
     lux: np.ndarray
     truth: np.ndarray
     has_truth: np.ndarray
-    line: np.ndarray
 
 
 def _readings_columns(path: Path, header: list[str]) -> list[Column]:
@@ -202,55 +190,48 @@ def _readings_columns(path: Path, header: list[str]) -> list[Column]:
             Column(at.get("truth"), int, -1)]
 
 
-def _read_readings_csv(path: Path) -> Readings:
+def _read_readings_csv(path: Path, n_points: int, n_states: int, n: int) -> Readings:
     """The readings of a trial,point_index,door_state[,lux][,truth] CSV, its
-    columns in any order. An empty lux or truth is none. A row whose width
-    differs from the header's, or with an unparsable field or a non-finite
-    lux, raises ValueError naming the file and its 1-based line."""
+    columns in any order, on a grid of n_points points, n_states door states
+    and n luminaires. An empty lux or truth is none. The first bad row in
+    file order raises ValueError naming the file and its 1-based line, with
+    the first rule the row breaks: its width is the header's, its fields
+    parse, its lux is finite, its point is on the grid, its door state and
+    truth are in range, and it has lux or truth."""
     table = read_columns(path, lambda header: _readings_columns(path, header))
     trial, point, door, lux, truth = table.values
     lux_text, truth_text = table.text[3:]
+    has_truth = np.fromiter(map(bool, truth_text), bool, len(truth))
     table.check([(mask, lambda i: "malformed reading row") for mask, _ in table.failed] + [
         (np.fromiter(map(bool, lux_text), bool, len(lux)) & ~np.isfinite(lux),
-         lambda i: f"lux {lux_text[i]!r} is not finite")])
-    names, codes = coded(trial)
-    return Readings(names, codes, point, door, lux, truth,
-                    np.fromiter(map(bool, truth_text), bool, len(truth)), table.line)
-
-
-def _check_readings(path: Path, readings: Readings, n_points: int, n_states: int,
-                    n: int) -> None:
-    """Raise the first bad row's error, in file order: a point off the grid,
-    a door state or truth out of range, or neither lux nor truth."""
-    point, door, truth = readings.point, readings.door, readings.truth
-    raise_first(path, readings.line, [
+         lambda i: f"lux {lux_text[i]!r} is not finite"),
         ((point < 0) | (point >= n_points),
          lambda i: f"point_index {point[i]} outside the candidate grid"),
         ((door < 0) | (door >= n_states), lambda i: f"door_state {door[i]} out of range"),
-        (readings.has_truth & ((truth < 0) | (truth >= 1 << n)),
+        (has_truth & ((truth < 0) | (truth >= 1 << n)),
          lambda i: f"config index {truth[i]} out of range for {n} luminaires"),
-        (np.isnan(readings.lux) & ~readings.has_truth,
-         lambda i: "a reading row needs lux, or truth to simulate it"),
+        (np.isnan(lux) & ~has_truth, lambda i: "a reading row needs lux, or truth to simulate it"),
     ])
+    names, codes = coded(trial)
+    return Readings(names, codes, point, door, lux, truth, has_truth)
 
 
 def cmd_infer(args: argparse.Namespace) -> int:
     check_epsilon(args.epsilon)
     scene, grid = _load_scene_with_grid(args)
-    readings = _read_readings_csv(args.readings)
-    noise = NoiseModel(sigma=args.sigma, seed=args.seed)
     n = scene.n_luminaires
+    readings = _read_readings_csv(args.readings, len(grid.points),
+                                  len(enumerate_door_states(scene)), n)
+    noise = NoiseModel(sigma=args.sigma, seed=args.seed)
 
-    # The rows come as columns. Only the grid points they name are swept,
-    # and every row is checked, as arrays, before any is answered. Rows that
-    # revisit a (point, door state) share its vector, numbered by np.unique;
-    # no output hangs on that order. The whole file is one batch: one
-    # decode, one vote and one fusion of every trial.
+    # The rows come as columns, every one checked before any cell is swept.
+    # Only the grid points they name are swept. Rows that revisit a (point,
+    # door state) share its vector, numbered by np.unique; no output hangs
+    # on that order. The whole file is one batch: one decode, one vote and
+    # one fusion of every trial.
     point, door, truth = readings.point, readings.door, readings.truth
-    on_grid = (point >= 0) & (point < len(grid.points))
-    cells = np.unique(point[on_grid]).astype(np.intp)
+    cells = np.unique(point).astype(np.intp)
     matrix = sweep(scene, cells=cells)
-    _check_readings(args.readings, readings, len(grid.points), matrix.n_door_states, n)
     _, first, vector_arr = np.unique(point * matrix.n_door_states + door, return_index=True,
                                      return_inverse=True)
     values = matrix.values[cells.searchsorted(point[first]), door[first]]
@@ -294,10 +275,11 @@ def cmd_infer(args: argparse.Namespace) -> int:
         fh.write("point_index,door_state,config_p,n_candidates,accuracy,no_solution\n")
         for block in np.split(report, range(256, len(report), 256)):
             fh.write("%d,%d,%d,%d,%s,%d\n" * len(block) % tuple(block.ravel().tolist()))
-    _write_csv(fused_path, ["trial", "door_state", "truth", "fused_p", "accuracy", "rule"],
-               zip(readings.names, trial_door.tolist(), trial_truth.tolist(), fused.tolist(),
-                   _accuracy_text(fused_acc, trial_truth >= 0).tolist(),
-                   np.where(decided, "intersection", "vote").tolist()))
+    fused_path.write_text(csv_text(
+        ["trial", "door_state", "truth", "fused_p", "accuracy", "rule"],
+        zip(readings.names, trial_door.tolist(), trial_truth.tolist(), fused.tolist(),
+            _accuracy_text(fused_acc, trial_truth >= 0).tolist(),
+            np.where(decided, "intersection", "vote").tolist())), encoding="utf-8")
     print(f"{len(point)} readings in {n_trials} trials")
     print(f"wrote {report_path}")
     print(f"wrote {fused_path}")

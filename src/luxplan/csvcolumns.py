@@ -1,15 +1,16 @@
-"""Headed CSV input files read as numpy columns.
+"""Headed CSV files: inputs read as numpy columns, outputs written as text.
 
 Every CSV luxplan reads (infer's readings, ingest's sample and command logs,
 and the contribution matrix) is a header line, then rows of comma-separated
 fields; blank lines are skipped. Each format checks its own header, and its
-values on the columns; raise_first names the first bad row in file order.
+values on the columns; Table.check names the first bad row in file order.
+csv_text writes the small CSV reports and logs.
 """
 from __future__ import annotations
 
 import csv
 import io
-from collections.abc import Callable
+from collections.abc import Callable, Iterable, Sequence
 from itertools import repeat
 from pathlib import Path
 from typing import NamedTuple
@@ -43,9 +44,13 @@ class Table(NamedTuple):
     stop: str | None
 
     def check(self, rules: list[Rule]) -> None:
-        """Raise the first bad row's error, as raise_first does; failing
-        that, the error of the row that ended the rows."""
-        raise_first(self.path, self.line, rules)
+        """Raise ValueError naming the file and line of first_problem's row,
+        with its message; failing that, the error of the row that ended the
+        rows."""
+        problem = first_problem(rules)
+        if problem is not None:
+            i, message = problem
+            raise ValueError(f"{self.path}: line {self.line[i]}: {message}")
         if self.stop is not None:
             raise ValueError(self.stop)
 
@@ -59,15 +64,6 @@ def first_problem(rules: list[Rule]) -> tuple[int, str] | None:
         return None
     i = int(bad.argmax())
     return i, next(message(i) for mask, message in rules if mask[i])
-
-
-def raise_first(path: str | Path, line: np.ndarray, rules: list[Rule]) -> None:
-    """Raise ValueError naming the file and line of first_problem's row,
-    with its message."""
-    problem = first_problem(rules)
-    if problem is not None:
-        i, message = problem
-        raise ValueError(f"{path}: line {line[i]}: {message}")
 
 
 def read_columns(path: str | Path, spec: Callable[[list[str]], list[Column]]) -> Table:
@@ -159,6 +155,16 @@ def _parse(text: list[str], parse: type, empty: object) -> tuple[np.ndarray | li
     mask = np.zeros(len(text), dtype=bool)
     mask[list(failed)] = True
     return values, (mask, failed.__getitem__)
+
+
+def csv_text(header: list[str], rows: Iterable[Sequence]) -> str:
+    """A header line and the rows as csv.writer quotes them, each line
+    ended by LF."""
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(header)
+    w.writerows(rows)
+    return buf.getvalue()
 
 
 def coded(names: list[str]) -> tuple[tuple[str, ...], np.ndarray]:

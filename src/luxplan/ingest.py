@@ -10,8 +10,6 @@ against the commanded configuration.
 """
 from __future__ import annotations
 
-import csv
-import io
 import math
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
@@ -20,8 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .csvcolumns import Column, Rule, coded, first_problem, read_columns
-from .inference import DecodeBatch, infer_reading
+from .csvcolumns import Column, Rule, coded, csv_text, first_problem, read_columns
+from .inference import DecodeBatch, _validate, infer_reading
 from .transport import LightConfig
 
 LUX_MIN = 0.0
@@ -42,12 +40,6 @@ class Sample:
     t: float
     location: str
     lux: float
-
-
-@dataclass(frozen=True)
-class Command:
-    t: float
-    config_index: int
 
 
 def _sample_rules(t: np.ndarray, code: np.ndarray, lux: np.ndarray,
@@ -119,14 +111,18 @@ class SampleLog:
         return self.t.max().item() if self.t.size else -math.inf
 
 
-@dataclass
+@dataclass(eq=False)
 class CommandLog:
-    commands: list[Command]
+    """Light-switch commands as columns: row i switches to configuration
+    bitmask[i] at time t[i]."""
+
+    t: np.ndarray
+    bitmask: np.ndarray
 
     def __post_init__(self) -> None:
-        t = np.array([c.t for c in self.commands], dtype=float)
-        bitmask = np.array([c.config_index for c in self.commands])
-        problem = first_problem(_command_rules(t, bitmask))
+        if not self.t.shape == self.bitmask.shape == (self.t.size,):
+            raise ValueError("command columns must be 1-D and of equal length")
+        problem = first_problem(_command_rules(self.t, self.bitmask))
         if problem is not None:
             raise ValueError(problem[1])
 
@@ -222,9 +218,9 @@ def extract_baselines(
     """
     if not (0 <= settle < math.inf and 0 < window < math.inf):
         raise ValueError("settle must be finite and >= 0, window finite and > 0")
-    if not commands.commands:
+    if not commands.t.size:
         raise ValueError("command log is empty")
-    cmd_t = np.array([c.t for c in commands.commands])
+    cmd_t = commands.t
     interval_end = np.append(cmd_t[1:], samples.end_time)
     win_lo = cmd_t + settle
     win_hi = win_lo + window
@@ -241,9 +237,9 @@ def extract_baselines(
 
     collected: dict[tuple[str, int], list[float]] = {}
     flags: dict[tuple[str, int], str] = {}
-    for k, cmd in enumerate(commands.commands):
+    for k, p in enumerate(commands.bitmask.tolist()):
         for loc, lux, lo, hi in per_loc:
-            key = (loc, cmd.config_index)
+            key = (loc, p)
             collected.setdefault(key, []).extend(lux[lo[k]:hi[k]])
             if short[k]:
                 flags[key] = FLAG_SHORT
@@ -310,14 +306,6 @@ def _location_queries(table: BaselineTable, location: str,
     return truths, targets
 
 
-def _location_batch(calib: CalibratedContributions, targets: list[float],
-                    epsilon: float) -> DecodeBatch:
-    """One location's queries as a batch of their own, built only to raise
-    that location's error."""
-    return DecodeBatch((tuple(calib.values.tolist()),), np.zeros(len(targets), np.intp),
-                       np.array(targets), epsilon)
-
-
 def evaluate_locations(
     table: BaselineTable,
     calibrations: dict[str, CalibratedContributions],
@@ -329,31 +317,23 @@ def evaluate_locations(
     (ambient light cancels out); truth is the commanded configuration.
     Summaries are ordered like the calibration dict.
 
-    The locations of each luminaire count are decoded as one DecodeBatch,
-    one vector per location. A bad location raises the error it would
-    alone, the first location's in dict order.
+    Each location is checked as it is gathered, in dict order, as a batch of
+    its own would be. The locations of each luminaire count are then decoded
+    as one DecodeBatch, one vector per location.
     """
     queries = []  # each location's (calibration, truths, targets), in dict order
     for location, calib in calibrations.items():
-        try:
-            queries.append((calib, *_location_queries(table, location, calib)))
-        except ValueError:
-            for earlier, _, targets in queries:  # an earlier location's error comes first
-                _location_batch(earlier, targets, epsilon)
-            raise
+        truths, targets = _location_queries(table, location, calib)
+        _validate(calib.values, np.array(targets), epsilon)
+        queries.append((calib, truths, targets))
     accuracy: list[np.ndarray] = [np.zeros(0)] * len(queries)
     for n in dict.fromkeys(calib.n for calib, _, _ in queries):
         group = [j for j, (calib, _, _) in enumerate(queries) if calib.n == n]
         calibs, truths, targets = zip(*(queries[j] for j in group))
         counts = list(map(len, truths))
-        try:
-            batch = DecodeBatch(tuple(tuple(c.values.tolist()) for c in calibs),
-                                np.repeat(np.arange(len(group)), counts),
-                                np.concatenate(targets), epsilon)
-        except ValueError:
-            for calib, _, location_targets in queries:
-                _location_batch(calib, location_targets, epsilon)
-            raise
+        batch = DecodeBatch(tuple(tuple(c.values.tolist()) for c in calibs),
+                            np.repeat(np.arange(len(group)), counts),
+                            np.concatenate(targets), epsilon)
         rows = infer_reading(batch, truth=np.concatenate(truths).astype(np.int64)).accuracy
         for j, arr in zip(group, np.split(rows, np.cumsum(counts)[:-1])):
             accuracy[j] = arr
@@ -401,38 +381,24 @@ def read_commands_csv(path: str | Path) -> CommandLog:
     table = read_columns(path, _log_columns(path, ["t", "bitmask"], (float, int)))
     t, bitmask = table.values
     table.check(table.failed + _command_rules(t, bitmask))
-    return CommandLog(commands=list(map(Command, t.tolist(), bitmask.tolist())))
+    return CommandLog(t, bitmask)
 
 
 def write_samples_csv(log: SampleLog, path: str | Path) -> None:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(SAMPLES_HEADER)
     names = map(log.names.__getitem__, log.code.tolist())
-    w.writerows(zip(map(repr, log.t.tolist()), names, map(repr, log.lux.tolist())))
-    Path(path).write_text(buf.getvalue(), encoding="utf-8")
+    Path(path).write_text(csv_text(SAMPLES_HEADER, zip(
+        map(repr, log.t.tolist()), names, map(repr, log.lux.tolist()))), encoding="utf-8")
 
 
 def write_commands_csv(log: CommandLog, path: str | Path) -> None:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["t", "bitmask"])
-    for c in log.commands:
-        w.writerow([repr(c.t), str(c.config_index)])
-    Path(path).write_text(buf.getvalue(), encoding="utf-8")
+    Path(path).write_text(csv_text(["t", "bitmask"], zip(
+        map(repr, log.t.tolist()), map(str, log.bitmask.tolist()))), encoding="utf-8")
 
 
 def accuracy_table_csv(summaries: list[LocationAccuracy]) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["location", "min", "q1", "median", "mean", "q3", "max", "n"])
-    for s in summaries:
-        w.writerow([
-            s.location,
-            f"{s.minimum:.6g}", f"{s.q1:.6g}", f"{s.median:.6g}",
-            f"{s.mean:.6g}", f"{s.q3:.6g}", f"{s.maximum:.6g}", str(s.n),
-        ])
-    return buf.getvalue()
+    return csv_text(["location", "min", "q1", "median", "mean", "q3", "max", "n"], (
+        [s.location, *(f"{v:.6g}" for v in (s.minimum, s.q1, s.median, s.mean, s.q3, s.maximum)),
+         str(s.n)] for s in summaries))
 
 
 def write_accuracy_csv(summaries: list[LocationAccuracy], path: str | Path) -> None:
@@ -455,7 +421,8 @@ def synthesize_logs(
     fixed noise realization instead of redrawing it. Samples cover whole
     command intervals; extract_baselines applies the settle period.
     """
-    commands = [Command(t=k * dwell, config_index=p) for k, p in enumerate(config_indices)]
+    commands = CommandLog(np.arange(len(config_indices)) * dwell,
+                          np.array(config_indices, dtype=np.int64))
     total = dwell * (len(config_indices) + 1)
     n_samples = int(math.ceil(total * rate_hz))
     t = np.arange(n_samples) / rate_hz
@@ -473,4 +440,4 @@ def synthesize_logs(
     lux[lux > LUX_MAX] = LUX_MAX
     samples = SampleLog(t=np.tile(t, len(lux)), code=np.arange(len(lux)).repeat(n_samples),
                         lux=lux.ravel(), names=tuple(contributions_by_location))
-    return samples, CommandLog(commands=commands)
+    return samples, commands

@@ -67,26 +67,9 @@ class PhotometricProfile:
             raise ValueError("lookup() requires a tabulated profile")
         v = np.clip(np.asarray(vertical_deg, dtype=float), self.vertical_angles[0], self.vertical_angles[-1])
         h = np.clip(np.asarray(horizontal_deg, dtype=float), self.horizontal_angles[0], self.horizontal_angles[-1])
-        vgrid = np.asarray(self.vertical_angles)
-        hgrid = np.asarray(self.horizontal_angles)
+        vi, vi1, tv = _bracket(np.asarray(self.vertical_angles), v)
+        hi, hi1, th = _bracket(np.asarray(self.horizontal_angles), h)
         table = np.asarray(self.candela)
-
-        vi = np.clip(np.searchsorted(vgrid, v, side="right") - 1, 0, len(vgrid) - 2) if len(vgrid) > 1 else np.zeros_like(v, dtype=int)
-        hi = np.clip(np.searchsorted(hgrid, h, side="right") - 1, 0, len(hgrid) - 2) if len(hgrid) > 1 else np.zeros_like(h, dtype=int)
-
-        if len(vgrid) > 1:
-            tv = (v - vgrid[vi]) / (vgrid[vi + 1] - vgrid[vi])
-            vi1 = vi + 1
-        else:
-            tv = np.zeros_like(v)
-            vi1 = vi
-        if len(hgrid) > 1:
-            th = (h - hgrid[hi]) / (hgrid[hi + 1] - hgrid[hi])
-            hi1 = hi + 1
-        else:
-            th = np.zeros_like(h)
-            hi1 = hi
-
         c00 = table[vi, hi]
         c01 = table[vi, hi1]
         c10 = table[vi1, hi]
@@ -114,6 +97,17 @@ class PhotometricProfile:
         if np.isscalar(vertical_deg):
             return float(out)
         return out
+
+
+def _bracket(grid: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The grid nodes each x (within the grid) lies between, and its
+    fraction of the way from the first to the second; on a one-node axis,
+    node 0 twice and fraction 0."""
+    if len(grid) == 1:
+        i = np.zeros_like(x, dtype=int)
+        return i, i, np.zeros_like(x)
+    i = np.clip(np.searchsorted(grid, x, side="right") - 1, 0, len(grid) - 2)
+    return i, i + 1, (x - grid[i]) / (grid[i + 1] - grid[i])
 
 
 def _require_increasing(angles: tuple[float, ...], which: str) -> None:

@@ -175,6 +175,13 @@ class TestExitCodes:
         # a row that fails several checks reports the first, in file order
         ("trial,point_index,door_state,lux,truth\nt0,77,9,,9\nt0,5,9,,\n",
          "r.csv: line 2: point_index 77 outside"),
+        # a row that breaks two rules reports the one checked first
+        *((f"trial,point_index,door_state,lux,truth\n{row}\n", f"r.csv: line 2: {message}")
+          for row, message in [("t0,x,0,inf,", "malformed reading row"),
+                               ("t0,99,0,inf,", "lux 'inf' is not finite"),
+                               ("t0,99,9,1.0,", "point_index 99 outside the candidate grid"),
+                               ("t0,0,9,,9", "door_state 9 out of range"),
+                               ("t0,0,9,,", "door_state 9 out of range")]),
     ])
     def test_bad_readings_rows_name_their_line(self, toy_scene_file, tmp_path, capsys, text,
                                                named):
@@ -187,6 +194,22 @@ class TestExitCodes:
         ]) == EXIT_INVALID
         assert named in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("rows, named", [
+        # line 2 breaks a grid rule, line 3 a rule of the parse; every rule
+        # runs before any cell is swept, so the first row in the file is named
+        ("a,999999,0,1.0,\nb,0,0,inf,", "line 2: point_index 999999 outside the candidate grid"),
+        ("a,0,0,,999\nb,x,0,1.0,", "line 2: config index 999 out of range for 6 luminaires"),
+        ("a,0,99,1.0,\nb,0,0", "line 2: door_state 99 out of range"),
+    ], ids=["point-then-lux", "truth-then-malformed", "door-then-short"])
+    def test_two_bad_readings_rows_name_the_first(self, apartment_path, tmp_path, capsys,
+                                                  monkeypatch, rows, named):
+        readings = tmp_path / "r.csv"
+        readings.write_text(f"trial,point_index,door_state,lux,truth\n{rows}\n", encoding="utf-8")
+        monkeypatch.setattr(cli, "sweep", mock.Mock(side_effect=AssertionError("swept")))
+        assert run(["infer", "--scene", str(apartment_path), "--readings", str(readings),
+                    "--out", str(tmp_path / "out")]) == EXIT_INVALID
+        assert capsys.readouterr().err == f"error: {readings}: {named}\n"
 
     def test_non_finite_command_timestamp_rejected(self, tmp_path, capsys):
         samples, commands = synthesize_logs({"s0": np.array([5.0, 9.0])}, [0, 1, 2])
@@ -792,18 +815,32 @@ def headed_files(draw, fmt):
     return end.join(lines) + draw(st.sampled_from(["", end]))
 
 
+# the readings reader's grid: few enough door states and luminaires that a drawn
+# row often breaks more than one range rule
+READINGS_GRID = (2880, 6, 5)
+
+
 def readings_row_error(header, row, seen):
     at = {name: header.index(name) for name in header}
     lux = row[at["lux"]] if "lux" in at else ""
     truth = row[at["truth"]] if "truth" in at else ""
     try:
-        int(row[at["point_index"]]), int(row[at["door_state"]])
+        point, door = int(row[at["point_index"]]), int(row[at["door_state"]])
         x = float(lux) if lux else 0.0
-        int(truth) if truth else None
+        p = int(truth) if truth else None
     except ValueError:
         return "malformed reading row"
+    n_points, n_states, n = READINGS_GRID
     if not math.isfinite(x):
         return f"lux {lux!r} is not finite"
+    if not 0 <= point < n_points:
+        return f"point_index {point} outside the candidate grid"
+    if not 0 <= door < n_states:
+        return f"door_state {door} out of range"
+    if p is not None and not 0 <= p < 1 << n:
+        return f"config index {p} out of range for {n} luminaires"
+    if not lux and p is None:
+        return "a reading row needs lux, or truth to simulate it"
 
 
 def readings_header_error(header):
@@ -879,15 +916,15 @@ def matrix_row_error(header, row, seen):
 # per format: its reader, what the reader gives as comparable values, and
 # the header and row rules for the row-by-row oracle
 FORMATS = {
-    "readings": (cli._read_readings_csv,
+    "readings": (lambda path: cli._read_readings_csv(path, *READINGS_GRID),
                  lambda r: (r.names, r.trial.tolist(), r.point.dtype, r.point.tolist(),
                             r.door.tolist(), r.lux.tobytes(), r.truth.tolist(),
-                            r.has_truth.tolist(), r.line.tolist()),
+                            r.has_truth.tolist()),
                  readings_header_error, readings_row_error),
     "samples": (read_samples_csv,
                 lambda log: (log.names, log.code.tolist(), log.t.tobytes(), log.lux.tobytes()),
                 log_header_error(["t", "location", "lux"]), samples_row_error),
-    "commands": (read_commands_csv, lambda log: list(map(repr, log.commands)),
+    "commands": (read_commands_csv, lambda log: (log.t.tobytes(), log.bitmask.tolist()),
                  log_header_error(["t", "bitmask"]), commands_row_error),
     "matrix": (read_matrix_csv, lambda m: (m.values.shape, m.values.tobytes()),
                lambda header: None if header[:2] == ["point_index", "door_state"] else (

@@ -24,7 +24,6 @@ from luxplan.ingest import (
     BaselineCell,
     BaselineTable,
     CalibratedContributions,
-    Command,
     CommandLog,
     FLAG_NO_SAMPLES,
     FLAG_SHORT,
@@ -41,6 +40,12 @@ from luxplan.ingest import (
     write_samples_csv,
 )
 from luxplan.transport import ContributionVector
+
+
+def command_log(*rows):
+    """A CommandLog of (t, bitmask) rows."""
+    t, bitmask = zip(*rows) if rows else ((), ())
+    return CommandLog(np.array(t, dtype=float), np.array(bitmask, dtype=np.int64))
 
 
 def constant_log(location="s0", lux=100.0, rate=4.7, duration=10.0):
@@ -75,15 +80,20 @@ class TestLogs:
 
     def test_command_timestamps_strictly_increasing(self):
         with pytest.raises(ValueError, match="increasing"):
-            CommandLog(commands=[Command(t=0.0, config_index=0), Command(t=0.0, config_index=1)])
+            command_log((0.0, 0), (0.0, 1))
+
+    def test_command_columns_must_match(self):
+        with pytest.raises(ValueError, match="equal length"):
+            CommandLog(np.array([0.0, 7.0]), np.array([0]))
+        with pytest.raises(ValueError, match="equal length"):
+            CommandLog(np.zeros((1, 1)), np.zeros((1, 1), dtype=np.int64))
 
     @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
     def test_non_finite_command_timestamp_rejected(self, t):
         # every comparison with nan is false, so "strictly increasing" alone
         # lets a nan through, and its window would read as no_samples
         with pytest.raises(ValueError, match="command timestamp .* not a finite number"):
-            CommandLog(commands=[Command(t=0.0, config_index=0), Command(t=t, config_index=1),
-                                 Command(t=14.0, config_index=2)])
+            command_log((0.0, 0), (t, 1), (14.0, 2))
 
     def test_first_bad_row_is_reported(self):
         # the columns are checked at once, but the message is the one a
@@ -108,11 +118,13 @@ class TestLogs:
 
     def test_csv_round_trip(self, tmp_path):
         samples = constant_log(duration=2.0)
-        commands = CommandLog(commands=[Command(t=0.0, config_index=5)])
+        commands = command_log((0.0, 5))
         write_samples_csv(samples, tmp_path / "s.csv")
         write_commands_csv(commands, tmp_path / "c.csv")
         assert read_samples_csv(tmp_path / "s.csv").samples == samples.samples
-        assert read_commands_csv(tmp_path / "c.csv").commands == commands.commands
+        back = read_commands_csv(tmp_path / "c.csv")
+        assert back.t.tolist() == commands.t.tolist()
+        assert back.bitmask.tolist() == commands.bitmask.tolist()
 
     def test_noisy_synthetic_log_round_trips(self, tmp_path):
         samples, commands = synthesize_logs({"a": [10, 20]}, [0, 1, 2, 3], sigma=0.05)
@@ -120,7 +132,9 @@ class TestLogs:
         write_samples_csv(samples, tmp_path / "s.csv")
         write_commands_csv(commands, tmp_path / "c.csv")
         assert read_samples_csv(tmp_path / "s.csv").samples == samples.samples
-        assert read_commands_csv(tmp_path / "c.csv").commands == commands.commands
+        back = read_commands_csv(tmp_path / "c.csv")
+        assert back.t.tolist() == commands.t.tolist()
+        assert back.bitmask.tolist() == commands.bitmask.tolist()
 
     def test_quoted_location_with_comma_round_trips(self, tmp_path):
         samples, _ = synthesize_logs({"hall, east": [10.0], 'say "hi"': [5.0]}, [0, 1], sigma=0.05)
@@ -196,7 +210,7 @@ class TestLogs:
 class TestExtractBaselines:
     def test_constant_signal(self):
         samples = constant_log(lux=100.0)
-        commands = CommandLog(commands=[Command(t=0.0, config_index=3)])
+        commands = command_log((0.0, 3))
         table = extract_baselines(samples, commands)
         cell = table.cell("s0", 3)
         assert cell.mean == 100.0
@@ -206,7 +220,7 @@ class TestExtractBaselines:
     def test_window_at_sensor_rate_collects_fourteen_samples(self):
         # 3 s averaged at 4.7 Hz
         samples = constant_log(lux=50.0, rate=4.7, duration=8.6)
-        commands = CommandLog(commands=[Command(t=0.0, config_index=0)])
+        commands = command_log((0.0, 0))
         table = extract_baselines(samples, commands, settle=3.0, window=3.0)
         assert table.cell("s0", 0).count == 14
 
@@ -214,7 +228,7 @@ class TestExtractBaselines:
         ramp = [Sample(t=0.1 * j, location="s0", lux=2.0 * j) for j in range(30)]  # t < 3
         plateau = [Sample(t=3.0 + 0.1 * j, location="s0", lux=42.5) for j in range(40)]
         samples = SampleLog.from_samples(ramp + plateau)
-        commands = CommandLog(commands=[Command(t=0.0, config_index=1)])
+        commands = command_log((0.0, 1))
         table = extract_baselines(samples, commands)
         cell = table.cell("s0", 1)
         assert cell.mean == 42.5
@@ -222,29 +236,26 @@ class TestExtractBaselines:
 
     def test_short_interval_flagged_not_averaged_silently(self):
         samples = constant_log(duration=20.0)
-        commands = CommandLog(commands=[
-            Command(t=0.0, config_index=0),
-            Command(t=4.0, config_index=1),  # first interval: 4 s < settle + window
-        ])
+        commands = command_log((0.0, 0), (4.0, 1))  # first interval: 4 s < settle + window
         table = extract_baselines(samples, commands)
         assert table.cell("s0", 0).flag == FLAG_SHORT
         assert table.cell("s0", 1).flag == ""
 
     def test_empty_window_flagged(self):
         samples = SampleLog.from_samples([Sample(t=0.0, location="s0", lux=1.0)])
-        commands = CommandLog(commands=[Command(t=0.0, config_index=0)])
+        commands = command_log((0.0, 0))
         table = extract_baselines(samples, commands)
         assert table.cell("s0", 0).flag == FLAG_NO_SAMPLES
 
     def test_parameter_validation(self):
         samples = constant_log()
-        commands = CommandLog(commands=[Command(t=0.0, config_index=0)])
+        commands = command_log((0.0, 0))
         with pytest.raises(ValueError):
             extract_baselines(samples, commands, settle=-1.0)
         with pytest.raises(ValueError):
             extract_baselines(samples, commands, window=0.0)
         with pytest.raises(ValueError):
-            extract_baselines(samples, CommandLog(commands=[]))
+            extract_baselines(samples, command_log())
         for settle, window in [(math.nan, 3.0), (math.inf, 3.0), (3.0, math.nan), (3.0, math.inf)]:
             with pytest.raises(ValueError, match="finite"):
                 extract_baselines(samples, commands, settle=settle, window=window)
@@ -262,13 +273,13 @@ class TestExtractBaselines:
 
 def scanned_baselines(samples, commands, settle, window):
     """Baseline cells by scanning every sample for every command."""
-    cmds, end = commands.commands, samples.end_time
+    cmds, end = list(zip(commands.t.tolist(), commands.bitmask.tolist())), samples.end_time
     collected, flags = {}, {}
-    for k, cmd in enumerate(cmds):
-        interval_end = cmds[k + 1].t if k + 1 < len(cmds) else end
-        lo, hi = cmd.t + settle, cmd.t + settle + window
+    for k, (t, p) in enumerate(cmds):
+        interval_end = cmds[k + 1][0] if k + 1 < len(cmds) else end
+        lo, hi = t + settle, t + settle + window
         for loc in samples.locations:
-            key = (loc, cmd.config_index)
+            key = (loc, p)
             collected.setdefault(key, []).extend(
                 s.lux for s in samples.samples if s.location == loc and lo <= s.t < min(hi, interval_end))
             if interval_end < hi:
@@ -295,8 +306,8 @@ def test_bisected_windows_equal_a_full_scan(data):
         samples += [Sample(t=t, location=loc, lux=data.draw(st.floats(min_value=0, max_value=500)))
                     for t in times]
     times = sorted(set(data.draw(st.lists(halves, min_size=1, max_size=8))))
-    commands = CommandLog(commands=[
-        Command(t=t, config_index=data.draw(st.integers(min_value=0, max_value=3))) for t in times])
+    commands = command_log(*[
+        (t, data.draw(st.integers(min_value=0, max_value=3))) for t in times])
     settle = data.draw(halves) / 4
     window = data.draw(halves) / 4 + 0.5
     log = SampleLog.from_samples(samples)
@@ -446,7 +457,7 @@ class TestCalibration:
             [Sample(t=0.1 * j, location="s0", lux=10.0) for j in range(70)]
             + [Sample(t=7.0 + 0.1 * j, location="s0", lux=8.0) for j in range(71)]
         ))
-        commands = CommandLog(commands=[Command(t=0.0, config_index=0), Command(t=7.0, config_index=1)])
+        commands = command_log((0.0, 0), (7.0, 1))
         table = extract_baselines(samples, commands)
         calib = calibrate_contributions(table, "s0")
         assert calib.values[0] == 0.0
@@ -454,7 +465,7 @@ class TestCalibration:
 
     def test_missing_single_light_baseline_rejected(self):
         samples = constant_log()
-        commands = CommandLog(commands=[Command(t=0.0, config_index=0)])
+        commands = command_log((0.0, 0))
         table = extract_baselines(samples, commands)
         with pytest.raises(ValueError, match="missing"):
             calibrate_contributions(table, "s0")

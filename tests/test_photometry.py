@@ -1,7 +1,10 @@
 """Photometric profiles and the LM-63 style parser."""
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from luxplan.photometry import (
     COSINE_LOBE,
@@ -143,3 +146,59 @@ def test_unknown_profile_kind_rejected():
 def test_lookup_requires_table():
     with pytest.raises(ValueError):
         PhotometricProfile(kind=ISOTROPIC).lookup(0, 0)
+
+
+def written_out_lookup(prof, vertical_deg, horizontal_deg):
+    """lookup's bilinear formula with each axis's one-node case spelled out."""
+    v = np.clip(np.asarray(vertical_deg, dtype=float), prof.vertical_angles[0], prof.vertical_angles[-1])
+    h = np.clip(np.asarray(horizontal_deg, dtype=float), prof.horizontal_angles[0], prof.horizontal_angles[-1])
+    vgrid, hgrid = np.asarray(prof.vertical_angles), np.asarray(prof.horizontal_angles)
+    table = np.asarray(prof.candela)
+    if len(vgrid) > 1:
+        vi = np.clip(np.searchsorted(vgrid, v, side="right") - 1, 0, len(vgrid) - 2)
+        tv, vi1 = (v - vgrid[vi]) / (vgrid[vi + 1] - vgrid[vi]), vi + 1
+    else:
+        vi = vi1 = np.zeros_like(v, dtype=int)
+        tv = np.zeros_like(v)
+    if len(hgrid) > 1:
+        hi = np.clip(np.searchsorted(hgrid, h, side="right") - 1, 0, len(hgrid) - 2)
+        th, hi1 = (h - hgrid[hi]) / (hgrid[hi + 1] - hgrid[hi]), hi + 1
+    else:
+        hi = hi1 = np.zeros_like(h, dtype=int)
+        th = np.zeros_like(h)
+    return ((1 - tv) * ((1 - th) * table[vi, hi] + th * table[vi, hi1])
+            + tv * ((1 - th) * table[vi1, hi] + th * table[vi1, hi1]))
+
+
+def angle_grid(top):
+    return st.lists(st.floats(0, top), min_size=1, max_size=4, unique=True).map(sorted)
+
+
+@st.composite
+def table_profiles(draw):
+    """Tables of 1 to 4 nodes per axis, so 1 x k, k x 1 and 1 x 1 among them."""
+    vertical, horizontal = draw(angle_grid(180)), draw(angle_grid(360))
+    rows = st.lists(st.floats(0, 1e4), min_size=len(horizontal), max_size=len(horizontal))
+    candela = draw(st.lists(rows, min_size=len(vertical), max_size=len(vertical)))
+    return PhotometricProfile(IES_TABLE, tuple(vertical), tuple(horizontal),
+                              tuple(map(tuple, candela)))
+
+
+@given(prof=table_profiles(),
+       v=st.lists(st.floats(-20, 200), min_size=1, max_size=5),
+       h=st.lists(st.floats(-20, 380), min_size=1, max_size=5))
+@settings(max_examples=300, deadline=None)
+def test_lookup_equals_the_written_out_formula(prof, v, h):
+    n = min(len(v), len(h))
+    want = written_out_lookup(prof, v[:n], h[:n])
+    assert prof.lookup(np.array(v[:n]), np.array(h[:n])).tobytes() == want.tobytes()
+    assert prof.lookup(v[0], h[0]) == float(written_out_lookup(prof, v[0], h[0]))
+
+
+def test_single_horizontal_angle_interpolates_vertically():
+    # a rotationally symmetric file: one vertical sweep at horizontal angle 0
+    prof = parse_ies("TILT=NONE\n1 1000 1 3 1 1 2 0.1 0.1 0.1\n1.0 0 100\n0 45 90\n0\n"
+                     "900 500 100\n")
+    assert prof.horizontal_angles == (0.0,)
+    assert prof.lookup(22.5, 0) == 700.0
+    assert prof.lookup(67.5, 270) == 300.0
