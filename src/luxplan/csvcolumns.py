@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import io
 from collections.abc import Callable, Iterable, Sequence
-from itertools import repeat
 from pathlib import Path
 from typing import NamedTuple
 
@@ -69,11 +68,12 @@ def first_problem(rules: list[Rule]) -> tuple[int, str] | None:
 def read_columns(path: str | Path, spec: Callable[[list[str]], list[Column]]) -> Table:
     """The columns spec(header) asks for; spec raises the format's
     ValueError for a header that does not fit. A file split_csv_text splits
-    is read without the csv module, any other by csv.reader. Text that is
+    is read without the csv module, any other by csv.reader. The file is
+    UTF-8, and a byte order mark before the header is dropped. Text that is
     not UTF-8, or a header line csv.reader rejects, raises ValueError naming
     the file; a row's errors wait for Table.check."""
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             content = fh.read()
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: {exc}") from None
@@ -91,21 +91,50 @@ def split_csv_text(text: str) -> tuple[list[str], list[str], np.ndarray, None] |
     csv's quoting, limits or messages are needed: the text has a quote or a
     NUL, a line over the field size limit, or a row whose width differs
     from the header's. Lines end at CR LF, CR or LF, as for csv.reader;
-    str.splitlines would also split at VT, FF, NEL and more."""
+    str.splitlines would also split at VT, FF, NEL and more.
+
+    Each line's width, blankness and size come from _lines. The rows are
+    then cut from the text as runs of consecutive nonblank lines and split
+    in one call.
+    """
     if '"' in text or "\0" in text:
         return None
-    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-    limit = csv.field_size_limit()
-    if len(text) > limit and max(map(len, lines)) > limit:
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    start, stop, size, commas = _lines(text)
+    # a line over the limit in bytes may be within it in characters; csv
+    # decides that line, as it does one with a field over the limit
+    if size.max() > csv.field_size_limit():
         return None
-    header = lines[0].split(",") if lines[0] else []
-    rows = list(filter(None, lines[1:]))
-    if list(map(str.count, rows, repeat(","))).count(len(header) - 1) != len(rows):
+    rows = np.flatnonzero(size[1:]) + 1  # the nonblank lines after the header
+    if (commas[rows] != commas[0]).any() or (size[0] == 0 and rows.size):
         return None
-    line = np.arange(2, len(rows) + 2)
-    if len(rows) + (lines[-1] == "") < len(lines) - 1:  # blank lines among the rows
-        line = np.flatnonzero(np.fromiter(map(bool, lines[1:]), bool, len(lines) - 1)) + 2
-    return header, ",".join(rows).split(",") if rows else [], line, None
+    header = text[:stop[0]].split(",") if size[0] else []
+    if not rows.size:
+        return header, [], rows + 1, None
+    # each run of consecutive rows is one slice of the text
+    run = np.flatnonzero(np.diff(rows) > 1)
+    runs = (text[a:b] for a, b in zip(start[rows[np.append(0, run + 1)]].tolist(),
+                                      stop[rows[np.append(run, -1)]].tolist()))
+    return header, ",".join(runs).replace("\n", ",").split(","), rows + 1, None
+
+
+def _lines(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Each line of an LF-ended text: its start and stop as str offsets,
+    its size in UTF-8 bytes and its commas. The line ends and the commas
+    are found once each, as byte positions in the text's UTF-8 encoding; a
+    str offset is the byte offset less the continuation bytes before it,
+    which are counted only where the text is not ASCII."""
+    data = np.frombuffer(text.encode(), dtype=np.uint8)
+    stop = np.append(np.flatnonzero(data == ord("\n")), data.size)
+    start = np.append(0, stop[:-1] + 1)
+    size = stop - start
+    commas = np.diff(np.flatnonzero(data == ord(",")).searchsorted(stop), prepend=0)
+    if data.size != len(text):
+        continuation = np.flatnonzero((data & 0xC0) == 0x80)
+        start -= continuation.searchsorted(start)
+        stop -= continuation.searchsorted(stop)
+    return start, stop, size, commas
 
 
 def _csv_rows(path: str | Path, text: str) -> tuple[list[str], list[str], list[int], str | None]:
@@ -132,14 +161,21 @@ def _csv_rows(path: str | Path, text: str) -> tuple[list[str], list[str], list[i
 
 
 def _parse(text: list[str], parse: type, empty: object) -> tuple[np.ndarray | list[str], Rule]:
-    """A column's values, and the rule that its fields parse."""
+    """A column's values, and the rule that its fields parse. A float
+    column with no value for an empty field is parsed by one np.array
+    call, which calls Python's own float() on each str. Other columns, and
+    a float column with a field that does not parse, are parsed a field at
+    a time."""
     failed: dict[int, str] = {}
     if parse is str:
         values = text
     else:
         try:
-            values = list(map(parse, text)) if empty is None else [
-                parse(v) if v else empty for v in text]
+            if parse is float and empty is None:
+                values = np.array(text, dtype=float)
+            else:
+                values = list(map(parse, text)) if empty is None else [
+                    parse(v) if v else empty for v in text]
         except ValueError:
             values = []
             for i, v in enumerate(text):
@@ -149,7 +185,7 @@ def _parse(text: list[str], parse: type, empty: object) -> tuple[np.ndarray | li
                     values.append(parse("0"))
                     failed[i] = str(exc)
         try:
-            values = np.array(values, dtype=float if parse is float else np.int64)
+            values = np.asarray(values, dtype=float if parse is float else np.int64)
         except OverflowError:
             values = np.array(values, dtype=object)
     mask = np.zeros(len(text), dtype=bool)

@@ -18,9 +18,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .csvcolumns import Column, Rule, coded, csv_text, first_problem, read_columns
+from .csvcolumns import Column, Rule, Table, coded, csv_text, first_problem, read_columns
 from .inference import DecodeBatch, _validate, infer_reading
-from .transport import LightConfig
+from .transport import exact_sums
 
 LUX_MIN = 0.0
 LUX_MAX = 88_000.0  # sensor saturation ceiling
@@ -194,15 +194,6 @@ class LocationAccuracy:
         return len(self.accuracies)
 
 
-def _window_mean(values: list[float]) -> tuple[float, float]:
-    """Mean and population stddev; a constant window averages exactly."""
-    if min(values) == max(values):
-        return values[0], 0.0
-    mean = math.fsum(values) / len(values)
-    var = math.fsum((v - mean) ** 2 for v in values) / len(values)
-    return mean, math.sqrt(var)
-
-
 def extract_baselines(
     samples: SampleLog,
     commands: CommandLog,
@@ -215,6 +206,12 @@ def extract_baselines(
     from each location form the (location, config) cell. Intervals shorter
     than settle + window produce flagged cells rather than silent averages;
     the final interval ends at the last sample timestamp.
+
+    A cell's mean is the correctly rounded sum of its samples over their
+    count, and its stddev the square root of the correctly rounded sum of
+    squared deviations over the count; a constant window averages exactly.
+    Every window's samples are gathered, cell by cell, into one array, and
+    each sum over it is one exact_sums call.
     """
     if not (0 <= settle < math.inf and 0 < window < math.inf):
         raise ValueError("settle must be finite and >= 0, window finite and > 0")
@@ -224,33 +221,44 @@ def extract_baselines(
     interval_end = np.append(cmd_t[1:], samples.end_time)
     win_lo = cmd_t + settle
     win_hi = win_lo + window
-    short = (interval_end < win_hi).tolist()
     win_end = np.minimum(win_hi, interval_end)
+    configs, config = coded(commands.bitmask.tolist())
+    n_locs = len(samples.names)
     # each location's rows in time order, and each command's window in them
     order = samples.code.argsort(kind="stable")
-    bounds = samples.code[order].searchsorted(np.arange(len(samples.names) + 1)).tolist()
-    per_loc = []
-    for loc, a, b in zip(samples.names, bounds, bounds[1:]):
+    bounds = samples.code[order].searchsorted(np.arange(n_locs + 1)).tolist()
+    lo = np.empty((len(cmd_t), n_locs), dtype=np.intp)
+    hi = np.empty_like(lo)
+    for loc, (a, b) in enumerate(zip(bounds, bounds[1:])):
         times = samples.t[order[a:b]]
-        per_loc.append((loc, samples.lux[order[a:b]].tolist(),
-                        times.searchsorted(win_lo).tolist(), times.searchsorted(win_end).tolist()))
+        lo[:, loc] = a + times.searchsorted(win_lo)
+        hi[:, loc] = a + times.searchsorted(win_end)
+    # cell j * n_locs + loc is (names[loc], configs[j]); a cell's windows
+    # keep command order
+    cell = (config[:, None] * n_locs + np.arange(n_locs)).ravel()
+    by_cell = cell.argsort(kind="stable")
+    size = np.maximum(hi - lo, 0).ravel()
+    span = size[by_cell]
+    rows = np.arange(span.sum()) - np.repeat(np.cumsum(span) - span - lo.ravel()[by_cell], span)
+    lux = samples.lux[order[rows]]
+    count = np.bincount(cell, weights=size, minlength=len(configs) * n_locs).astype(np.intp)
+    short = np.bincount(config, weights=interval_end < win_hi,
+                        minlength=len(configs)).repeat(n_locs) > 0
 
-    collected: dict[tuple[str, int], list[float]] = {}
-    flags: dict[tuple[str, int], str] = {}
-    for k, p in enumerate(commands.bitmask.tolist()):
-        for loc, lux, lo, hi in per_loc:
-            key = (loc, p)
-            collected.setdefault(key, []).extend(lux[lo[k]:hi[k]])
-            if short[k]:
-                flags[key] = FLAG_SHORT
+    filled = np.flatnonzero(count)
+    n = count[filled]
+    at = np.cumsum(n) - n
+    constant = np.minimum.reduceat(lux, at) == np.maximum.reduceat(lux, at)
+    mean = np.full(len(count), math.nan)
+    mean[filled] = np.where(constant, lux[at], exact_sums(lux, n) / n)
+    dev = lux - mean[filled].repeat(n)
+    std = np.full(len(count), math.nan)
+    std[filled] = np.sqrt(exact_sums(dev * dev, n) / n)
 
-    cells: dict[tuple[str, int], BaselineCell] = {}
-    for key, vals in collected.items():
-        if not vals:
-            cells[key] = BaselineCell(mean=math.nan, count=0, stddev=math.nan, flag=FLAG_NO_SAMPLES)
-            continue
-        mean, std = _window_mean(vals)
-        cells[key] = BaselineCell(mean=mean, count=len(vals), stddev=std, flag=flags.get(key, FLAG_OK))
+    keys = [(loc, p) for p in configs for loc in samples.names]
+    flags = [FLAG_NO_SAMPLES if not c else FLAG_SHORT if s else FLAG_OK
+             for c, s in zip(count.tolist(), short.tolist())]
+    cells = dict(zip(keys, map(BaselineCell, mean.tolist(), count.tolist(), std.tolist(), flags)))
     return BaselineTable(cells=cells, settle=settle, window=window)
 
 
@@ -363,6 +371,22 @@ def _log_columns(path: str | Path, names: list[str],
     return spec
 
 
+def _checked_log(table: Table, log: Callable, columns: tuple,
+                 rules: Callable[..., list[Rule]]):
+    """log(*columns), whose constructor checks rules(*columns), where every
+    row read has the header's width and parses. Otherwise, or where the
+    constructor rejects the columns, Table.check raises the error of the
+    first bad row in file order, naming its line; the rules run a second
+    time only then."""
+    if table.stop is None and first_problem(table.failed) is None:
+        try:
+            return log(*columns)
+        except ValueError:
+            pass
+    table.check(table.failed + rules(*columns))
+    return log(*columns)  # reached only if rules misses what log checks
+
+
 def read_samples_csv(path: str | Path) -> SampleLog:
     """Read a 't,location,lux' log. A row that does not parse, or that
     breaks a SampleLog rule, raises ValueError naming the file and line of
@@ -370,8 +394,7 @@ def read_samples_csv(path: str | Path) -> SampleLog:
     table = read_columns(path, _log_columns(path, SAMPLES_HEADER, (float, str, float)))
     t, locations, lux = table.values
     names, code = coded(locations)
-    table.check(table.failed + _sample_rules(t, code, lux, names))
-    return SampleLog(t, code, lux, names)
+    return _checked_log(table, SampleLog, (t, code, lux, names), _sample_rules)
 
 
 def read_commands_csv(path: str | Path) -> CommandLog:
@@ -379,9 +402,7 @@ def read_commands_csv(path: str | Path) -> CommandLog:
     CommandLog rule, raises ValueError naming the file and line of the
     first such row."""
     table = read_columns(path, _log_columns(path, ["t", "bitmask"], (float, int)))
-    t, bitmask = table.values
-    table.check(table.failed + _command_rules(t, bitmask))
-    return CommandLog(t, bitmask)
+    return _checked_log(table, CommandLog, tuple(table.values), _command_rules)
 
 
 def write_samples_csv(log: SampleLog, path: str | Path) -> None:
@@ -428,11 +449,17 @@ def synthesize_logs(
     t = np.arange(n_samples) / rate_hz
     interval = np.minimum(t // dwell, len(config_indices) - 1).astype(np.intp)
     lux = np.empty((len(contributions_by_location), n_samples))
+    bitmask = commands.bitmask
     for loc_index, x in enumerate(contributions_by_location.values()):
         x = np.asarray(x, dtype=float)
-        bases = [ambient + math.fsum(x[i] for i in LightConfig.from_index(p, x.shape[0]).on_indices)
-                 for p in config_indices]
-        lux[loc_index] = np.array(bases, dtype=float)[interval]
+        n = x.shape[0]
+        wide = [p for p in bitmask.tolist() if p >> n]
+        if wide:
+            raise ValueError(f"config index {wide[0]} out of range for {n} luminaires")
+        # each configuration's base: ambient plus the exact sum of its lights
+        on = ((bitmask[:, None] >> np.arange(n)) & 1).astype(bool)
+        bases = ambient + exact_sums(np.broadcast_to(x, on.shape)[on], on.sum(axis=1))
+        lux[loc_index] = bases[interval]
         if sigma > 0:
             rng = np.random.default_rng(np.random.SeedSequence((seed, loc_index)))
             lux[loc_index] += sigma * rng.standard_normal(n_samples)

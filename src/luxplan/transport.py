@@ -288,6 +288,77 @@ def reading(
     return max(0.0, base)
 
 
+def exact_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The correctly rounded sum of each run of values, bit for bit
+    math.fsum's: run i is the next counts[i] entries. A sum that is exactly
+    zero, an empty run's too, is +0.0, as math.fsum gives up to Python 3.11.
+
+    Runs are padded with zeros to a power-of-two length, and the runs of
+    each length are summed together by _settled_sums. math.fsum sums each
+    run that it does not settle, such as one near a rounding tie, or one
+    with a non-finite value or sum.
+    """
+    values = np.asarray(values, dtype=float)
+    counts = np.asarray(counts, dtype=np.intp)
+    starts = np.cumsum(counts) - counts
+    sums = np.zeros(len(counts))
+    # a run of c > 0 values is padded to 2^b, b = (c - 1).bit_length()
+    bits = np.where(counts > 0, np.frexp(np.maximum(counts - 1, 0))[1], -1)
+    for b in np.unique(bits[counts > 0]).tolist():
+        runs = np.flatnonzero(bits == b)
+        c = counts[runs]
+        first = np.cumsum(c) - c
+        at = np.arange(c.sum())
+        block = np.zeros(len(runs) << b)
+        block[np.repeat((np.arange(len(runs)) << b) - first, c) + at] = values[
+            np.repeat(starts[runs] - first, c) + at]
+        with np.errstate(over="ignore", invalid="ignore"):  # math.fsum judges those runs
+            sums[runs], settled = _settled_sums(block.reshape(len(runs), 1 << b))
+        for i in runs[~settled].tolist():
+            sums[i] = math.fsum(values[starts[i]:starts[i] + counts[i]].tolist())
+    return sums
+
+
+def _settled_sums(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's sum, and whether it is the row's correctly rounded sum,
+    for rows of 2^b columns.
+
+    The columns are added pairwise, with each addition's TwoSum error kept
+    aside, so that a row's sum is exactly its hi plus its errors. The
+    errors are summed in floating point, within gamma(m - 1) times the sum
+    of their magnitudes for m errors (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., eq. 4.4). A row is settled where hi +
+    errors rounds to the same double anywhere within that bound.
+    """
+    b = block.shape[1].bit_length() - 1
+    # each level's errors are added into the first columns of err
+    err = np.zeros((len(block), max(1, block.shape[1] // 2)))
+    err_abs = np.zeros_like(err)
+    while block.shape[1] > 1:
+        x, y = block[:, 0::2], block[:, 1::2]
+        block = x + y
+        e = _two_sum_error(x, y, block)
+        err[:, :e.shape[1]] += e
+        err_abs[:, :e.shape[1]] += np.abs(e)
+    hi, lo, lo_abs = block[:, 0], err.sum(axis=1), err_abs.sum(axis=1)
+    s = hi + lo  # +0.0 for an exact zero sum, as math.fsum gives
+    tail = _two_sum_error(hi, lo, s)
+    # 2^(b - 52) bounds gamma(m) / (1 - gamma(m)) for m < 2^b errors, which
+    # covers both the errors' sum and the sum of their magnitudes; the power
+    # of two scales exactly, and the least subnormal covers a product that
+    # underflows
+    bound = lo_abs * 2.0 ** (b - 52) + 5e-324
+    up, down = np.nextafter(s, math.inf) - s, s - np.nextafter(s, -math.inf)
+    settled = (lo_abs == 0) | ((tail + bound < up / 2) & (tail - bound > -down / 2))
+    return s, settled & (up + down < math.inf)  # s and the doubles beside it are finite
+
+
+def _two_sum_error(x: np.ndarray, y: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """x + y - s exactly, where s is x + y rounded (Knuth's TwoSum)."""
+    y_part = s - x
+    return (x - (s - y_part)) + (y - y_part)
+
+
 CSV_SIG_DIGITS = 6
 CSV_BLOCK_BYTES = 1 << 18
 """Bytes of matrix values whose rows make one block of contributions.csv."""

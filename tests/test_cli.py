@@ -1,4 +1,5 @@
 """Command-line behavior: exit codes, output files, determinism."""
+import codecs
 import csv
 import math
 import re
@@ -1017,3 +1018,13 @@ def test_nul_oversized_and_undecodable_fields_name_the_file(tmp_path, fmt, field
             read(path)
     else:
         assert kept(read(path)) == field.decode()
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_byte_order_mark_before_the_header_is_dropped(tmp_path, fmt):
+    template, _ = ONE_FIELD_FILES[fmt]
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_bytes(template % b"1")
+    marked.write_bytes(codecs.BOM_UTF8 + template % b"1")
+    read, values = FORMATS[fmt][:2]
+    assert values(read(marked)) == values(read(plain))

@@ -32,7 +32,6 @@ from luxplan.ingest import (
     LocationAccuracy,
     Sample,
     SampleLog,
-    _window_mean,
     accuracy_table_csv,
     read_commands_csv,
     read_samples_csv,
@@ -198,6 +197,15 @@ class TestLogs:
             read_commands_csv(path)
         assert str(got.value) == f"{path}: line {line}: {message}"
 
+    def test_sample_rules_run_once_on_a_good_file(self, tmp_path, monkeypatch):
+        calls = []
+        rules = ingest._sample_rules
+        monkeypatch.setattr(ingest, "_sample_rules", lambda *columns: calls.append(1) or rules(*columns))
+        path = tmp_path / "s.csv"
+        path.write_text("t,location,lux\n0.0,a,1.0\n0.5,b,2.0\n1.0,a,3.0\n", encoding="utf-8")
+        assert read_samples_csv(path).lux.tolist() == [1.0, 2.0, 3.0]
+        assert len(calls) == 1
+
     def test_csv_header_checked(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("time,loc,value\n0,a,1\n", encoding="utf-8")
@@ -271,6 +279,16 @@ class TestExtractBaselines:
         assert table.configs("a") == [1, 4]
 
 
+def window_mean(values):
+    """Mean and population stddev through math.fsum; a constant window
+    averages exactly. Each squared deviation is one correctly rounded
+    product."""
+    if min(values) == max(values):
+        return values[0], 0.0
+    mean = math.fsum(values) / len(values)
+    return mean, math.sqrt(math.fsum((v - mean) * (v - mean) for v in values) / len(values))
+
+
 def scanned_baselines(samples, commands, settle, window):
     """Baseline cells by scanning every sample for every command."""
     cmds, end = list(zip(commands.t.tolist(), commands.bitmask.tolist())), samples.end_time
@@ -287,7 +305,7 @@ def scanned_baselines(samples, commands, settle, window):
     out = {}
     for key, vals in collected.items():
         if vals:
-            mean, std = _window_mean(vals)
+            mean, std = window_mean(vals)
             out[key] = (mean, len(vals), std, flags.get(key, ""))
         else:
             out[key] = (math.nan, 0, math.nan, FLAG_NO_SAMPLES)
@@ -441,6 +459,12 @@ def test_synthesized_columns_equal_the_per_sample_loop(kwargs):
     got = list(zip(samples.t.tolist(), [samples.names[c] for c in samples.code.tolist()],
                    samples.lux.tolist()))
     assert repr(got) == repr(rowwise_synthesize(contributions, configs, **kwargs))
+
+
+def test_synthesized_configuration_out_of_range_is_named():
+    # the first location with too few lights, and its first configuration past them
+    with pytest.raises(ValueError, match=r"^config index 3 out of range for 1 luminaires$"):
+        synthesize_logs({"a": [1.0, 2.0, 3.0], "b": [1.0], "c": [0.5, 0.5]}, [0, 3, 2, 5])
 
 
 class TestCalibration:

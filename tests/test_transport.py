@@ -31,6 +31,7 @@ from luxplan.transport import (
     ContributionMatrix,
     ContributionVector,
     _unoccluded_batch,
+    exact_sums,
     matrix_to_csv,
 )
 from test_geometry import broadcast_sightlines_blocked
@@ -576,3 +577,56 @@ def test_config_sums_batch_doubling_matches_fsum(values):
         cfg = LightConfig.from_index(p, n)
         expected = math.fsum(values[i] for i in cfg.on_indices)
         assert sums[p] == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+
+def fsum_runs(values, counts):
+    """math.fsum of each run of values, one run at a time."""
+    ends = np.cumsum(counts).tolist()
+    return [math.fsum(values[end - c:end].tolist()) for end, c in zip(ends, counts)]
+
+
+# non-dyadic values, values that cancel to a few ulps or to zero, and signed zeros
+RUN_VALUES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False, min_value=-1e300, max_value=1e300),
+    st.sampled_from([0.1, 0.2, 0.3, -0.1, -0.3, 1 / 3, 1e16, -1e16, 1.0, -1.0, 2.0 ** -60,
+                     0.0, -0.0, 5e-324, -5e-324, 88_000.0]),
+    st.integers(-40, 40).map(lambda k: k / 7),
+)
+
+
+@given(st.lists(st.lists(RUN_VALUES, max_size=40), max_size=12))
+@example([[]])
+@example([[-0.0], [-0.0, -0.0], [0.0, -0.0], []])
+@example([[1e16, 1.0, -1e16], [1e308, 1e308], [1.0, -1.0]])
+@example([[0.1] * 3, [1 / 3] * 7])
+# TwoSum errors that sum to just past the tie at 2^53 + 1, while their
+# floating-point sum falls short of it
+@example([[2.0 ** 53, 0.2908211161990689, -2.0 ** 53, 0.3200834110625501, 2.0 ** 53,
+           0.47338281736632004, -2.0 ** 53, 0.28377901606977585, 2.0 ** 53, -0.4161712815132484,
+           -2.0 ** 53, -0.4336349102943077, 2.0 ** 53, 0.39503270414562175, 0.0,
+           0.08670712696421945]])
+@settings(max_examples=300, deadline=None)
+def test_exact_sums_equal_fsum_bit_for_bit(runs):
+    values = np.array([v for run in runs for v in run], dtype=float)
+    counts = [len(run) for run in runs]
+    try:
+        want = fsum_runs(values, counts)
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            exact_sums(values, counts)
+        return
+    assert exact_sums(values, counts).tobytes() == np.array(want).tobytes()
+
+
+@pytest.mark.parametrize("kind", ["noisy", "cancelling", "ties"])
+def test_exact_sums_of_long_runs_equal_fsum(kind):
+    rng = np.random.default_rng(7)
+    counts = [100_000, 3, 0, 65_537, 1]
+    n = sum(counts)
+    if kind == "noisy":  # lux-like samples
+        values = 300.0 + 0.05 * rng.standard_normal(n)
+    elif kind == "cancelling":  # a sum far below the magnitudes
+        values = rng.uniform(1.0, 1e6, n) * rng.choice([-1.0, 1.0], n) / 7
+    else:  # every sum is a multiple of 1/2 that may fall on a tie
+        values = rng.integers(-2**53, 2**53, n).astype(float) / 2 ** 52
+    assert exact_sums(values, counts).tobytes() == np.array(fsum_runs(values, counts)).tobytes()
