@@ -11,7 +11,8 @@ The ladder has two rung kinds:
   (`extract_baselines`) and `ingest.evaluate` (`evaluate_locations`).
 Each rung records the median wall time over repeated in-process calls (per
 query for the search), the `tracemalloc` peak of one more call, and its
-counts. The file also describes the machine it ran on.
+counts (for the search, how many row chunks `search_chunks` cuts). The
+file also describes the machine it ran on.
 
 Usage:
     PYTHONPATH=src python scripts/ladder.py                  # writes BENCH_ladder.json
@@ -38,7 +39,7 @@ from pathlib import Path
 
 import numpy as np
 
-from luxplan.inference import DecodeBatch, search_batch
+from luxplan.inference import DecodeBatch, search_batch, search_chunks
 from luxplan.ingest import (
     calibrate_contributions,
     evaluate_locations,
@@ -91,7 +92,7 @@ def search_batch_of(n: int, rows_per_vector: int) -> DecodeBatch:
     vector = np.repeat(np.arange(vectors), rows_per_vector)
     on = rng.integers(0, 2, (len(vector), n)).astype(bool)
     targets = [math.fsum(values[v][mask]) for v, mask in zip(vector.tolist(), on)]
-    return DecodeBatch(tuple(map(tuple, values.tolist())), vector, targets, EPSILON)
+    return DecodeBatch(values, vector, targets, EPSILON)
 
 
 def timed(call) -> tuple[int, float, float]:
@@ -119,7 +120,8 @@ def search_rung(n: int, rows_per_vector: int) -> dict:
     rows = len(batch.targets)
     return {
         "stage": "inference.search", "n": n, "rows_per_vector": rows_per_vector,
-        "vectors": len(batch.contributions), "rows": rows, "epsilon": EPSILON,
+        "vectors": len(batch.values), "rows": rows, "epsilon": EPSILON,
+        "chunks": len(search_chunks(np.sort(batch.vector), n)),
         "candidates": len(candidates), "calls": calls,
         "ms_per_query": seconds / rows * 1e3,
         "peak_mb": peak_mb,

@@ -235,7 +235,6 @@ def cmd_infer(args: argparse.Namespace) -> int:
     _, first, vector_arr = np.unique(point * matrix.n_door_states + door, return_index=True,
                                      return_inverse=True)
     values = matrix.values[cells.searchsorted(point[first]), door[first]]
-    contributions = tuple(map(tuple, values.tolist()))
 
     # a row without lux is simulated from its truth, by the vector's lattice
     # point (the noise key), not its place in cells
@@ -252,7 +251,7 @@ def cmd_infer(args: argparse.Namespace) -> int:
     trial_arr, n_trials = readings.trial, len(readings.names)
     trial_truth = _trial_value(truth, trial_arr, n_trials)
     trial_door = _trial_value(door, trial_arr, n_trials)
-    batch = DecodeBatch(contributions, vector_arr, lux_arr, args.epsilon)
+    batch = DecodeBatch(values, vector_arr, lux_arr, args.epsilon)
     result = infer_reading(batch, truth)
     n_candidates, accuracy = result.counts, result.accuracy
     votes = sensor_votes(batch, result)

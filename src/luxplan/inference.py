@@ -29,11 +29,12 @@ from functools import cached_property
 import numpy as np
 
 from .planning import config_sums_batch
-from .transport import ContributionVector, LightConfig
+from .scene import MAX_LUMINAIRES
+from .transport import LightConfig
 
 log = logging.getLogger(__name__)
 
-MAX_SOLVER_BITS = 24
+MAX_SOLVER_BITS = MAX_LUMINAIRES
 # bytes of one search_batch row chunk's meet-in-the-middle tables and search
 # arrays (see _chunk_bytes); one 24-luminaire vector's tables split in half
 # take 160 KB, and at split 6 10 MB
@@ -84,34 +85,32 @@ class PerfectSumQuery:
         _validate(np.array(self.contributions, dtype=float), np.array([self.target], dtype=float),
                   self.epsilon)
 
-    @classmethod
-    def from_vector(cls, x: ContributionVector, target: float, epsilon: float) -> "PerfectSumQuery":
-        return cls(contributions=tuple(float(v) for v in x.values), target=target, epsilon=epsilon)
-
 
 @dataclass(frozen=True, eq=False)
 class DecodeBatch:
     """Readings decoded together: row r reads targets[r] against the vector
-    contributions[vector[r]], every row within the one epsilon. All vectors
-    have the same number of luminaires."""
+    values[vector[r]], every row within the one epsilon. values is a (V, n)
+    float array, from any array-like of V vectors of n luminaires."""
 
-    contributions: tuple[tuple[float, ...], ...]
+    values: np.ndarray
     vector: np.ndarray
     targets: np.ndarray
     epsilon: float
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
         object.__setattr__(self, "vector", np.asarray(self.vector, dtype=np.intp))
         object.__setattr__(self, "targets", np.asarray(self.targets, dtype=float))
+        if self.values.ndim != 2:
+            raise ValueError("a batch's vectors must form a (V, n) array")
         if self.vector.shape != self.targets.shape or self.vector.ndim != 1:
             raise ValueError("a batch needs one vector number per target")
         _validate(self.values, self.targets, self.epsilon)
 
     @cached_property
-    def values(self) -> np.ndarray:
-        """The contributions as a (V, n) array."""
-        n = len(self.contributions[0]) if self.contributions else 0
-        return np.array(self.contributions, dtype=float).reshape(len(self.contributions), n)
+    def contributions(self) -> tuple[tuple[float, ...], ...]:
+        """The vectors as tuples of floats, which hash; built on first use."""
+        return tuple(map(tuple, self.values.tolist()))
 
 
 @dataclass(eq=False)
@@ -197,50 +196,33 @@ def _split(n: int, rows: int, vectors: int, splits: list[int]) -> int:
     return min(splits, key=lambda k: (_work(n, k, rows, vectors), k != h), default=h)
 
 
-def rows_per_chunk(n: int, k: int) -> int:
-    """How many n-luminaire readings of one vector search_batch matches at
-    once at split k: as many as fit the budget beside the vector's tables,
-    at least one."""
-    spare = TABLE_BUDGET_BYTES - _chunk_bytes(n, k, 0, 1)
-    return max(1, spare // _chunk_bytes(n, k, 1, 0))
-
-
 def search_chunks(vector: np.ndarray, n: int) -> list[tuple[int, int, int]]:
     """search_batch's chunks of rows reading vector[j], sorted by vector:
     (start, stop, split) each.
 
-    The batch's rows per vector pick a split, among those at which one row
-    and its vector fit TABLE_BUDGET_BYTES. At that split each chunk takes
-    whole vectors' rows while they fit, then as many of the next vector's
-    rows as fit (at least one row a chunk). Each chunk then picks its own
-    split from its rows per vector, among those at which it fits.
+    The batch's rows per vector pick a split k0, among those at which one
+    row and its vector fit TABLE_BUDGET_BYTES. At k0 each chunk takes the
+    next rows while they and the tables of the vectors they read fit (at
+    least one row a chunk). Each chunk then picks its own split from its
+    rows per vector, among those at which it fits.
     """
     budget = TABLE_BUDGET_BYTES
-    starts = np.flatnonzero(np.diff(vector, prepend=-1))  # each vector's first row
-    stops = np.append(starts[1:], len(vector))
+    new = np.diff(vector, prepend=-1) != 0  # a vector's first row
+    seen = new.cumsum()  # how many vectors rows 0..i read
     fits = [k for k in range(n + 1) if _chunk_bytes(n, k, 1, 1) <= budget]
-    k0 = _split(n, len(vector), len(starts), fits)
-    per_row = _chunk_bytes(n, k0, 1, 0)
-    per_vector = _chunk_bytes(n, k0, 0, 1)
-    # the bytes of rows 0:stops[r], the tables of vectors 0..r
-    whole = stops * per_row + np.arange(1, len(starts) + 1) * per_vector
-    chunks, a, r0 = [], 0, 0
+    k0 = _split(n, len(vector), int(new.sum()), fits)
+    per_row, per_vector = _chunk_bytes(n, k0, 1, 0), _chunk_bytes(n, k0, 0, 1)
+    # the bytes of rows 0..i and of their vectors' tables
+    held = per_row * np.arange(1, len(vector) + 1) + per_vector * seen
+    chunks, a = [], 0
     while a < len(vector):
-        held = a * per_row + r0 * per_vector  # what whole counts before row a
-        r = int(whole.searchsorted(budget + held, "right")) - 1  # the last vector that fits
-        if r < r0:
-            stop = min(int(stops[r0]), a + rows_per_chunk(n, k0))
-        else:
-            stop = int(stops[r])
-            if r + 1 < len(starts):
-                spare = budget + held - int(whole[r]) - per_vector
-                stop += max(0, spare // per_row)
-        last = int(starts.searchsorted(stop - 1, "right")) - 1
-        rows, vectors = stop - a, last - r0 + 1
+        # a chunk from row a holds row a's vector's tables anew
+        stop = max(a + 1, int(held.searchsorted(budget + held[a] - per_row - per_vector, "right")))
+        rows, vectors = stop - a, int(seen[stop - 1] - seen[a]) + 1
         k = _split(n, rows, vectors,
                    [k for k in range(n + 1) if _chunk_bytes(n, k, rows, vectors) <= budget] or [k0])
         chunks.append((a, stop, k))
-        a, r0 = stop, last + int(stop == stops[last])
+        a = stop
     return chunks
 
 
@@ -349,17 +331,12 @@ def search_batch(batch: DecodeBatch) -> tuple[np.ndarray, np.ndarray]:
     return candidates, offsets
 
 
-def perfect_sum_indices(query: PerfectSumQuery) -> list[int]:
-    """Every configuration index whose reading matches the query, sorted
-    ascending: search_batch on the one-row batch."""
-    batch = DecodeBatch((query.contributions,), [0], [query.target], query.epsilon)
-    return search_batch(batch)[0].tolist()
-
-
 def perfect_sum(query: PerfectSumQuery) -> list[LightConfig]:
-    """perfect_sum_indices, each index as a LightConfig."""
+    """Every configuration whose reading matches the query, by ascending
+    index: search_batch on the one-row batch."""
+    batch = DecodeBatch([query.contributions], [0], [query.target], query.epsilon)
     n = len(query.contributions)
-    return [LightConfig(m, n) for m in perfect_sum_indices(query)]
+    return [LightConfig(m, n) for m in search_batch(batch)[0].tolist()]
 
 
 def popcount(x: np.ndarray) -> np.ndarray:

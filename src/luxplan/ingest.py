@@ -339,7 +339,7 @@ def evaluate_locations(
         group = [j for j, (calib, _, _) in enumerate(queries) if calib.n == n]
         calibs, truths, targets = zip(*(queries[j] for j in group))
         counts = list(map(len, truths))
-        batch = DecodeBatch(tuple(tuple(c.values.tolist()) for c in calibs),
+        batch = DecodeBatch([c.values for c in calibs],
                             np.repeat(np.arange(len(group)), counts),
                             np.concatenate(targets), epsilon)
         rows = infer_reading(batch, truth=np.concatenate(truths).astype(np.int64)).accuracy

@@ -291,7 +291,8 @@ def reading(
 def exact_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """The correctly rounded sum of each run of values, bit for bit
     math.fsum's: run i is the next counts[i] entries. A sum that is exactly
-    zero, an empty run's too, is +0.0, as math.fsum gives up to Python 3.11.
+    zero, an empty run's too, is +0.0, as math.fsum gives (math.fsum([-0.0])
+    is 0.0 on CPython 3.10.13, 3.11.7, 3.12.1, 3.13.0 and 3.13.13).
 
     Runs are padded with zeros to a power-of-two length, and the runs of
     each length are summed together by _settled_sums. math.fsum sums each

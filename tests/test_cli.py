@@ -16,7 +16,7 @@ from luxplan import (
     inference,
     jaccard_accuracy,
     load_scene,
-    perfect_sum_indices,
+    perfect_sum,
     reading,
     sweep,
     synthesize_logs,
@@ -379,15 +379,23 @@ class TestInfer:
         assert [r["rule"] for r in fused] == ["intersection", "intersection"]
         assert list(fused[0]) == ["trial", "door_state", "truth", "fused_p", "accuracy", "rule"]
 
-    def test_header_only_readings_write_header_only_outputs(self, toy_scene_file, tmp_path):
+    def test_header_only_readings_write_header_only_outputs(self, toy_scene_file, tmp_path,
+                                                            monkeypatch):
         # no trial to fuse: fuse_votes would reject the empty vote table
         readings = tmp_path / "r.csv"
         write_readings(readings, [])
         out = tmp_path / "inf"
+        seen = []
+        monkeypatch.setattr(cli, "infer_reading", lambda batch, truth: seen.append(
+            (batch, inference.infer_reading(batch, truth))) or seen[-1][1])
         assert run([
             "infer", "--scene", str(toy_scene_file), "--readings", str(readings),
             "--out", str(out),
         ]) == EXIT_OK
+        # the zero-row batch still decodes
+        [(batch, result)] = seen
+        assert batch.values.shape == (0, load_scene(toy_scene_file).n_luminaires)
+        assert batch.contributions == () and result.offsets.tolist() == [0]
         assert (out / "inference_report.csv").read_text(encoding="utf-8") == (
             "point_index,door_state,config_p,n_candidates,accuracy,no_solution\n")
         assert (out / "fused.csv").read_text(encoding="utf-8") == (
@@ -508,15 +516,24 @@ class TestInfer:
         build = inference.half_sums_batch
         monkeypatch.setattr(inference, "half_sums_batch",
                             lambda v, k: builds.append(len(v)) or build(v, k))
+        plans = []
+        plan = inference.search_chunks
+        monkeypatch.setattr(inference, "search_chunks",
+                            lambda v, n: plans.append((v, plan(v, n))) or plans[-1][1])
         out = tmp_path / "inf"
         assert run([
             "infer", "--scene", str(apartment_path), "--readings", str(readings),
             "--sigma", "0.05", "--out", str(out),
         ]) == EXIT_OK
+        # each chunk builds the tables of the vectors its rows read; one row
+        # and its vector's tables take 832 bytes at split 3, so below that
+        # each row is a chunk
+        [(vector, chunks)] = plans
+        assert builds == [len(set(vector[a:stop].tolist())) for a, stop, _ in chunks]
         distinct = len({(p, q) for _, p, q, _, _ in rows})
-        per_chunk = inference.rows_per_chunk(6, 3)
-        assert max(builds) <= per_chunk and sum(builds) >= distinct
-        if per_chunk >= len(rows):
+        sizes = [stop - a for a, stop, _ in chunks]
+        assert sizes == ([1] * len(rows) if budget < 832 else [len(rows)])
+        if len(chunks) == 1:
             assert builds == [distinct]
 
         matrix = sweep(load_scene(apartment_path))
@@ -526,7 +543,8 @@ class TestInfer:
             x = matrix.vector_at(p, q)
             truth_config = LightConfig(truth, 6)
             target = float(lux) if lux else reading(x, truth_config, noise)
-            cands = perfect_sum_indices(PerfectSumQuery.from_vector(x, target, 0.01))
+            query = PerfectSumQuery(tuple(x.values.tolist()), target, 0.01)
+            cands = [c.index for c in perfect_sum(query)]
             acc = jaccard_accuracy(truth_config, cands)
             want.append(f"{p},{q},{truth},{len(cands)},{acc:.6g},{int(not cands)}")
         assert (out / "inference_report.csv").read_text(encoding="utf-8").splitlines() == want
@@ -561,12 +579,19 @@ class TestInfer:
         build = inference.half_sums_batch
         monkeypatch.setattr(inference, "half_sums_batch",
                             lambda v, k: builds.append(len(v)) or build(v, k))
+        plans = []
+        plan = inference.search_chunks
+        monkeypatch.setattr(inference, "search_chunks",
+                            lambda v, n: plans.append((v, plan(v, n))) or plans[-1][1])
         out = tmp_path / "inf"
         assert run([
             "infer", "--scene", str(apartment_path), "--readings", str(readings),
             "--sigma", "0.05", "--out", str(out),
         ]) == EXIT_OK
-        assert len(builds) > 1 and max(builds) <= inference.rows_per_chunk(6, 3)
+        # each row is a chunk, which builds its one vector's tables
+        [(_, chunks)] = plans
+        assert [stop - a for a, stop, _ in chunks] == [1] * len(rows)
+        assert builds == [1] * len(rows)
 
         matrix = sweep(load_scene(apartment_path))
         noise = cli.NoiseModel(sigma=0.05, seed=0)
@@ -583,8 +608,8 @@ class TestInfer:
                 truth_config = LightConfig(truth, 6) if truth != "" else None
                 target = float(lux) if lux else reading(x, truth_config, noise)
                 vectors.append(tuple(x.values.tolist()))
-                query = PerfectSumQuery.from_vector(x, target, 0.01)
-                candidate_sets.append(perfect_sum_indices(query))
+                query = PerfectSumQuery(vectors[-1], target, 0.01)
+                candidate_sets.append([c.index for c in perfect_sum(query)])
             fused, rule = trial_rule(vectors, candidate_sets)
             truths = {truth for _, _, _, truth in members}
             truth = truths.pop() if len(truths) == 1 else ""

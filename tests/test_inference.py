@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from luxplan import (
@@ -32,7 +32,6 @@ from luxplan.inference import (
     search_batch,
 )
 from luxplan.planning import config_sums_batch
-from luxplan.transport import ContributionVector
 
 
 def brute_force(values, target, epsilon):
@@ -129,12 +128,6 @@ class TestPerfectSum:
     def test_solver_bit_limit(self):
         with pytest.raises(ValueError, match="exceed"):
             PerfectSumQuery(contributions=(1.0,) * 25, target=1.0, epsilon=0.0)
-
-    def test_from_vector(self):
-        x = ContributionVector(values=np.array([2.0, 3.0]))
-        q = PerfectSumQuery.from_vector(x, target=5.0, epsilon=0.0)
-        assert q.contributions == (2.0, 3.0)
-        assert [c.index for c in perfect_sum(q)] == [3]
 
 
 @given(st.data())
@@ -258,6 +251,36 @@ def test_batch_search_equals_the_one_query_kernel(data):
             assert got == [p for p, s in enumerate(exact[v]) if abs(s - t) <= epsilon]
 
 
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_array_and_tuple_batches_decode_alike(data):
+    # the same vectors as a (V, n) array and as tuples: equal values, equal
+    # hashable contributions, equal answers
+    n = data.draw(st.integers(min_value=0, max_value=10), label="n")
+    fresh = st.integers(min_value=0, max_value=640).map(lambda k: k / 64.0)
+    vectors = data.draw(st.lists(st.lists(fresh, min_size=n, max_size=n), min_size=1,
+                                 max_size=3), label="vectors")
+    vector = data.draw(st.lists(st.integers(min_value=0, max_value=len(vectors) - 1),
+                                max_size=8), label="vector")
+    targets = data.draw(st.lists(fresh, min_size=len(vector), max_size=len(vector)),
+                        label="targets")
+    as_array = DecodeBatch(np.array(vectors).reshape(len(vectors), n), vector, targets, 0.25)
+    as_tuples = DecodeBatch(tuple(map(tuple, vectors)), vector, targets, 0.25)
+    assert as_array.values.dtype == as_tuples.values.dtype == float
+    assert np.array_equal(as_array.values, as_tuples.values)
+    assert as_array.contributions == as_tuples.contributions == tuple(
+        tuple(map(float, v)) for v in vectors)
+    assert hash(as_array.contributions) == hash(as_tuples.contributions)
+    assert as_array.contributions is as_array.contributions  # built once
+    (c1, o1), (c2, o2) = search_batch(as_array), search_batch(as_tuples)
+    assert np.array_equal(c1, c2) and np.array_equal(o1, o2)
+
+
+def test_batch_vectors_must_form_a_two_dimensional_array():
+    with pytest.raises(ValueError, match=r"\(V, n\)"):
+        DecodeBatch([1.0, 2.0], [0], [1.0], 0.0)
+
+
 def test_one_byte_budget_searches_one_row_at_a_time(monkeypatch):
     rng = np.random.default_rng(3)
     values = rng.integers(0, 40, (3, 9)) / 8.0
@@ -266,9 +289,13 @@ def test_one_byte_budget_searches_one_row_at_a_time(monkeypatch):
     batch = DecodeBatch(tuple(map(tuple, values.tolist())), vector, targets, 0.0)
     want = search_batch(batch)
     assert len(inference.search_chunks(np.sort(vector), 9)) == 1
-    assert inference.rows_per_chunk(24, 12) * 64 << 12 <= inference.TABLE_BUDGET_BYTES
+    # a 24-luminaire vector read by many rows takes several chunks, each
+    # within the budget
+    chunks = inference.search_chunks(np.zeros(20_000, np.intp), 24)
+    assert len(chunks) > 1 and chunks[-1][1] == 20_000
+    assert all(inference._chunk_bytes(24, k, stop - a, 1) <= inference.TABLE_BUDGET_BYTES
+               for a, stop, k in chunks)
     monkeypatch.setattr(inference, "TABLE_BUDGET_BYTES", 1)
-    assert inference.rows_per_chunk(9, 4) == 1
     # nothing fits, so each row is a chunk at today's split
     assert inference.search_chunks(np.sort(vector), 9) == [(j, j + 1, 4) for j in range(50)]
     got = search_batch(batch)
@@ -315,11 +342,61 @@ def test_chunked_search_equals_one_chunk_at_every_budget(monkeypatch, n):
 
 def test_one_row_batches_keep_the_middle_split():
     # a vector read once gains nothing from a larger high table, so one-row
-    # batches (perfect_sum_indices) keep split n // 2 at every n
+    # batches (perfect_sum) keep split n // 2 at every n
     for n in range(MAX_SOLVER_BITS + 1):
         assert inference.search_chunks(np.zeros(1, np.intp), n) == [(0, 1, n // 2)]
     # a vector read by many rows gets a smaller low half
     assert inference.search_chunks(np.repeat(np.arange(4), 100), 16) == [(0, 400, 4)]
+
+
+def reference_chunks(vector, n):
+    """The earlier planner that search_chunks replaced: whole vectors' rows
+    per chunk while they fit, then as many of the next vector's rows as
+    fit, tracked by vector."""
+    budget = inference.TABLE_BUDGET_BYTES
+    chunk_bytes, split = inference._chunk_bytes, inference._split
+    starts = np.flatnonzero(np.diff(vector, prepend=-1))  # each vector's first row
+    stops = np.append(starts[1:], len(vector))
+    fits = [k for k in range(n + 1) if chunk_bytes(n, k, 1, 1) <= budget]
+    k0 = split(n, len(vector), len(starts), fits)
+    per_row = chunk_bytes(n, k0, 1, 0)
+    per_vector = chunk_bytes(n, k0, 0, 1)
+    rows_per_chunk = max(1, (budget - per_vector) // per_row)
+    # the bytes of rows 0:stops[r], the tables of vectors 0..r
+    whole = stops * per_row + np.arange(1, len(starts) + 1) * per_vector
+    chunks, a, r0 = [], 0, 0
+    while a < len(vector):
+        held = a * per_row + r0 * per_vector  # what whole counts before row a
+        r = int(whole.searchsorted(budget + held, "right")) - 1  # the last vector that fits
+        if r < r0:
+            stop = min(int(stops[r0]), a + rows_per_chunk)
+        else:
+            stop = int(stops[r])
+            if r + 1 < len(starts):
+                spare = budget + held - int(whole[r]) - per_vector
+                stop += max(0, spare // per_row)
+        last = int(starts.searchsorted(stop - 1, "right")) - 1
+        rows, vectors = stop - a, last - r0 + 1
+        k = split(n, rows, vectors,
+                  [k for k in range(n + 1) if chunk_bytes(n, k, rows, vectors) <= budget] or [k0])
+        chunks.append((a, stop, k))
+        a, r0 = stop, last + int(stop == stops[last])
+    return chunks
+
+
+@pytest.mark.parametrize("budget", [16 << 20, 1 << 20, 256 << 10, 64 << 10])
+@given(n=st.integers(min_value=0, max_value=MAX_SOLVER_BITS),
+       reads=st.lists(st.integers(min_value=1, max_value=400), max_size=60))
+@example(n=24, reads=[])
+@settings(max_examples=150, deadline=None)
+def test_search_chunks_equal_the_vector_by_vector_planner(budget, n, reads):
+    # reads[v] rows read vector v; an empty list is the empty batch
+    vector = np.repeat(np.arange(len(reads)), reads)
+    with mock.patch.object(inference, "TABLE_BUDGET_BYTES", budget):
+        chunks = inference.search_chunks(vector, n)
+        assert chunks == reference_chunks(vector, n)
+    # the chunks tile the rows
+    assert [a for a, _, _ in chunks] + [len(vector)] == [0] + [stop for _, stop, _ in chunks]
 
 
 def left_to_right(values):
